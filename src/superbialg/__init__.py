@@ -13,8 +13,6 @@ from .scalars import (
     ParityError,
     ReductionError,
     ScalarParseError,
-    normalize_product,
-    substitute,
     reduce_mod_relation,
 )
 from .algebra import (
@@ -70,9 +68,6 @@ from .poisson import (
     cocycle_structure,
     mixed_structure,
     named_structure,
-    coproduct,
-    apply_field,
-    poisson_bracket,
     check_axioms,
     render_table,
     super_e2_group,

@@ -5,11 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Ring, RingMismatchError
+from .scalars import EVEN, ODD, Ring, RingMismatchError
 from . import tensors
-
-EVEN = 0
-ODD = 1
 
 
 class AlgebraError(ValueError):
@@ -143,10 +140,6 @@ class SuperLieAlgebra:
 
     def __repr__(self):
         return f"SuperLieAlgebra({self.name}, dim={self.dim})"
-
-
-def validate(algebra):
-    return algebra.validate()
 
 
 def bracket(algebra, x, y):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Ring, rational_sqrt
-from .algebra import SuperLieAlgebra, EVEN
+from .scalars import EVEN, Ring, rational_sqrt
+from .algebra import SuperLieAlgebra
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action, wedge
 
@@ -56,6 +56,19 @@ class Cobracket:
                 table[i][k][l] = table[i][k][l] + v
         d.f = table
         return d
+
+    @classmethod
+    def from_entries(cls, algebra, ring, entries):
+        """Build from ((i, k, l), value) pairs: each value is added at
+        f_i^{kl} and, for k != l, at f_i^{lk} with the graded sign -z(k,l)."""
+        n = algebra.dim
+        table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
+        for (i, k, l), value in entries:
+            value = ring.coerce(value)
+            table[i][k][l] = table[i][k][l] + value
+            if k != l:
+                table[i][l][k] = table[i][l][k] - algebra.z(k, l) * value
+        return cls(algebra, ring, table)
 
     def delta(self, g):
         """delta(g_i) as a rank-2 tensor."""
@@ -169,10 +182,29 @@ def _cocycle_residual(algebra, d, i, j):
     return res
 
 
+def _cojacobi_residuals(algebra, d):
+    """Yield (i, k, l, m, residual) for every nonzero co-Jacobi sum
+    sum_j f_i^{kj} f_j^{lm} z(k,m) + f_i^{lj} f_j^{mk} z(l,k)
+          + f_i^{mj} f_j^{kl} z(m,l),
+    with i, k, l, m in lexicographic order."""
+    f = d.f
+    n = algebra.dim
+    for i in range(n):
+        for k in range(n):
+            for l in range(n):
+                for m in range(n):
+                    res = d.ring.zero()
+                    for j in range(n):
+                        res = res + f[i][k][j] * f[j][l][m] * algebra.z(k, m)
+                        res = res + f[i][l][j] * f[j][m][k] * algebra.z(l, k)
+                        res = res + f[i][m][j] * f[j][k][l] * algebra.z(m, l)
+                    if not res.is_zero():
+                        yield i, k, l, m, res
+
+
 def check_cobracket(algebra, d):
     report = CobracketReport()
     n = algebra.dim
-    ring = d.ring
     grades = algebra.grades
     for i in range(n):
         for k in range(n):
@@ -190,21 +222,9 @@ def check_cobracket(algebra, d):
                 if not res.is_zero():
                     report.antisymmetry.append(
                         (algebra.basis[i], algebra.basis[k], algebra.basis[l], res))
-    # co-Jacobi: sum_j f_i^{kj} f_j^{lm} z(k,m) + f_i^{lj} f_j^{mk} z(l,k)
-    #                + f_i^{mj} f_j^{kl} z(m,l) = 0
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    res = ring.zero()
-                    for j in range(n):
-                        res = res + d.f[i][k][j] * d.f[j][l][m] * algebra.z(k, m)
-                        res = res + d.f[i][l][j] * d.f[j][m][k] * algebra.z(l, k)
-                        res = res + d.f[i][m][j] * d.f[j][k][l] * algebra.z(m, l)
-                    if not res.is_zero():
-                        report.cojacobi.append(
-                            (algebra.basis[i], algebra.basis[k],
-                             algebra.basis[l], algebra.basis[m], res))
+    for i, k, l, m, res in _cojacobi_residuals(algebra, d):
+        report.cojacobi.append((algebra.basis[i], algebra.basis[k],
+                                algebra.basis[l], algebra.basis[m], res))
     for i in range(n):
         for j in range(i, n):
             if i == j and not grades[i]:

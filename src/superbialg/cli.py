@@ -3,12 +3,15 @@
 Commands: validate, cobracket-check, schouten, coboundary, solve-cocycle,
 verify-orbits, poisson, verify-paper.  Exit codes: 0 all checks pass,
 1 failures, 2 usage or parse errors (errata do not fail a run unless
---strict is given).
+--strict is given), 141 (128 + SIGPIPE, as a shell reports a process that a
+closed pipe stopped) when the reader of stdout goes away early, e.g.
+`superbialg solve-cocycle --algebra osp12 | head -2`; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -239,7 +242,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits with 2 on usage errors
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # fail again and print a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

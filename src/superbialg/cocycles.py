@@ -12,15 +12,13 @@ included once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import Ring
-from .bialgebra import Cobracket, _cocycle_residual
+from .bialgebra import (Cobracket, _cocycle_residual, _cojacobi_residuals,
+                        coboundary_delta)
 from .tensors import RMatrix
-from .bialgebra import coboundary_delta
-
-EVEN = 0
-ODD = 1
 
 
 def admissible_unknowns(algebra):
@@ -66,15 +64,8 @@ def generic_cobracket(algebra):
     """A cobracket whose admissible constants are fresh ring parameters."""
     unknowns = admissible_unknowns(algebra)
     ring = Ring([(f"t{n}", "commuting") for n in range(len(unknowns))])
-    d = Cobracket(algebra, ring)
-    n = algebra.dim
-    table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
-    for pos, (i, k, l) in enumerate(unknowns):
-        t = ring.var(f"t{pos}")
-        table[i][k][l] = table[i][k][l] + t
-        if k != l:
-            table[i][l][k] = table[i][l][k] - algebra.z(k, l) * t
-    d.f = table
+    d = Cobracket.from_entries(algebra, ring, (
+        (u, ring.var(f"t{pos}")) for pos, u in enumerate(unknowns)))
     return d, unknowns, ring
 
 
@@ -118,15 +109,9 @@ def _integerize(row):
     lcm = 1
     for x in row:
         if x.denominator != 1:
-            g = _gcd(lcm, x.denominator)
+            g = math.gcd(lcm, x.denominator)
             lcm = lcm // g * x.denominator
     return [int(x * lcm) for x in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _bareiss_echelon(rows, ncols):
@@ -295,14 +280,7 @@ def cobracket_vector(d, unknowns, ring=None):
 
 def vector_cobracket(algebra, unknowns, vector, ring=None):
     ring = ring if ring is not None else algebra.ring
-    n = algebra.dim
-    table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
-    for (i, k, l), value in zip(unknowns, vector):
-        value = ring.coerce(value) if not hasattr(value, "ring") else value
-        table[i][k][l] = table[i][k][l] + value
-        if k != l:
-            table[i][l][k] = table[i][l][k] - algebra.z(k, l) * value
-    return Cobracket(algebra, ring, table)
+    return Cobracket.from_entries(algebra, ring, zip(unknowns, vector))
 
 
 class SolutionFamily:
@@ -391,35 +369,17 @@ def cojacobi_constraints(family):
     algebra = family.algebra
     r = family.nullity
     ring = Ring([(f"t{n}", "commuting") for n in range(r)])
-    n = algebra.dim
-    table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
-    for pos, vec in enumerate(family.vectors):
-        t = ring.var(f"t{pos}")
-        for (i, k, l), coeff in zip(family.unknowns, vec):
-            if not coeff:
-                continue
-            value = coeff * t
-            table[i][k][l] = table[i][k][l] + value
-            if k != l:
-                table[i][l][k] = table[i][l][k] - algebra.z(k, l) * value
-    d = Cobracket(algebra, ring, table)
+    d = Cobracket.from_entries(algebra, ring, (
+        (u, coeff * ring.var(f"t{pos}"))
+        for pos, vec in enumerate(family.vectors)
+        for u, coeff in zip(family.unknowns, vec) if coeff))
     seen = []
     seen_rendered = set()
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    res = ring.zero()
-                    for j in range(n):
-                        res = res + d.f[i][k][j] * d.f[j][l][m] * algebra.z(k, m)
-                        res = res + d.f[i][l][j] * d.f[j][m][k] * algebra.z(l, k)
-                        res = res + d.f[i][m][j] * d.f[j][k][l] * algebra.z(m, l)
-                    if res.is_zero():
-                        continue
-                    text = res.render()
-                    if text.startswith("-"):
-                        text = (-res).render()
-                    if text not in seen_rendered:
-                        seen_rendered.add(text)
-                        seen.append(ring.parse(text))
+    for *_, res in _cojacobi_residuals(algebra, d):
+        text = res.render()
+        if text.startswith("-"):
+            text = (-res).render()
+        if text not in seen_rendered:
+            seen_rendered.add(text)
+            seen.append(ring.parse(text))
     return ring, seen

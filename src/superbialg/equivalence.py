@@ -20,9 +20,6 @@ from .tensors import GradedTensor, RMatrix, wedge
 from .bialgebra import (Cobracket, case_a, case_b, cybe_status,
                         osp_r_a, osp_r_b, osp_r1, osp_r2, osp_r3)
 
-EVEN = 0
-ODD = 1
-
 
 class Automorphism:
     """Basis map phi(g_i) = sum_j M[i][j] g_j with even scalar entries.

@@ -21,9 +21,18 @@ group-element-valued table; a mixed structure is the sum (the extra
 c*s P+^P- term of the non-coboundary families).  Products are taken in the
 written order; the supercommutative ring supplies every Koszul sign.
 
-Field application is the graded left Leibniz rule, with the chain rule
-field(E) = 1/2 field(s) E on the group-like variable.  The left/right
-derivative distinction lives entirely in the per-generator tables.
+The invariant fields are derived from the coproduct and a tangent vector
+xi_k at the identity: Y_k = (id (x) xi_k) o Delta and X_k = (xi_k (x) id) o
+Delta, with xi_k(v) evaluated at the identity.  The tangent maps are
+
+    super-E(2): H -> d/ds, P+ -> d/da, P- -> d/db, D+ -> d/dxi, D- -> d/deta
+    OSp(1|2):   H -> 1/2 (d/da - d/dd), X+ -> d/db, X- -> d/dc,
+                V+ -> 1/2 d/dalpha, V- -> 1/2 d/ddelta
+
+For an odd xi_k the left and right derivatives differ by the sign
+(-1)^{|kept half|}: a left Y crosses the slot-1 half, a right X the slot-2
+half.  Field application is the graded Leibniz rule of the field's side, with
+the chain rule field(E) = 1/2 field(s) E on the group-like variable.
 
 OSp bracket values are conventionally displayed after multiplication by 2,
 which is how the published table is normalized; `render_table` applies the
@@ -35,12 +44,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import Ring
+from .scalars import EVEN, ODD, Ring
 from .algebra import builtin
 from .bialgebra import family as bialgebra_family
-
-EVEN = 0
-ODD = 1
 
 HALF = Fraction(1, 2)
 
@@ -77,7 +83,7 @@ class VectorField:
 class CoordinateRing:
     """A supergroup coordinate ring with coproduct and invariant fields."""
 
-    def __init__(self, name, ring, coordinates, identity, field_specs,
+    def __init__(self, name, ring, coordinates, identity, tangents,
                  coproduct_rules, laurent_rules, display,
                  algebra_name, params=()):
         self.name = name
@@ -88,14 +94,11 @@ class CoordinateRing:
         self.laurent_rules = dict(laurent_rules)
         self.display = list(display)
         self.algebra = builtin(algebra_name)
-        self.fields = {}
-        for (gen, chirality, side), (parity, table) in field_specs.items():
-            parsed = {g: ring.parse(v) for g, v in table.items()}
-            self.fields[(gen, chirality, side)] = VectorField(
-                self, f"{chirality}_{gen}^({side})", parity, parsed,
-                side="r" if side == "r" else "l")
+        self.tangents = dict(tangents)  # generator -> {coordinate: rational}
+        self._fields = None
         self._tensor = None
         self._coproduct_rules = coproduct_rules
+        self._delta = None
 
     # -- basic ring helpers ------------------------------------------------
 
@@ -115,11 +118,45 @@ class CoordinateRing:
         return self.at_identity(f).is_zero()
 
     def field(self, gen, chirality, side):
-        key = (gen, chirality, side)
-        if key in self.fields:
-            return self.fields[key]
-        # even generators share one table for both derivative sides
-        return self.fields[(gen, chirality, "rl")]
+        """The invariant field Y or X of generator `gen`, side "l" or "r"."""
+        if self._fields is None:
+            self._fields = self._derive_fields()
+        return self._fields[(gen, chirality, side)]
+
+    def _derive_fields(self):
+        # Per term u (x) v of Delta(x): Y(x) gets u xi(v)|_e and X(x) gets
+        # xi(u)|_e v.  An odd derivative reaches v across u from the left
+        # and u across v from the right, hence the sign of a left Y and a
+        # right X on an odd kept half.
+        split = self.tensor_square()[3]
+        delta = self._generator_coproducts()
+        ring = self.ring
+        fields = {}
+        for gen, parity in zip(self.algebra.basis, self.algebra.grades):
+            tangent = VectorField(self, f"xi_{gen}", parity, {
+                name: ring.scalar(q) for name, q in self.tangents[gen].items()})
+            tables = {key: {} for key in itertools.product("YX", "lr")}
+            for name in self.coordinates:
+                sums = dict.fromkeys(tables, ring.zero())
+                for exps, odds, coeff in delta[name].terms():
+                    u, v = split(exps, odds)
+                    at_v = self.at_identity(self.apply_field(tangent, v))
+                    if not at_v.is_zero():
+                        y = coeff * u * at_v
+                        sums["Y", "r"] += y
+                        sums["Y", "l"] += -y if parity and u.parity() else y
+                    at_u = self.at_identity(self.apply_field(tangent, u))
+                    if not at_u.is_zero():
+                        x = coeff * at_u * v
+                        sums["X", "l"] += x
+                        sums["X", "r"] += -x if parity and v.parity() else x
+                for key, value in sums.items():
+                    if not value.is_zero():
+                        tables[key][name] = value
+            for (chirality, side), table in tables.items():
+                fields[(gen, chirality, side)] = VectorField(
+                    self, f"{chirality}_{gen}^({side})", parity, table, side)
+        return fields
 
     # -- derivations ---------------------------------------------------------
 
@@ -239,12 +276,18 @@ class CoordinateRing:
         self._tensor = (tring, embedder(1), embedder(2), split)
         return self._tensor
 
+    def _generator_coproducts(self):
+        """Delta of every ring variable, parsed once into the tensor square."""
+        if self._delta is None:
+            tring = self.tensor_square()[0]
+            self._delta = {name: tring.parse(rule)
+                           for name, rule in self._coproduct_rules.items()}
+        return self._delta
+
     def coproduct(self, f):
         """Multiplicative extension of the generator coproducts."""
-        tring, embed1, embed2, _ = self.tensor_square()
-        rules = {}
-        for name, rule in self._coproduct_rules.items():
-            rules[name] = tring.parse(rule) if isinstance(rule, str) else rule
+        tring = self.tensor_square()[0]
+        rules = self._generator_coproducts()
         ring = self.ring
         out = tring.zero()
         for exps, odds, coeff in f.terms():
@@ -285,23 +328,8 @@ def super_e2_group():
         ("E", "laurent"),
         ("xi", "grassmann"), ("eta", "grassmann"),
     ])
-    fields = {
-        ("H", "Y", "rl"): (EVEN, {"a": "-a", "b": "b", "s": "1",
-                                  "xi": "-1/2*xi", "eta": "1/2*eta"}),
-        ("H", "X", "rl"): (EVEN, {"s": "1"}),
-        ("P+", "Y", "rl"): (EVEN, {"a": "1"}),
-        ("P+", "X", "rl"): (EVEN, {"a": "E^-2"}),
-        ("P-", "Y", "rl"): (EVEN, {"b": "1"}),
-        ("P-", "X", "rl"): (EVEN, {"b": "E^2"}),
-        ("D-", "Y", "r"): (ODD, {"b": "1/2*eta", "eta": "1"}),
-        ("D-", "X", "r"): (ODD, {"b": "-1/2*E*eta", "eta": "E"}),
-        ("D-", "Y", "l"): (ODD, {"b": "-1/2*eta", "eta": "1"}),
-        ("D-", "X", "l"): (ODD, {"b": "1/2*E*eta", "eta": "E"}),
-        ("D+", "Y", "r"): (ODD, {"a": "1/2*xi", "xi": "1"}),
-        ("D+", "X", "r"): (ODD, {"a": "-1/2*E^-1*xi", "xi": "E^-1"}),
-        ("D+", "Y", "l"): (ODD, {"a": "-1/2*xi", "xi": "1"}),
-        ("D+", "X", "l"): (ODD, {"a": "1/2*E^-1*xi", "xi": "E^-1"}),
-    }
+    tangents = {"H": {"s": 1}, "P+": {"a": 1}, "P-": {"b": 1},
+                "D+": {"xi": 1}, "D-": {"eta": 1}}
     coproduct_rules = {
         "c": "c",
         "s": "s1+s2",
@@ -317,7 +345,7 @@ def super_e2_group():
         "super-e2", ring,
         coordinates=("s", "a", "b", "xi", "eta"),
         identity={"s": 0, "a": 0, "b": 0, "xi": 0, "eta": 0, "E": 1},
-        field_specs=fields,
+        tangents=tangents,
         coproduct_rules=coproduct_rules,
         laurent_rules={"E": ("s", HALF)},
         display=display,
@@ -332,38 +360,8 @@ def osp_group():
          ("d", "commuting"), ("alpha", "grassmann"), ("delta", "grassmann")],
         relations=[("a*d-b*c+alpha*delta-1", "a*d")],
     )
-    # gamma = c*alpha - a*delta, beta = d*alpha - b*delta, e = 1 + alpha*delta
-    fields = {
-        ("H", "Y", "rl"): (EVEN, {"a": "1/2*a", "b": "-1/2*b",
-                                  "c": "1/2*c", "d": "-1/2*d"}),
-        ("H", "X", "rl"): (EVEN, {"a": "1/2*a", "alpha": "1/2*alpha",
-                                  "b": "1/2*b", "c": "-1/2*c",
-                                  "delta": "-1/2*delta", "d": "-1/2*d"}),
-        ("X+", "Y", "rl"): (EVEN, {"b": "a", "d": "c"}),
-        ("X+", "X", "rl"): (EVEN, {"a": "c", "alpha": "delta", "b": "d"}),
-        ("X-", "Y", "rl"): (EVEN, {"a": "b", "c": "d"}),
-        ("X-", "X", "rl"): (EVEN, {"c": "a", "delta": "alpha", "d": "b"}),
-        ("V+", "Y", "r"): (ODD, {"alpha": "1/2*a", "b": "1/2*alpha",
-                                 "delta": "1/2*c", "d": "1/2*delta"}),
-        ("V+", "X", "r"): (ODD, {"a": "-1/2*c*alpha+1/2*a*delta",
-                                 "alpha": "1/2+1/2*alpha*delta",
-                                 "b": "-1/2*d*alpha+1/2*b*delta"}),
-        ("V+", "Y", "l"): (ODD, {"alpha": "1/2*a", "b": "-1/2*alpha",
-                                 "delta": "1/2*c", "d": "-1/2*delta"}),
-        ("V+", "X", "l"): (ODD, {"a": "1/2*c*alpha-1/2*a*delta",
-                                 "alpha": "1/2+1/2*alpha*delta",
-                                 "b": "1/2*d*alpha-1/2*b*delta"}),
-        ("V-", "Y", "r"): (ODD, {"a": "-1/2*alpha", "alpha": "1/2*b",
-                                 "c": "-1/2*delta", "delta": "1/2*d"}),
-        ("V-", "X", "r"): (ODD, {"c": "-1/2*c*alpha+1/2*a*delta",
-                                 "delta": "1/2+1/2*alpha*delta",
-                                 "d": "-1/2*d*alpha+1/2*b*delta"}),
-        ("V-", "Y", "l"): (ODD, {"a": "1/2*alpha", "alpha": "1/2*b",
-                                 "c": "1/2*delta", "delta": "1/2*d"}),
-        ("V-", "X", "l"): (ODD, {"c": "1/2*c*alpha-1/2*a*delta",
-                                 "delta": "1/2+1/2*alpha*delta",
-                                 "d": "1/2*d*alpha-1/2*b*delta"}),
-    }
+    tangents = {"H": {"a": HALF, "d": -HALF}, "X+": {"b": 1}, "X-": {"c": 1},
+                "V+": {"alpha": HALF}, "V-": {"delta": HALF}}
     # coproducts follow from 3x3 supermatrix multiplication, with the
     # derived letters expanded
     coproduct_rules = {
@@ -380,7 +378,7 @@ def osp_group():
         "osp", ring,
         coordinates=("a", "b", "c", "d", "alpha", "delta"),
         identity={"a": 1, "b": 0, "c": 0, "d": 1, "alpha": 0, "delta": 0},
-        field_specs=fields,
+        tangents=tangents,
         coproduct_rules=coproduct_rules,
         laurent_rules={},
         display=display,
@@ -525,20 +523,6 @@ def named_structure(group_name, structure_id):
 def structure_ids(group_name):
     return ["1", "2", "3"] if group(group_name).name == "osp" \
         else ["i", "ii", "iii", "iv", "v", "vi"]
-
-
-# -- module-level operations ----------------------------------------------------
-
-def coproduct(grp, f):
-    return grp.coproduct(f)
-
-
-def apply_field(field, f):
-    return field(f)
-
-
-def poisson_bracket(structure, f, g):
-    return structure.bracket(f, g)
 
 
 def _tensor_bracket(structure, F, G):

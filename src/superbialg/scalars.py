@@ -223,29 +223,7 @@ class Ring:
     def _reduce_terms(self, terms):
         if not self._relations:
             return terms
-        for _ in range(10000):
-            rewritten = None
-            for lead_exps, replacement in self._relations:
-                for (exps, odds), coeff in terms.items():
-                    if _divides(lead_exps, exps):
-                        rewritten = ((exps, odds), coeff, lead_exps, replacement)
-                        break
-                if rewritten:
-                    break
-            if rewritten is None:
-                return terms
-            (exps, odds), coeff, lead_exps, replacement = rewritten
-            terms = dict(terms)
-            del terms[(exps, odds)]
-            quotient = self.monomial(
-                tuple(e - l for e, l in zip(exps, lead_exps)), odds, coeff)
-            for key, c in (quotient * replacement)._terms.items():
-                acc = terms.get(key, Fraction(0)) + c
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        raise ReductionError("relation rewriting did not terminate")
+        return _rewrite(self, terms, self._relations)
 
     # -- parsing / rendering -------------------------------------------
 
@@ -258,6 +236,35 @@ def _divides(lead_exps, exps):
         if l and e < l:
             return False
     return True
+
+
+def _rewrite(ring, terms, rules):
+    """Normal form of a term dict under compiled (lead_exps, replacement)
+    rules: repeatedly replace a term divisible by the first applicable
+    leading monomial.  The input dict is left unchanged."""
+    for _ in range(10000):
+        rewritten = None
+        for lead_exps, replacement in rules:
+            for (exps, odds), coeff in terms.items():
+                if _divides(lead_exps, exps):
+                    rewritten = ((exps, odds), coeff, lead_exps, replacement)
+                    break
+            if rewritten:
+                break
+        if rewritten is None:
+            return terms
+        (exps, odds), coeff, lead_exps, replacement = rewritten
+        terms = dict(terms)
+        del terms[(exps, odds)]
+        quotient = ring.monomial(
+            tuple(e - l for e, l in zip(exps, lead_exps)), odds, coeff)
+        for key, c in (quotient * replacement)._terms.items():
+            acc = terms.get(key, Fraction(0)) + c
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+    raise ReductionError("relation rewriting did not terminate")
 
 
 class SuperScalar:
@@ -543,17 +550,6 @@ class SuperScalar:
         return f"<{self.render()}>"
 
 
-# -- module-level operation aliases (the natural spelling is operators) ----
-
-def normalize_product(x, y):
-    """Canonical supercommutative product of two scalars."""
-    return x * y
-
-
-def substitute(x, bindings):
-    return x.substitute(bindings)
-
-
 def reduce_mod_relation(x, relation, leading_monomial):
     """Rewrite every occurrence of `leading_monomial` using `relation`.
 
@@ -568,27 +564,8 @@ def reduce_mod_relation(x, relation, leading_monomial):
         leading_monomial = ring.parse(leading_monomial)
     if isinstance(relation, str):
         relation = ring.parse(relation)
-    lead_exps, replacement = ring._compile_relation(relation, leading_monomial)
-    terms = dict(x._terms)
-    for _ in range(10000):
-        hit = None
-        for (exps, odds), coeff in terms.items():
-            if _divides(lead_exps, exps):
-                hit = ((exps, odds), coeff)
-                break
-        if hit is None:
-            return ring._make(terms)
-        (exps, odds), coeff = hit
-        del terms[(exps, odds)]
-        quotient = ring.monomial(
-            tuple(e - l for e, l in zip(exps, lead_exps)), odds, coeff)
-        for key, c in (quotient * replacement)._terms.items():
-            acc = terms.get(key, Fraction(0)) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-    raise ReductionError("relation rewriting did not terminate")
+    rule = ring._compile_relation(relation, leading_monomial)
+    return ring._make(_rewrite(ring, x._terms, (rule,)))
 
 
 # -- text grammar -----------------------------------------------------------

@@ -26,10 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import RingMismatchError, ScalarParseError
-
-EVEN = 0
-ODD = 1
+from .scalars import EVEN, RingMismatchError, ScalarParseError
 
 
 class GradedTensor:

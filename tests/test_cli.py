@@ -1,7 +1,10 @@
 """Tests for the command-line front end (exit codes and report formats)."""
 
+import os
 import subprocess
 import sys
+
+import pytest
 
 from superbialg.cli import main
 from superbialg.claims import data_path
@@ -168,3 +171,23 @@ class TestUsage:
              "--algebra", "super_e2"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all axioms hold" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered):
+        # the reader is gone before the first write, as with `| head -2`
+        # ending early; block-buffered output first fails in main's flush
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "superbialg.cli", "solve-cocycle",
+                 "--algebra", "osp12"],
+                stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

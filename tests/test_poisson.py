@@ -10,6 +10,61 @@ from superbialg.poisson import (group, named_structure, check_axioms,
                                 structure_ids)
 from superbialg.bialgebra import family
 from superbialg.claims import run_claims
+from superbialg.scalars import EVEN, ODD
+
+
+# The hand-written field tables the derivation replaced, kept verbatim as
+# reference data: "rl" marks an even field, the same on both sides.
+E2_FIELD_TABLES = {
+    ("H", "Y", "rl"): (EVEN, {"a": "-a", "b": "b", "s": "1",
+                              "xi": "-1/2*xi", "eta": "1/2*eta"}),
+    ("H", "X", "rl"): (EVEN, {"s": "1"}),
+    ("P+", "Y", "rl"): (EVEN, {"a": "1"}),
+    ("P+", "X", "rl"): (EVEN, {"a": "E^-2"}),
+    ("P-", "Y", "rl"): (EVEN, {"b": "1"}),
+    ("P-", "X", "rl"): (EVEN, {"b": "E^2"}),
+    ("D-", "Y", "r"): (ODD, {"b": "1/2*eta", "eta": "1"}),
+    ("D-", "X", "r"): (ODD, {"b": "-1/2*E*eta", "eta": "E"}),
+    ("D-", "Y", "l"): (ODD, {"b": "-1/2*eta", "eta": "1"}),
+    ("D-", "X", "l"): (ODD, {"b": "1/2*E*eta", "eta": "E"}),
+    ("D+", "Y", "r"): (ODD, {"a": "1/2*xi", "xi": "1"}),
+    ("D+", "X", "r"): (ODD, {"a": "-1/2*E^-1*xi", "xi": "E^-1"}),
+    ("D+", "Y", "l"): (ODD, {"a": "-1/2*xi", "xi": "1"}),
+    ("D+", "X", "l"): (ODD, {"a": "1/2*E^-1*xi", "xi": "E^-1"}),
+}
+
+# gamma = c*alpha - a*delta, beta = d*alpha - b*delta, e = 1 + alpha*delta
+OSP_FIELD_TABLES = {
+    ("H", "Y", "rl"): (EVEN, {"a": "1/2*a", "b": "-1/2*b",
+                              "c": "1/2*c", "d": "-1/2*d"}),
+    ("H", "X", "rl"): (EVEN, {"a": "1/2*a", "alpha": "1/2*alpha",
+                              "b": "1/2*b", "c": "-1/2*c",
+                              "delta": "-1/2*delta", "d": "-1/2*d"}),
+    ("X+", "Y", "rl"): (EVEN, {"b": "a", "d": "c"}),
+    ("X+", "X", "rl"): (EVEN, {"a": "c", "alpha": "delta", "b": "d"}),
+    ("X-", "Y", "rl"): (EVEN, {"a": "b", "c": "d"}),
+    ("X-", "X", "rl"): (EVEN, {"c": "a", "delta": "alpha", "d": "b"}),
+    ("V+", "Y", "r"): (ODD, {"alpha": "1/2*a", "b": "1/2*alpha",
+                             "delta": "1/2*c", "d": "1/2*delta"}),
+    ("V+", "X", "r"): (ODD, {"a": "-1/2*c*alpha+1/2*a*delta",
+                             "alpha": "1/2+1/2*alpha*delta",
+                             "b": "-1/2*d*alpha+1/2*b*delta"}),
+    ("V+", "Y", "l"): (ODD, {"alpha": "1/2*a", "b": "-1/2*alpha",
+                             "delta": "1/2*c", "d": "-1/2*delta"}),
+    ("V+", "X", "l"): (ODD, {"a": "1/2*c*alpha-1/2*a*delta",
+                             "alpha": "1/2+1/2*alpha*delta",
+                             "b": "1/2*d*alpha-1/2*b*delta"}),
+    ("V-", "Y", "r"): (ODD, {"a": "-1/2*alpha", "alpha": "1/2*b",
+                             "c": "-1/2*delta", "delta": "1/2*d"}),
+    ("V-", "X", "r"): (ODD, {"c": "-1/2*c*alpha+1/2*a*delta",
+                             "delta": "1/2+1/2*alpha*delta",
+                             "d": "-1/2*d*alpha+1/2*b*delta"}),
+    ("V-", "Y", "l"): (ODD, {"a": "1/2*alpha", "alpha": "1/2*b",
+                             "c": "1/2*delta", "delta": "1/2*d"}),
+    ("V-", "X", "l"): (ODD, {"c": "1/2*c*alpha-1/2*a*delta",
+                             "delta": "1/2+1/2*alpha*delta",
+                             "d": "1/2*d*alpha-1/2*b*delta"}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +78,21 @@ def osp():
 
 
 class TestFields:
+    @pytest.mark.parametrize("gname,tables", [("super-e2", E2_FIELD_TABLES),
+                                              ("osp", OSP_FIELD_TABLES)])
+    def test_derived_fields_equal_frozen_tables(self, gname, tables):
+        grp = group(gname)
+        checked = 0
+        for (gen, chirality, side), (parity, table) in tables.items():
+            for s in ("l", "r") if side == "rl" else (side,):
+                fld = grp.field(gen, chirality, s)
+                assert (fld.parity, fld.side) == (parity, s)
+                for name in grp.coordinates:
+                    want = grp.parse(table.get(name, "0"))
+                    assert fld.on_generator(name) == want, (gen, chirality, s, name)
+                    checked += 1
+        assert checked == 20 * len(grp.coordinates)
+
     def test_e2_table_entries(self, e2):
         a = e2.var("a")
         assert e2.field("H", "Y", "r")(a) == -a
