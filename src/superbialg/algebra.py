@@ -293,7 +293,11 @@ def parse_algebra_text(text, validate=True):
                     f"line {lineno}: right-hand side must be rational/name pairs")
             rhs_pairs = []
             for pos in range(0, len(tokens), 2):
-                coeff = Fraction(tokens[pos])
+                try:
+                    coeff = Fraction(tokens[pos])
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(
+                        f"line {lineno}: bad rational {tokens[pos]!r}") from None
                 kname = tokens[pos + 1]
                 if kname not in index:
                     raise ValueError(f"line {lineno}: unknown basis name {kname!r}")

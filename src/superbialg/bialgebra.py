@@ -511,6 +511,13 @@ def family(family_id, **params):
     builder = _FAMILY_BUILDERS.get(key)
     if builder is None:
         raise KeyError(f"unknown family {family_id!r}")
+    import inspect
+    accepted = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"family {family_id!r} has no parameter {', '.join(unknown)};"
+            f" it accepts: {', '.join(accepted) or 'none'}")
     return builder(**params)
 
 

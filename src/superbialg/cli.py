@@ -46,7 +46,10 @@ def _parse_params(text):
         key, _, value = piece.partition("=")
         if not _ or not key.strip():
             raise UsageError(f"bad parameter binding {piece!r}")
-        params[key.strip()] = Fraction(value.strip())
+        try:
+            params[key.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad rational in {piece!r}") from None
     return params
 
 

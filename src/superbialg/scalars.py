@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add as _add
 
 COMMUTING = "commuting"
 LAURENT = "laurent"
@@ -49,14 +50,10 @@ class ScalarParseError(ValueError):
 
 
 def _merge_grassmann(left, right):
-    """Merge two strictly increasing index tuples, counting crossings.
+    """Merge two nonempty strictly increasing index tuples, counting crossings.
 
     Returns (merged tuple, sign) or (None, 0) when an index repeats.
     """
-    if not left:
-        return right, 1
-    if not right:
-        return left, 1
     out = []
     sign = 1
     i, j = 0, 0
@@ -328,7 +325,7 @@ class SuperScalar:
 
     def _check(self, other):
         if isinstance(other, SuperScalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError("operands from different rings")
             return other
         return self.ring.scalar(other)
@@ -362,24 +359,32 @@ class SuperScalar:
         return self._check(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (SuperScalar, int, Fraction)):
+        ring = self.ring
+        if isinstance(other, (int, Fraction)):
+            # a rational multiple of a normal form is a normal form
+            if not other:
+                return ring.zero()
+            return ring._make({key: c * other for key, c in self._terms.items()})
+        if not isinstance(other, SuperScalar):
             return NotImplemented
-        other = self._check(other)
+        self._check(other)
         out = {}
+        get = out.get
+        right = list(other._terms.items())
         for (e1, o1), c1 in self._terms.items():
-            for (e2, o2), c2 in other._terms.items():
-                odds, sign = _merge_grassmann(o1, o2)
-                if odds is None:
-                    continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                key = (exps, odds)
-                acc = out.get(key, Fraction(0)) + sign * c1 * c2
-                if acc:
-                    out[key] = acc
+            for (e2, o2), c2 in right:
+                if o1 and o2:
+                    odds, sign = _merge_grassmann(o1, o2)
+                    if odds is None:
+                        continue
                 else:
-                    out.pop(key, None)
-        out = self.ring._reduce_terms(out)
-        return self.ring._make(out)
+                    odds, sign = o1 or o2, 1
+                key = (tuple(map(_add, e1, e2)), odds)
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                acc = get(key)
+                out[key] = c if acc is None else acc + c
+        out = {key: c for key, c in out.items() if c}
+        return ring._make(ring._reduce_terms(out))
 
     def __rmul__(self, other):
         # other is int/Fraction: even, commutes freely
@@ -616,6 +621,9 @@ def _parse_scalar(ring, text):
         while True:
             kind, val = tokens[i]
             if kind == "num":
+                den = val.partition("/")[2]
+                if den and not int(den):
+                    raise ScalarParseError(f"zero denominator in {val!r}")
                 term = term * Fraction(val)
                 i += 1
             elif kind == "name":

@@ -1,5 +1,6 @@
 """Tests for the command-line front end (exit codes and report formats)."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -157,6 +158,12 @@ class TestVerifyPaper:
         code, _, err = run_cli(capsys, "verify-paper", "--filter", "zzz")
         assert code == 2
 
+    def test_machine_output_is_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-paper", "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8b1877c9e9f34e15d2832186f576a5796d13328ff00da4f3eca97752addd9051")
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self):
@@ -191,3 +198,45 @@ class TestUsage:
             os.close(write_fd)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+    def test_python_dash_m_package(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "superbialg", "validate",
+             "--algebra", "osp12"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "all axioms hold" in proc.stdout
+
+
+# inputs with a zero denominator or an unknown family parameter, as
+# (argv, file name, file text)
+BAD_INPUTS = {
+    "params-zero-denominator": (
+        ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
+         "--params", "a=1/0"], None, None),
+    "r-zero-denominator": (
+        ["schouten", "--algebra", "osp12", "--r", "1/0 H^X+"], None, None),
+    "cobracket-file-zero-denominator": (
+        ["cobracket-check", "--algebra", "super_e2", "--cobracket-file"],
+        "d.cob", "delta H = 1/0 P+^P-\n"),
+    "alg-file-zero-denominator": (
+        ["validate", "--file"], "bad.alg",
+        "[algebra] name = bad\nbasis = H:even X+:even\n"
+        "[brackets]\nH X+ = 1/0 X+\n"),
+    "unknown-family-parameter": (
+        ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
+         "--params", "a=1,b=2,zz=3"], None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(case, tmp_path):
+    argv, name, text = BAD_INPUTS[case]
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(text)
+        argv = argv + [str(path)]
+    proc = subprocess.run([sys.executable, "-m", "superbialg.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbialg.poisson import (group, named_structure, check_axioms,
                                 render_table, table_cell, format_table,
                                 mixed_structure, coboundary_structure,
-                                structure_ids)
+                                structure_ids, super_e2_group, osp_group)
 from superbialg.bialgebra import family
 from superbialg.claims import run_claims
 from superbialg.scalars import EVEN, ODD
@@ -128,6 +129,98 @@ class TestFields:
         lhs = fld(f * g)
         rhs = fld(f) * g - f * fld(g)  # field odd, f odd
         assert lhs == rhs
+
+
+FRESH_GROUPS = {"super-e2": super_e2_group, "osp": osp_group}
+
+
+def _field_keys(grp):
+    return [(gen, chirality, side) for gen in grp.algebra.basis
+            for chirality in "YX" for side in "lr"]
+
+
+def _homogeneous(grp, parity):
+    """Random polynomials of one parity, in normal form in the group ring."""
+    ring = grp.ring
+    exps = st.tuples(*[
+        st.integers(-2 if ring.kind(name) == "laurent" else 0, 2)
+        for name in ring.even_names])
+    odds = st.sampled_from([o for o in [(), (0,), (1,), (0, 1)]
+                            if len(o) % 2 == parity])
+    term = st.tuples(exps, odds, st.integers(-3, 3))
+
+    def build(terms):
+        total = ring.zero()
+        for e, o, c in terms:
+            total = total + ring.monomial(e, o, c)
+        return total * ring.one()  # reduce modulo the group relation
+
+    return st.lists(term, max_size=3).map(build)
+
+
+def _pair(gname):
+    grp = group(gname)
+    return st.tuples(st.sampled_from([EVEN, ODD]),
+                     st.sampled_from([EVEN, ODD])).flatmap(
+        lambda p: st.tuples(st.just(p), _homogeneous(grp, p[0]),
+                            _homogeneous(grp, p[1])))
+
+
+class TestFieldImages:
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_graded_leibniz_every_field(self, gname):
+        # left: D(fg) = D(f) g + (-1)^{|D||f|} f D(g)
+        # right: D(fg) = (-1)^{|D||g|} D(f) g + f D(g)
+        grp = group(gname)
+        fields = [grp.field(*key) for key in _field_keys(grp)]
+        assert len(fields) == 20
+
+        @settings(max_examples=40, deadline=None)
+        @given(_pair(gname))
+        def check(drawn):
+            (pf, pg), f, g = drawn
+            for fld in fields:
+                if fld.side == "l":
+                    sign = -1 if (fld.parity and pf) else 1
+                    rhs = fld(f) * g + sign * (f * fld(g))
+                else:
+                    sign = -1 if (fld.parity and pg) else 1
+                    rhs = sign * (fld(f) * g) + f * fld(g)
+                assert fld(f * g) == rhs, fld.label
+
+        check()
+
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_warm_and_fresh_groups_agree(self, gname):
+        warm = group(gname)
+        st_id = structure_ids(gname)[-1]
+        check_axioms(named_structure(gname, st_id),
+                     leibniz_triples=[tuple(warm.coordinates[:3])])
+        keys = _field_keys(warm)
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.sampled_from([EVEN, ODD]).flatmap(
+            lambda p: _homogeneous(warm, p)))
+        def check(f):
+            fresh = FRESH_GROUPS[gname]()
+            for key in keys:
+                assert fresh.field(*key)(f) == warm.field(*key)(f), key
+
+        check()
+
+    def test_memo_holds_one_image_per_monomial(self):
+        grp = osp_group()
+        fld = grp.field("V+", "X", "r")
+        monomials = [grp.parse(t) for t in ("a*b*alpha", "c^2", "d*delta")]
+        images = [fld(m) for m in monomials]
+        assert len(fld.images) == 3
+        f = monomials[0] + 2 * monomials[1] - monomials[2]
+        assert fld(f) == images[0] + 2 * images[1] - images[2]
+        assert len(fld.images) == 3
+        # a caller mutating a result must not reach the memo
+        want = images[0].render()
+        fld(monomials[0])._terms.clear()
+        assert fld(monomials[0]).render() == want != "0"
 
 
 def e2_half(grp, name):

@@ -235,3 +235,68 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
+
+
+OSP_RING = Ring(
+    [("a", "commuting"), ("b", "commuting"), ("c", "commuting"),
+     ("d", "commuting"), ("alpha", "grassmann"), ("delta", "grassmann")],
+    relations=[("a*d-b*c+alpha*delta-1", "a*d")],
+)
+
+
+def _osp_elements():
+    coeffs = st.integers(-4, 4).map(Fraction)
+    exps = st.tuples(*[st.integers(0, 2)] * 4)
+    odds = st.sampled_from([(), (0,), (1,), (0, 1)])
+    term = st.tuples(exps, odds, coeffs)
+
+    def build(terms):
+        total = OSP_RING.zero()
+        for e, o, c in terms:
+            total = total + OSP_RING.monomial(e, o, c)
+        # the product with one reduces modulo the relation
+        return total * OSP_RING.one()
+
+    return st.lists(term, min_size=0, max_size=4).map(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_osp_elements(), _osp_elements(), _osp_elements())
+def test_canonical_two_ways_osp(x, y, z):
+    assert (x + y) * z == x * z + y * z
+
+
+@settings(max_examples=200, deadline=None)
+@given(_osp_elements(), _osp_elements(), _osp_elements())
+def test_associativity_osp(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+_RATIONALS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    st.sampled_from([0, Fraction(0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_elements(RING), _osp_elements()), _RATIONALS)
+def test_rational_factor_equals_constant_scalar(x, q):
+    want = x * x.ring.scalar(q)
+    for got in (x * q, q * x):
+        assert got == want
+        assert all(type(c) is Fraction for _, _, c in got.terms())
+
+
+def test_ring_mismatch_on_every_product():
+    twin = Ring([
+        ("a", "commuting"), ("b", "commuting"), ("E", "laurent"),
+        ("xi", "grassmann"), ("eta", "grassmann"),
+    ])
+    x = RING.parse("a+xi")
+    # an equal ring built separately is the same ring
+    assert x * twin.parse("b") == RING.parse("a*b+b*xi")
+    for left, right in ((x, OSP_RING.var("a")), (OSP_RING.var("a"), x),
+                        (RING.zero(), OSP_RING.zero()),
+                        (OSP_RING.one(), RING.one())):
+        with pytest.raises(RingMismatchError):
+            left * right
