@@ -1,7 +1,8 @@
 """Cobrackets and Lie super-bialgebra axioms.
 
-A cobracket is the table f_i^{kl} of delta(g_i) = f_i^{kl} g_k (x) g_l.  The
-four axioms checked here are grading, graded antisymmetry, co-Jacobi, and
+A cobracket delta(g_i) = f_i^{kl} g_k (x) g_l is stored as sparse rows: one
+rank-2 tensor delta(g_i) per basis element, holding only the nonzero f_i^{kl}.
+The four axioms checked here are grading, graded antisymmetry, co-Jacobi, and
 the cocycle compatibility with the bracket,
 
     delta([g_i, g_j]) = ad_i delta(g_j) - z(i,j) ad_j delta(g_i),
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EVEN, Ring, rational_sqrt
-from .algebra import SuperLieAlgebra
+from .algebra import SuperLieAlgebra, builtin
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action, wedge
 
@@ -32,67 +33,63 @@ NEITHER = "neither"
 
 
 class Cobracket:
-    """Constants f_i^{kl} over a scalar ring, stored densely."""
+    """delta(g_i) = f_i^{kl} g_k (x) g_l over a scalar ring, stored as sparse
+    rows: `rows[i]` is delta(g_i), a rank-2 GradedTensor."""
 
-    def __init__(self, algebra, ring=None, table=None):
+    def __init__(self, algebra, ring=None, rows=None):
         self.algebra = algebra
         self.ring = ring if ring is not None else algebra.ring
-        n = algebra.dim
+        if rows is None:
+            rows = [GradedTensor.zero(algebra, 2, self.ring)] * algebra.dim
+        self.rows = list(rows)
+
+    @property
+    def f(self):
+        """The dense table f[i][k][l], built from the rows on each access."""
+        n = self.algebra.dim
         zero = self.ring.zero()
-        if table is None:
-            table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        self.f = table
+        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            for (k, l), v in row.coeffs.items():
+                table[i][k][l] = v
+        return table
 
     @classmethod
     def from_rows(cls, algebra, rows, ring=None):
         """Build from {generator name: rank-2 GradedTensor} rows."""
-        ring = ring if ring is not None else algebra.ring
         d = cls(algebra, ring)
-        n = algebra.dim
-        table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
         for name, tensor in rows.items():
             i = algebra.index[name]
-            for (k, l), v in tensor.coeffs.items():
-                table[i][k][l] = table[i][k][l] + v
-        d.f = table
+            d.rows[i] = d.rows[i] + tensor
         return d
 
     @classmethod
     def from_entries(cls, algebra, ring, entries):
         """Build from ((i, k, l), value) pairs: each value is added at
         f_i^{kl} and, for k != l, at f_i^{lk} with the graded sign -z(k,l)."""
-        n = algebra.dim
-        table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
+        zero = ring.zero()
+        coeffs = [{} for _ in range(algebra.dim)]
         for (i, k, l), value in entries:
             value = ring.coerce(value)
-            table[i][k][l] = table[i][k][l] + value
+            row = coeffs[i]
+            row[(k, l)] = row.get((k, l), zero) + value
             if k != l:
-                table[i][l][k] = table[i][l][k] - algebra.z(k, l) * value
-        return cls(algebra, ring, table)
+                row[(l, k)] = row.get((l, k), zero) - algebra.z(k, l) * value
+        return cls(algebra, ring,
+                   [GradedTensor(algebra, 2, c, ring) for c in coeffs])
 
     def delta(self, g):
         """delta(g_i) as a rank-2 tensor."""
-        i = self.algebra.index[g] if isinstance(g, str) else g
-        coeffs = {}
-        n = self.algebra.dim
-        for k in range(n):
-            for l in range(n):
-                v = self.f[i][k][l]
-                if not v.is_zero():
-                    coeffs[(k, l)] = v
-        return GradedTensor(self.algebra, 2, coeffs, self.ring)
+        return self.rows[self.algebra.index[g] if isinstance(g, str) else g]
 
     def is_zero(self):
-        return all(v.is_zero() for plane in self.f for row in plane for v in row)
+        return all(row.is_zero() for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Cobracket):
             return NotImplemented
-        if other.algebra is not self.algebra or other.ring != self.ring:
-            return False
-        n = self.algebra.dim
-        return all(self.f[i][k][l] == other.f[i][k][l]
-                   for i in range(n) for k in range(n) for l in range(n))
+        return (other.algebra is self.algebra and other.ring == self.ring
+                and self.rows == other.rows)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -101,16 +98,12 @@ class Cobracket:
     __hash__ = None
 
     def __sub__(self, other):
-        n = self.algebra.dim
-        table = [[[self.f[i][k][l] - other.f[i][k][l] for l in range(n)]
-                  for k in range(n)] for i in range(n)]
-        return Cobracket(self.algebra, self.ring, table)
+        return Cobracket(self.algebra, self.ring,
+                         [a - b for a, b in zip(self.rows, other.rows)])
 
     def convert(self, ring):
-        n = self.algebra.dim
-        table = [[[self.f[i][k][l].convert(ring) for l in range(n)]
-                  for k in range(n)] for i in range(n)]
-        return Cobracket(self.algebra, ring, table)
+        return Cobracket(self.algebra, ring,
+                         [row.convert(ring) for row in self.rows])
 
     def render(self):
         lines = []
@@ -184,56 +177,55 @@ def _cocycle_residual(algebra, d, i, j):
 
 def _cojacobi_residuals(algebra, d):
     """Yield (i, k, l, m, residual) for every nonzero co-Jacobi sum
-    sum_j f_i^{kj} f_j^{lm} z(k,m) + f_i^{lj} f_j^{mk} z(l,k)
-          + f_i^{mj} f_j^{kl} z(m,l),
-    with i, k, l, m in lexicographic order."""
-    f = d.f
-    n = algebra.dim
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    res = d.ring.zero()
-                    for j in range(n):
-                        res = res + f[i][k][j] * f[j][l][m] * algebra.z(k, m)
-                        res = res + f[i][l][j] * f[j][m][k] * algebra.z(l, k)
-                        res = res + f[i][m][j] * f[j][k][l] * algebra.z(m, l)
-                    if not res.is_zero():
-                        yield i, k, l, m, res
+    z(k,m) T(i,k,l,m) + z(l,k) T(i,l,m,k) + z(m,l) T(i,m,k,l), where
+    T(i,k,l,m) = sum_j f_i^{kj} f_j^{lm}, with i, k, l, m in lexicographic
+    order.  T runs over stored entries only; each of its entries enters the
+    three cyclic positions of its last three indices with the same sign."""
+    rows = [list(row.coeffs.items()) for row in d.rows]
+    contraction = {}
+    for i, row in enumerate(rows):
+        for (k, j), left in row:
+            for (l, m), right in rows[j]:
+                key = (i, k, l, m)
+                prod = left * right
+                acc = contraction.get(key)
+                contraction[key] = prod if acc is None else acc + prod
+    residuals = {}
+    for (i, k, l, m), value in contraction.items():
+        if algebra.z(k, m) == -1:
+            value = -value
+        for key in ((i, k, l, m), (i, m, k, l), (i, l, m, k)):
+            acc = residuals.get(key)
+            residuals[key] = value if acc is None else acc + value
+    for key in sorted(residuals):
+        res = residuals[key]
+        if not res.is_zero():
+            yield (*key, res)
 
 
 def check_cobracket(algebra, d):
     report = CobracketReport()
-    n = algebra.dim
     grades = algebra.grades
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                v = d.f[i][k][l]
-                if v.is_zero():
-                    continue
-                if (grades[k] + grades[l]) % 2 != grades[i]:
-                    report.grading.append(
-                        (algebra.basis[i], algebra.basis[k], algebra.basis[l], v))
-    for i in range(n):
-        for k in range(n):
-            for l in range(k, n):
-                res = d.f[i][k][l] + algebra.z(k, l) * d.f[i][l][k]
-                if not res.is_zero():
-                    report.antisymmetry.append(
-                        (algebra.basis[i], algebra.basis[k], algebra.basis[l], res))
+    names = algebra.basis
+    zero = d.ring.zero()
+    for i, row in enumerate(d.rows):
+        f = row.coeffs
+        for (k, l), v in sorted(f.items()):
+            if (grades[k] + grades[l]) % 2 != grades[i]:
+                report.grading.append((names[i], names[k], names[l], v))
+        for k, l in sorted({(min(kl), max(kl)) for kl in f}):
+            res = f.get((k, l), zero) + algebra.z(k, l) * f.get((l, k), zero)
+            if not res.is_zero():
+                report.antisymmetry.append((names[i], names[k], names[l], res))
     for i, k, l, m, res in _cojacobi_residuals(algebra, d):
-        report.cojacobi.append((algebra.basis[i], algebra.basis[k],
-                                algebra.basis[l], algebra.basis[m], res))
-    for i in range(n):
-        for j in range(i, n):
+        report.cojacobi.append((names[i], names[k], names[l], names[m], res))
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):
             if i == j and not grades[i]:
                 continue
             res = _cocycle_residual(algebra, d, i, j)
             for (l, m), v in sorted(res.coeffs.items()):
-                report.cocycle.append(
-                    (algebra.basis[i], algebra.basis[j],
-                     algebra.basis[l], algebra.basis[m], v))
+                report.cocycle.append((names[i], names[j], names[l], names[m], v))
     return report
 
 
@@ -260,27 +252,46 @@ def dual_algebra(algebra, d, name=None):
         ring=d.ring,
     )
     n = algebra.dim
-    dual.c = [[[d.f[i][k][l] for i in range(n)] for l in range(n)] for k in range(n)]
+    f = d.f
+    dual.c = [[[f[i][k][l] for i in range(n)] for l in range(n)] for k in range(n)]
     return dual
 
 
 # -- named families ----------------------------------------------------------
 
-def _family_ring(symbolic, relations=()):
-    return Ring([(name, "commuting") for name in symbolic], relations)
+def _resolve_params(params, extra=(), relations=()):
+    """The family ring and {name: scalar}: numeric parameters become ring
+    scalars, the others (in order, then `extra`) commuting ring variables."""
+    symbolic = [name for name, value in params.items() if value is None]
+    symbolic += extra
+    ring = Ring([(name, "commuting") for name in symbolic], relations)
+    values = {name: ring.var(name) for name in symbolic}
+    for name, value in params.items():
+        if value is not None:
+            values[name] = ring.scalar(value)
+    return ring, values
 
 
-def _resolve_params(defaults, given):
-    """Split family parameters into numeric values and symbolic leftovers."""
-    numeric = {}
-    symbolic = []
-    for name in defaults:
-        value = given.get(name)
-        if value is None:
-            symbolic.append(name)
-        else:
-            numeric[name] = Fraction(value)
-    return numeric, symbolic
+def _resolve_with_root(params, branch):
+    """`_resolve_params` plus m = branch * sqrt(ab): with a and b both
+    numeric, m is their exact rational root (error if irrational); otherwise
+    m is a ring variable constrained by m^2 = a*b."""
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    a, b = params["a"], params["b"]
+    if a is None or b is None:
+        a_text = "a" if a is None else str(Fraction(a))
+        b_text = "b" if b is None else str(Fraction(b))
+        ring, val = _resolve_params(
+            params, ["m"], [(f"m^2-{a_text}*{b_text}", "m^2")])
+        val["m"] = branch * val["m"]
+        return ring, val
+    root = rational_sqrt(Fraction(a) * Fraction(b))
+    if root is None:
+        raise ValueError("a*b must be a rational square for a numeric family")
+    ring, val = _resolve_params(params)
+    val["m"] = ring.scalar(branch * root)
+    return ring, val
 
 
 def case_a(a=None, b=None, c=None, branch=1):
@@ -294,39 +305,19 @@ def case_a(a=None, b=None, c=None, branch=1):
     the cocycle identity and disagrees with the coboundary of the case-A
     r-matrix family (see ERRATA.md).
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    numeric, symbolic = _resolve_params(("a", "b", "c"), {"a": a, "b": b, "c": c})
-    m_numeric = None
-    if "a" in numeric and "b" in numeric:
-        m_numeric = rational_sqrt(numeric["a"] * numeric["b"])
-        if m_numeric is None:
-            raise ValueError("a*b must be a rational square for a numeric family")
-        m_numeric *= branch
-        ring = _family_ring(symbolic)
-    else:
-        names = symbolic + ["m"]
-        a_text = str(numeric["a"]) if "a" in numeric else "a"
-        b_text = str(numeric["b"]) if "b" in numeric else "b"
-        ring = _family_ring(names, [(f"m^2-{a_text}*{b_text}", "m^2")])
-    algebra = _FAMILY_E2()
-    va = ring.scalar(numeric["a"]) if "a" in numeric else ring.var("a")
-    vb = ring.scalar(numeric["b"]) if "b" in numeric else ring.var("b")
-    vc = ring.scalar(numeric["c"]) if "c" in numeric else ring.var("c")
-    if m_numeric is not None:
-        vm = ring.scalar(m_numeric)
-    else:
-        vm = branch * ring.var("m")
+    ring, val = _resolve_with_root({"a": a, "b": b, "c": c}, branch)
+    algebra = builtin("super_e2")
     w = lambda x, y, coeff: wedge(algebra, x, y, ring, coeff)
     half = Fraction(1, 2)
     rows = {
-        "H": w("H", "P+", va) + w("H", "P-", vb) + w("P+", "P-", vc),
-        "P+": w("P+", "P-", vb),
-        "P-": w("P+", "P-", -va),
-        "D+": w("P+", "D+", half * va) + w("P-", "D+", -half * vb)
-              + w("P+", "D-", vm),
-        "D-": w("P+", "D-", -half * va) + w("P-", "D-", half * vb)
-              + w("P-", "D+", vm),
+        "H": w("H", "P+", val["a"]) + w("H", "P-", val["b"])
+             + w("P+", "P-", val["c"]),
+        "P+": w("P+", "P-", val["b"]),
+        "P-": w("P+", "P-", -val["a"]),
+        "D+": w("P+", "D+", half * val["a"]) + w("P-", "D+", -half * val["b"])
+              + w("P+", "D-", val["m"]),
+        "D-": w("P+", "D-", -half * val["a"]) + w("P-", "D-", half * val["b"])
+              + w("P-", "D+", val["m"]),
     }
     return Cobracket.from_rows(algebra, rows, ring)
 
@@ -337,12 +328,8 @@ def case_b(a=None, b=None, c=None, d=None):
     The published delta(D-) row carries a doubled "+ +"; it is read as a
     single plus (see ERRATA.md).
     """
-    numeric, symbolic = _resolve_params(
-        ("a", "b", "c", "d"), {"a": a, "b": b, "c": c, "d": d})
-    ring = _family_ring(symbolic)
-    algebra = _FAMILY_E2()
-    val = {name: (ring.scalar(numeric[name]) if name in numeric else ring.var(name))
-           for name in ("a", "b", "c", "d")}
+    ring, val = _resolve_params({"a": a, "b": b, "c": c, "d": d})
+    algebra = builtin("super_e2")
     w = lambda x, y, coeff: wedge(algebra, x, y, ring, coeff)
     half = Fraction(1, 2)
     rows = {
@@ -361,39 +348,25 @@ def case_b(a=None, b=None, c=None, d=None):
     return Cobracket.from_rows(algebra, rows, ring)
 
 
-def _FAMILY_E2():
-    from .algebra import builtin
-    return builtin("super_e2")
-
-
-def _FAMILY_OSP():
-    from .algebra import builtin
-    return builtin("osp12")
+def _r_a_wedges(x, y, z):
+    """The wedge terms of r_a at scalars x, y, z of any one ring."""
+    return [(x, "X+", "X-"), (2 * x, "V+", "V-"),
+            (y, "H", "X+"), (-y, "V+", "V+"),
+            (z, "H", "X-"), (-z, "V-", "V-")]
 
 
 def osp_r_a(x=None, y=None, z=None):
     """r_a = x(X+^X- + 2 V+^V-) + y(H^X+ - V+^V+) + z(H^X- - V-^V-)."""
-    numeric, symbolic = _resolve_params(("x", "y", "z"), {"x": x, "y": y, "z": z})
-    ring = _family_ring(symbolic)
-    val = {n: (ring.scalar(numeric[n]) if n in numeric else ring.var(n))
-           for n in ("x", "y", "z")}
-    algebra = _FAMILY_OSP()
-    return RMatrix.from_wedges(algebra, [
-        (val["x"], "X+", "X-"), (2 * val["x"], "V+", "V-"),
-        (val["y"], "H", "X+"), (-val["y"], "V+", "V+"),
-        (val["z"], "H", "X-"), (-val["z"], "V-", "V-"),
-    ], ring)
+    ring, val = _resolve_params({"x": x, "y": y, "z": z})
+    return RMatrix.from_wedges(
+        builtin("osp12"), _r_a_wedges(val["x"], val["y"], val["z"]), ring)
 
 
 def osp_r_b(p=None, q=None):
     """r_b = pq X+^X- + p^2 H^X+ + q^2 H^X-  (u=p^2, v=q^2, the sign branch
     of sqrt(uv) rides on the sign of q)."""
-    numeric, symbolic = _resolve_params(("p", "q"), {"p": p, "q": q})
-    ring = _family_ring(symbolic)
-    val = {n: (ring.scalar(numeric[n]) if n in numeric else ring.var(n))
-           for n in ("p", "q")}
-    algebra = _FAMILY_OSP()
-    return RMatrix.from_wedges(algebra, [
+    ring, val = _resolve_params({"p": p, "q": q})
+    return RMatrix.from_wedges(builtin("osp12"), [
         (val["p"] * val["q"], "X+", "X-"),
         (val["p"] ** 2, "H", "X+"),
         (val["q"] ** 2, "H", "X-"),
@@ -401,57 +374,37 @@ def osp_r_b(p=None, q=None):
 
 
 def osp_r1():
-    return RMatrix.from_wedges(_FAMILY_OSP(), [(1, "H", "X+")])
+    return RMatrix.from_wedges(builtin("osp12"), [(1, "H", "X+")])
 
 
 def osp_r2():
     return RMatrix.from_wedges(
-        _FAMILY_OSP(), [(1, "H", "X+"), (-1, "V+", "V+")])
+        builtin("osp12"), [(1, "H", "X+"), (-1, "V+", "V+")])
 
 
 def osp_r3(t=None):
-    numeric, symbolic = _resolve_params(("t",), {"t": t})
-    ring = _family_ring(symbolic)
-    vt = ring.scalar(numeric["t"]) if "t" in numeric else ring.var("t")
-    return RMatrix.from_wedges(_FAMILY_OSP(), [
-        (vt, "H", "X+"), (-vt, "V+", "V+"),
-        (vt, "H", "X-"), (-vt, "V-", "V-"),
+    ring, val = _resolve_params({"t": t})
+    t = val["t"]
+    return RMatrix.from_wedges(builtin("osp12"), [
+        (t, "H", "X+"), (-t, "V+", "V+"),
+        (t, "H", "X-"), (-t, "V-", "V-"),
     ], ring)
 
 
 def e2_r_a(a=None, b=None, f=None, branch=1):
     """r_A = a H^P+ - b H^P- + m D+^D- + f P+^P-, with m^2 = ab."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    numeric, symbolic = _resolve_params(("a", "b", "f"), {"a": a, "b": b, "f": f})
-    m_numeric = None
-    if "a" in numeric and "b" in numeric:
-        m_numeric = rational_sqrt(numeric["a"] * numeric["b"])
-        if m_numeric is None:
-            raise ValueError("a*b must be a rational square for a numeric family")
-        m_numeric *= branch
-        ring = _family_ring(symbolic)
-    else:
-        a_text = str(numeric["a"]) if "a" in numeric else "a"
-        b_text = str(numeric["b"]) if "b" in numeric else "b"
-        ring = _family_ring(symbolic + ["m"], [(f"m^2-{a_text}*{b_text}", "m^2")])
-    val = {n: (ring.scalar(numeric[n]) if n in numeric else ring.var(n))
-           for n in ("a", "b", "f")}
-    vm = ring.scalar(m_numeric) if m_numeric is not None else branch * ring.var("m")
-    return RMatrix.from_wedges(_FAMILY_E2(), [
+    ring, val = _resolve_with_root({"a": a, "b": b, "f": f}, branch)
+    return RMatrix.from_wedges(builtin("super_e2"), [
         (val["a"], "H", "P+"), (-val["b"], "H", "P-"),
-        (vm, "D+", "D-"), (val["f"], "P+", "P-"),
+        (val["m"], "D+", "D-"), (val["f"], "P+", "P-"),
     ], ring)
 
 
 def e2_r_b(a=None, b=None, f=None):
     """r_B = a(H^P+ - 1/2 D+^D+) - b(H^P- + 1/2 D-^D-) + f P+^P-."""
-    numeric, symbolic = _resolve_params(("a", "b", "f"), {"a": a, "b": b, "f": f})
-    ring = _family_ring(symbolic)
-    val = {n: (ring.scalar(numeric[n]) if n in numeric else ring.var(n))
-           for n in ("a", "b", "f")}
+    ring, val = _resolve_params({"a": a, "b": b, "f": f})
     half = Fraction(1, 2)
-    return RMatrix.from_wedges(_FAMILY_E2(), [
+    return RMatrix.from_wedges(builtin("super_e2"), [
         (val["a"], "H", "P+"), (-half * val["a"], "D+", "D+"),
         (-val["b"], "H", "P-"), (-half * val["b"], "D-", "D-"),
         (val["f"], "P+", "P-"),
@@ -459,21 +412,21 @@ def e2_r_b(a=None, b=None, f=None):
 
 
 def e2_r_ii():
-    return RMatrix.from_wedges(_FAMILY_E2(), [(1, "H", "P+")])
+    return RMatrix.from_wedges(builtin("super_e2"), [(1, "H", "P+")])
 
 
 def e2_r_iii():
     return RMatrix.from_wedges(
-        _FAMILY_E2(), [(1, "H", "P+"), (-1, "H", "P-"), (1, "D+", "D-")])
+        builtin("super_e2"), [(1, "H", "P+"), (-1, "H", "P-"), (1, "D+", "D-")])
 
 
 def e2_r_v():
     return RMatrix.from_wedges(
-        _FAMILY_E2(), [(1, "H", "P+"), (Fraction(-1, 2), "D+", "D+")])
+        builtin("super_e2"), [(1, "H", "P+"), (Fraction(-1, 2), "D+", "D+")])
 
 
 def e2_r_vi():
-    return RMatrix.from_wedges(_FAMILY_E2(), [
+    return RMatrix.from_wedges(builtin("super_e2"), [
         (1, "H", "P+"), (Fraction(-1, 2), "D+", "D+"),
         (-1, "H", "P-"), (Fraction(-1, 2), "D-", "D-")])
 
@@ -539,17 +492,11 @@ def parse_cobracket_text(text, algebra, ring=None):
         parts = head.split()
         if len(parts) != 2 or parts[1] not in algebra.index:
             raise ValueError(f"line {lineno}: expected 'delta <generator> = ...'")
-        gname = parts[1]
-        total = GradedTensor.zero(algebra, 2, ring)
-        rhs = rhs.strip()
-        if rhs not in ("", "0"):
-            for sign, term in tensors._split_wedge_terms(rhs):
-                m = tensors._WEDGE_TERM.match(term)
-                if not m:
-                    raise ValueError(f"line {lineno}: bad wedge term {term!r}")
-                x, y = m.group("x"), m.group("y")
-                coeff_text = m.group("coeff")
-                coeff = ring.parse(coeff_text) if coeff_text else ring.one()
-                total = total + wedge(algebra, x, y, ring, sign * coeff)
-        rows[gname] = total
+        if rhs.strip() == "0":
+            rows[parts[1]] = GradedTensor.zero(algebra, 2, ring)
+            continue
+        try:
+            rows[parts[1]] = tensors.parse_wedge_sum(rhs, algebra, ring)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return Cobracket.from_rows(algebra, rows, ring)

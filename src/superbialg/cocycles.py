@@ -275,7 +275,8 @@ def _is_zero(value):
 
 def cobracket_vector(d, unknowns, ring=None):
     """Flatten a Cobracket to its admissible-triple coefficient vector."""
-    return [d.f[i][k][l] for (i, k, l) in unknowns]
+    zero = d.ring.zero()
+    return [d.rows[i].coeffs.get((k, l), zero) for (i, k, l) in unknowns]
 
 
 def vector_cobracket(algebra, unknowns, vector, ring=None):

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .scalars import Ring
 from .algebra import builtin, bracket
-from .tensors import GradedTensor, RMatrix, wedge
-from .bialgebra import (Cobracket, case_a, case_b, cybe_status,
+from .tensors import GradedTensor, RMatrix
+from .bialgebra import (Cobracket, _r_a_wedges, case_a, case_b, cybe_status,
                         osp_r_a, osp_r_b, osp_r1, osp_r2, osp_r3)
 
 
@@ -186,33 +186,21 @@ def e2_automorphism(gen, alpha=None, beta=None, ring=None):
 
 def transform(phi, x):
     """Transport an RMatrix (phi (x) phi) or a Cobracket (phi^-1 on the
-    lower index, phi (x) phi on the upper)."""
+    lower index, phi (x) phi on the upper:
+    delta'(g_i) = sum_p phi^-1[i][p] (phi (x) phi)(delta(g_p)))."""
     algebra = phi.algebra
     ring = phi.ring
     n = algebra.dim
     if isinstance(x, Cobracket):
-        src = x.convert(ring) if x.ring != ring else x
-        table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
+        moved = [transform(phi, row) for row in x.rows]
+        rows = []
         for i in range(n):
-            for p in range(n):
-                if phi.inverse[i][p].is_zero():
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        v = src.f[p][k][l]
-                        if v.is_zero():
-                            continue
-                        for kk in range(n):
-                            mk = phi.matrix[k][kk]
-                            if mk.is_zero():
-                                continue
-                            for ll in range(n):
-                                ml = phi.matrix[l][ll]
-                                if ml.is_zero():
-                                    continue
-                                table[i][kk][ll] = (table[i][kk][ll]
-                                                    + phi.inverse[i][p] * v * mk * ml)
-        return Cobracket(algebra, ring, table)
+            row = GradedTensor.zero(algebra, 2, ring)
+            for p, image in enumerate(moved):
+                if not phi.inverse[i][p].is_zero():
+                    row = row + phi.inverse[i][p] * image
+            rows.append(row)
+        return Cobracket(algebra, ring, rows)
     if isinstance(x, GradedTensor) and x.rank == 2:
         src = x.convert(ring) if x.ring != ring else x
         out = {}
@@ -268,20 +256,9 @@ def _claim_congruence():
     y_t = a * a * y - 2 * a * c * x + c * c * z
     z_t = b * b * y - 2 * b * d * x + d * d * z
     x_t = -(a * b * y) + (a * d + b * c) * x - c * d * z
-    expected = _r_a_at(ring, x_t, y_t, z_t)
+    expected = RMatrix.from_wedges(phi.algebra, _r_a_wedges(x_t, y_t, z_t), ring)
     ok = moved == expected
     return ok, "parameters follow the symmetric-form congruence law (M^T S M)"
-
-
-def _r_a_at(ring, x, y, z):
-    algebra = builtin("osp12")
-    total = GradedTensor.zero(algebra, 2, ring)
-    for coeff, u, v in [
-            (x, "X+", "X-"), (2 * x, "V+", "V-"),
-            (y, "H", "X+"), (-y, "V+", "V+"),
-            (z, "H", "X-"), (-z, "V-", "V-")]:
-        total = total + wedge(algebra, u, v, ring, coeff)
-    return GradedTensor(algebra, 2, total.coeffs, ring)
 
 
 def _claim_ra_null_orbit():

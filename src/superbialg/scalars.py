@@ -168,10 +168,11 @@ class Ring:
         return self._make({(tuple(exps), ()): Fraction(1)})
 
     def monomial(self, exps, odds, coeff=1):
+        """coeff * the monomial, in normal form modulo the relations."""
         coeff = Fraction(coeff)
         if coeff == 0:
             return self.zero()
-        return self._make({(tuple(exps), tuple(odds)): coeff})
+        return self._make(self._reduce_terms({(tuple(exps), tuple(odds)): coeff}))
 
     def coerce(self, value):
         if isinstance(value, SuperScalar):
@@ -253,8 +254,8 @@ def _rewrite(ring, terms, rules):
         (exps, odds), coeff, lead_exps, replacement = rewritten
         terms = dict(terms)
         del terms[(exps, odds)]
-        quotient = ring.monomial(
-            tuple(e - l for e, l in zip(exps, lead_exps)), odds, coeff)
+        quotient = ring._make(
+            {(tuple(e - l for e, l in zip(exps, lead_exps)), odds): coeff})
         for key, c in (quotient * replacement)._terms.items():
             acc = terms.get(key, Fraction(0)) + c
             if acc:

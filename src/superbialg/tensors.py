@@ -256,8 +256,10 @@ def _split_wedge_terms(text):
     return terms
 
 
-def parse_rmatrix(text, algebra, ring=None):
-    """Parse `1 H^P+ - 1 V+^V+` (wedge grammar, SuperScalar coefficients)."""
+def parse_wedge_sum(text, algebra, ring=None):
+    """Parse `1 H^P+ - 1 V+^V+` (wedge grammar, SuperScalar coefficients)
+    into a rank-2 tensor; a malformed term, an unknown basis name or a bad
+    coefficient raises ScalarParseError."""
     ring = ring if ring is not None else algebra.ring
     total = GradedTensor.zero(algebra, 2, ring)
     for sign, term in _split_wedge_terms(text):
@@ -270,7 +272,13 @@ def parse_rmatrix(text, algebra, ring=None):
         coeff_text = m.group("coeff")
         coeff = ring.parse(coeff_text) if coeff_text else ring.one()
         total = total + wedge(algebra, x, y, ring, sign * coeff)
-    return RMatrix(algebra, total.coeffs, ring)
+    return total
+
+
+def parse_rmatrix(text, algebra, ring=None):
+    """Parse a wedge sum (see `parse_wedge_sum`) as an r-matrix."""
+    total = parse_wedge_sum(text, algebra, ring)
+    return RMatrix(algebra, total.coeffs, total.ring)
 
 
 def render_wedge_form(t):

@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superbialg import cocycles
 from superbialg.algebra import builtin
-from superbialg.bialgebra import (case_a, case_b, check_cobracket,
-                                  coboundary_delta, cybe_status, dual_algebra,
-                                  family, family_ids, parse_cobracket_text,
+from superbialg.bialgebra import (Cobracket, _cojacobi_residuals, case_a,
+                                  case_b, check_cobracket, coboundary_delta,
+                                  cybe_status, dual_algebra, family,
+                                  family_ids, parse_cobracket_text,
                                   CYBE, MCYBE)
-from superbialg.tensors import parse_rmatrix
+from superbialg.scalars import Ring
+from superbialg.tensors import GradedTensor, RMatrix, parse_rmatrix
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +199,113 @@ class TestCobracketText:
         i = e2.index
         assert d.f[i["H"]][i["P+"]][i["P-"]] == 1
         assert d.f[i["H"]][i["P-"]][i["P+"]] == -1
+
+
+# -- frozen dense references -------------------------------------------------
+#
+# The co-Jacobi loop and the grading/antisymmetry scan as they ran over the
+# dense n x n x n table before cobrackets were stored as sparse rows; the
+# sparse kernels must report the same entries in the same order.
+
+def dense_cojacobi_residuals(algebra, d):
+    f = d.f
+    n = algebra.dim
+    for i in range(n):
+        for k in range(n):
+            for l in range(n):
+                for m in range(n):
+                    res = d.ring.zero()
+                    for j in range(n):
+                        res = res + f[i][k][j] * f[j][l][m] * algebra.z(k, m)
+                        res = res + f[i][l][j] * f[j][m][k] * algebra.z(l, k)
+                        res = res + f[i][m][j] * f[j][k][l] * algebra.z(m, l)
+                    if not res.is_zero():
+                        yield i, k, l, m, res
+
+
+def dense_grading_antisymmetry(algebra, d):
+    f = d.f
+    n = algebra.dim
+    grades = algebra.grades
+    grading, antisymmetry = [], []
+    for i in range(n):
+        for k in range(n):
+            for l in range(n):
+                v = f[i][k][l]
+                if v.is_zero():
+                    continue
+                if (grades[k] + grades[l]) % 2 != grades[i]:
+                    grading.append(
+                        (algebra.basis[i], algebra.basis[k], algebra.basis[l], v))
+    for i in range(n):
+        for k in range(n):
+            for l in range(k, n):
+                res = f[i][k][l] + algebra.z(k, l) * f[i][l][k]
+                if not res.is_zero():
+                    antisymmetry.append(
+                        (algebra.basis[i], algebra.basis[k], algebra.basis[l], res))
+    return grading, antisymmetry
+
+
+def assert_matches_dense(algebra, d):
+    assert (list(_cojacobi_residuals(algebra, d))
+            == list(dense_cojacobi_residuals(algebra, d)))
+    report = check_cobracket(algebra, d)
+    assert (report.grading, report.antisymmetry) == dense_grading_antisymmetry(
+        algebra, d)
+
+
+def _constraint_cobracket(algebra):
+    """The parameter-linear cobracket that `cojacobi_constraints` expands."""
+    _, fam = cocycles.solve_cocycle_space(algebra)
+    ring = Ring([(f"t{n}", "commuting") for n in range(fam.nullity)])
+    return Cobracket.from_entries(algebra, ring, (
+        (u, coeff * ring.var(f"t{pos}"))
+        for pos, vec in enumerate(fam.vectors)
+        for u, coeff in zip(fam.unknowns, vec) if coeff))
+
+
+NAMED = family_ids() + ["generic:osp12", "generic:super_e2",
+                        "constraints:osp12", "constraints:super_e2"]
+
+
+def _named_cobracket(label):
+    """A family cobracket, the coboundary of an r-matrix family, or the
+    generic or co-Jacobi-constraint cobracket of a built-in algebra."""
+    if ":" not in label:
+        obj = family(label)
+        if isinstance(obj, RMatrix):
+            return coboundary_delta(obj.algebra, obj)
+        return obj
+    kind, name = label.split(":")
+    algebra = builtin(name)
+    if kind == "generic":
+        return cocycles.generic_cobracket(algebra)[0]
+    return _constraint_cobracket(algebra)
+
+
+class TestSparseKernelsMatchDense:
+    @pytest.mark.parametrize("label", NAMED)
+    def test_named_cobrackets(self, label):
+        d = _named_cobracket(label)
+        assert_matches_dense(d.algebra, d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["osp12", "super_e2"]).flatmap(
+        lambda name: st.tuples(st.just(name), st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 4)] * 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            max_size=12))))
+    def test_random_rational_cobrackets(self, drawn):
+        name, entries = drawn
+        algebra = builtin(name)
+        ring = algebra.ring
+        d = Cobracket.from_entries(algebra, ring, entries)
+        assert_matches_dense(algebra, d)
+        # the same values as raw rows: neither graded nor antisymmetric
+        coeffs = [{} for _ in range(algebra.dim)]
+        for (i, k, l), value in entries:
+            coeffs[i][(k, l)] = coeffs[i].get((k, l), ring.zero()) + value
+        raw = Cobracket(algebra, ring,
+                        [GradedTensor(algebra, 2, c, ring) for c in coeffs])
+        assert_matches_dense(algebra, raw)

@@ -240,3 +240,19 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
     assert proc.returncode == 2
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("row", ["delta H = 1/0 P+^P-", "delta H = 1 Q^P+",
+                                 "delta H = 1 P+ P-"],
+                         ids=["zero-denominator", "unknown-basis-name",
+                              "malformed-term"])
+def test_cobracket_file_errors_name_the_line(row, tmp_path):
+    path = tmp_path / "d.cob"
+    path.write_text(f"delta P+ = 1 P+^P-\n{row}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbialg.cli", "cobracket-check",
+         "--algebra", "super_e2", "--cobracket-file", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2:")
+    assert "Traceback" not in proc.stderr

@@ -7,7 +7,8 @@ import pytest
 
 from superbialg.scalars import Ring
 from superbialg.algebra import builtin
-from superbialg.bialgebra import (case_a, case_b, cybe_status, family,
+from superbialg.bialgebra import (Cobracket, case_a, case_b,
+                                  coboundary_delta, cybe_status, family,
                                   osp_r_a, osp_r_b)
 from superbialg.equivalence import (e2_automorphism,
                                     osp_automorphism, transform,
@@ -113,3 +114,68 @@ class TestOrbitClaims:
 
     def test_claim_count(self):
         assert len(verify_orbit_claims()) == 13
+
+
+def dense_transform_table(phi, x):
+    """The cobracket transform as it ran over the dense n x n x n table
+    before cobrackets were stored as sparse rows (frozen reference; the
+    table `src.f` is read once instead of per entry)."""
+    algebra = phi.algebra
+    ring = phi.ring
+    n = algebra.dim
+    src = x.convert(ring) if x.ring != ring else x
+    f = src.f
+    table = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for p in range(n):
+            if phi.inverse[i][p].is_zero():
+                continue
+            for k in range(n):
+                for l in range(n):
+                    v = f[p][k][l]
+                    if v.is_zero():
+                        continue
+                    for kk in range(n):
+                        mk = phi.matrix[k][kk]
+                        if mk.is_zero():
+                            continue
+                        for ll in range(n):
+                            ml = phi.matrix[l][ll]
+                            if ml.is_zero():
+                                continue
+                            table[i][kk][ll] = (table[i][kk][ll]
+                                                + phi.inverse[i][p] * v * mk * ml)
+    return table
+
+
+def _witnesses():
+    """(automorphism, cobracket) pairs of the orbit claims, plus the osp
+    witnesses applied to the coboundaries of the r-matrices they move."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    osp = builtin("osp12")
+    sym = case_a()
+    pairs = [
+        (e2_automorphism("scale", half, third), case_a(4, 9, 5)),
+        (e2_automorphism("scale", half, 1), case_a(4, 0, 5)),
+        (e2_automorphism("flip"), case_a(0, 9, 5)),
+        (e2_automorphism("scale", third, 1), case_a(9, 0, 5)),
+        (e2_automorphism("scale", 1, -1), case_a(4, 9, 5)),
+        (e2_automorphism("scale", 1, -1, ring=sym.ring), sym),
+        (e2_automorphism("shift", 1, Fraction(3, 2)), case_b(2, 3, 0, 1)),
+        (e2_automorphism("scale", half, 1), case_b(4, 0, 7, 0)),
+        (e2_automorphism("scale", half, third), case_b(4, 9, 7, 0)),
+        (e2_automorphism("flip"), case_b(0, 4, 7, 0)),
+    ]
+    for phi, r in [(osp_automorphism(1, 1, 0, 1), osp_r_a(1, 1, 1)),
+                   (osp_automorphism(1, 0, 1, 1), osp_r_a(1, 2, 1)),
+                   (osp_automorphism(half, -half, 1, 1), osp_r_a(0, 4, 1)),
+                   (osp_automorphism(2, 3, 1, 2), osp_r_b(2, 3)),
+                   (osp_automorphism(0, -1, 1, 1), osp_r_a(1, 2, 1))]:
+        pairs.append((phi, coboundary_delta(osp, r)))
+    return pairs
+
+
+def test_sparse_transform_matches_dense_reference():
+    for phi, d in _witnesses():
+        assert isinstance(d, Cobracket) and not d.is_zero()
+        assert transform(phi, d).f == dense_transform_table(phi, d), phi.name

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superbialg.poisson import group
 from superbialg.scalars import (
     Ring,
     ParityError,
@@ -300,3 +301,8 @@ def test_ring_mismatch_on_every_product():
                         (OSP_RING.one(), RING.one())):
         with pytest.raises(RingMismatchError):
             left * right
+
+
+def test_monomial_is_in_normal_form():
+    ring = group("osp").ring
+    assert ring.monomial((1, 0, 0, 1), ()) == ring.parse("a*d")
