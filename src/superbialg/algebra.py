@@ -1,5 +1,6 @@
-"""Finite-dimensional Lie superalgebras from graded bases and structure
-constants, with axiom validation and the two built-in algebras."""
+"""Finite-dimensional Lie superalgebras from graded bases and sparse
+structure constants (only the nonzero c_ij^k are stored), with axiom
+validation and the two built-in algebras."""
 
 from __future__ import annotations
 
@@ -44,13 +45,15 @@ class AlgebraReport:
 
 
 class SuperLieAlgebra:
-    """Graded basis plus a dense structure-constant tensor c_ij^k.
+    """Graded basis plus sparse structure constants c_ij^k.
 
     `basis` is an ordered list of (name, grade) with grade "even"/"odd" (or
     0/1).  `brackets` maps a pair of basis names (i <= j in basis order) to a
     list of (coefficient, basis name) pairs; the graded-antisymmetric
     completion is filled in automatically.  Coefficients live in `ring`
     (rational constants unless an explicitly parametric algebra is built).
+    Only nonzero constants are kept, in `constants` = {(i, j): ((k, c_ij^k),
+    ...)} sorted by k.
     """
 
     def __init__(self, name, basis, brackets, ring=None):
@@ -67,21 +70,30 @@ class SuperLieAlgebra:
             raise ValueError("duplicate basis name")
         self.basis = tuple(names)
         self.grades = tuple(grades)
-        n = len(names)
-        self.dim = n
+        self.dim = len(names)
         self.index = {bname: i for i, bname in enumerate(names)}
         zero = self.ring.zero()
-        c = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        acc = {}
         for (iname, jname), rhs in brackets.items():
             i, j = self.index[iname], self.index[jname]
             for coeff, kname in rhs:
                 k = self.index[kname]
                 value = self.ring.coerce(coeff)
-                c[i][j][k] = c[i][j][k] + value
+                acc[i, j, k] = acc.get((i, j, k), zero) + value
                 if i != j:
-                    zij = self.z(i, j)
-                    c[j][i][k] = c[j][i][k] - zij * value
-        self.c = c
+                    acc[j, i, k] = acc.get((j, i, k), zero) - self.z(i, j) * value
+        self.constants = _sparse_constants(acc)
+
+    @property
+    def c(self):
+        """The dense table c[i][j][k], built from `constants` on each access."""
+        n = self.dim
+        zero = self.ring.zero()
+        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), entries in self.constants.items():
+            for k, v in entries:
+                table[i][j][k] = v
+        return table
 
     def grade(self, i):
         return self.grades[i]
@@ -92,43 +104,43 @@ class SuperLieAlgebra:
 
     def bracket_indices(self, i, j):
         """Nonzero structure constants of [g_i, g_j] as (k, coefficient)."""
-        return [(k, v) for k, v in enumerate(self.c[i][j]) if not v.is_zero()]
+        return self.constants.get((i, j), ())
 
     # -- axioms ---------------------------------------------------------
 
     def validate(self):
+        """Grading, graded antisymmetry and super-Jacobi over the stored
+        constants.  Jacobi at (i,j,l) -> m is z(i,l) T(i,j,l,m) + z(j,i)
+        T(j,l,i,m) + z(l,j) T(l,i,j,m) with T(x,y,w,m) = [[x,y],w]_m from
+        `tensors.contract`; each T entry enters its three keys with z(x,w)."""
         report = AlgebraReport()
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = self.c[i][j][k]
-                    if v.is_zero():
-                        continue
-                    if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
-                        report.grading_failures.append(
-                            (self.basis[i], self.basis[j], self.basis[k], v.render()))
-        for i in range(n):
-            for j in range(i, n):
-                zij = self.z(i, j)
-                for k in range(n):
-                    res = self.c[i][j][k] + zij * self.c[j][i][k]
-                    if not res.is_zero():
-                        report.antisymmetry_failures.append(
-                            (self.basis[i], self.basis[j], self.basis[k], res.render()))
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    for m in range(n):
-                        res = self.ring.zero()
-                        for k in range(n):
-                            res = res + self.c[i][j][k] * self.c[k][l][m] * self.z(i, l)
-                            res = res + self.c[j][l][k] * self.c[k][i][m] * self.z(j, i)
-                            res = res + self.c[l][i][k] * self.c[k][j][m] * self.z(l, j)
-                        if not res.is_zero():
-                            report.jacobi_failures.append(
-                                (self.basis[i], self.basis[j], self.basis[l],
-                                 self.basis[m], res.render()))
+        names = self.basis
+        zero = self.ring.zero()
+        rows = [{} for _ in range(self.dim)]
+        for (i, j), entries in sorted(self.constants.items()):
+            for k, v in entries:
+                rows[i][j, k] = v
+                if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
+                    report.grading_failures.append(
+                        (names[i], names[j], names[k], v.render()))
+        for i, j in sorted({(min(ij), max(ij)) for ij in self.constants}):
+            ks = {k for k, _ in self.bracket_indices(i, j) + self.bracket_indices(j, i)}
+            for k in sorted(ks):
+                res = rows[i].get((j, k), zero) + self.z(i, j) * rows[j].get((i, k), zero)
+                if not res.is_zero():
+                    report.antisymmetry_failures.append(
+                        (names[i], names[j], names[k], res.render()))
+        jacobi = {}
+        for (x, y, w, m), value in tensors.contract(rows).items():
+            if self.z(x, w) == -1:
+                value = -value
+            for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m)):
+                acc = jacobi.get(key)
+                jacobi[key] = value if acc is None else acc + value
+        for key in sorted(jacobi):
+            if not jacobi[key].is_zero():
+                report.jacobi_failures.append(
+                    (*(names[i] for i in key), jacobi[key].render()))
         return report
 
     # -- elements --------------------------------------------------------
@@ -142,6 +154,16 @@ class SuperLieAlgebra:
         return f"SuperLieAlgebra({self.name}, dim={self.dim})"
 
 
+def _sparse_constants(entries):
+    """{(i, j): ((k, value), ...)} sorted by k from {(i, j, k): value},
+    dropping zeros."""
+    constants = {}
+    for (i, j, k), v in sorted(entries.items()):
+        if not v.is_zero():
+            constants[i, j] = constants.get((i, j), ()) + ((k, v),)
+    return constants
+
+
 def bracket(algebra, x, y):
     """Graded bracket of two rank-1 tensors with scalar coefficients.
 
@@ -152,23 +174,10 @@ def bracket(algebra, x, y):
         raise RingMismatchError("elements of a different algebra")
     if x.rank != 1 or y.rank != 1:
         raise ValueError("bracket is defined on rank-1 elements")
-    ring = x.ring
-    out = {}
+    out = tensors.GradedTensor.zero(algebra, 1, x.ring)
     for (i,), f in x.coeffs.items():
-        for (j,), g in y.coeffs.items():
-            for g_even_odd in g.homogeneous_parts():
-                if g_even_odd.is_zero():
-                    continue
-                sign = -1 if (g_even_odd.parity() and algebra.grades[i]) else 1
-                coeff = sign * (f * g_even_odd)
-                if coeff.is_zero():
-                    continue
-                for k, cval in algebra.bracket_indices(i, j):
-                    key = (k,)
-                    acc = out.get(key, ring.zero()) + coeff * cval.convert(ring)
-                    out[key] = acc
-    out = {k: v for k, v in out.items() if not v.is_zero()}
-    return tensors.GradedTensor(algebra, 1, out, ring)
+        out = out + tensors._adjoint(algebra, i, y).scale(f)
+    return out
 
 
 # -- built-in algebras --------------------------------------------------

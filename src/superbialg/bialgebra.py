@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EVEN, Ring, rational_sqrt
-from .algebra import SuperLieAlgebra, builtin
+from .algebra import SuperLieAlgebra, _sparse_constants, builtin
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action, wedge
 
@@ -90,10 +90,6 @@ class Cobracket:
             return NotImplemented
         return (other.algebra is self.algebra and other.ring == self.ring
                 and self.rows == other.rows)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
 
@@ -179,19 +175,10 @@ def _cojacobi_residuals(algebra, d):
     """Yield (i, k, l, m, residual) for every nonzero co-Jacobi sum
     z(k,m) T(i,k,l,m) + z(l,k) T(i,l,m,k) + z(m,l) T(i,m,k,l), where
     T(i,k,l,m) = sum_j f_i^{kj} f_j^{lm}, with i, k, l, m in lexicographic
-    order.  T runs over stored entries only; each of its entries enters the
-    three cyclic positions of its last three indices with the same sign."""
-    rows = [list(row.coeffs.items()) for row in d.rows]
-    contraction = {}
-    for i, row in enumerate(rows):
-        for (k, j), left in row:
-            for (l, m), right in rows[j]:
-                key = (i, k, l, m)
-                prod = left * right
-                acc = contraction.get(key)
-                contraction[key] = prod if acc is None else acc + prod
+    order.  T is `tensors.contract` of the rows; each of its entries enters
+    the three cyclic positions of its last three indices with the same sign."""
     residuals = {}
-    for (i, k, l, m), value in contraction.items():
+    for (i, k, l, m), value in tensors.contract([row.coeffs for row in d.rows]).items():
         if algebra.z(k, m) == -1:
             value = -value
         for key in ((i, k, l, m), (i, m, k, l), (i, l, m, k)):
@@ -242,8 +229,8 @@ def cybe_status(algebra, r):
 def dual_algebra(algebra, d, name=None):
     """The algebra on the dual space with structure constants c~_{kl}^i = f_i^{kl}.
 
-    Feeding a cobracket through the ordinary superalgebra validator is the
-    duality cross-check: its Jacobi test must agree with co-Jacobi.
+    The table is taken from the rows as it stands, with no antisymmetric
+    completion, so the validator's Jacobi test is co-Jacobi read on the dual.
     """
     dual = SuperLieAlgebra(
         name or f"{algebra.name}*",
@@ -251,9 +238,9 @@ def dual_algebra(algebra, d, name=None):
         {},
         ring=d.ring,
     )
-    n = algebra.dim
-    f = d.f
-    dual.c = [[[f[i][k][l] for i in range(n)] for l in range(n)] for k in range(n)]
+    dual.constants = _sparse_constants(
+        {(k, l, i): v for i, row in enumerate(d.rows)
+         for (k, l), v in row.coeffs.items()})
     return dual
 
 
@@ -478,9 +465,14 @@ def family(family_id, **params):
 #
 # delta H = 1 P+^P-
 # delta D+ = 1/2 P+^D+
+#
+# Omitted rows are zero; `delta = 0` as the whole file is the zero cobracket.
 
 def parse_cobracket_text(text, algebra, ring=None):
     ring = ring if ring is not None else algebra.ring
+    lines = ["".join(raw.split("#", 1)[0].split()) for raw in text.splitlines()]
+    if [line for line in lines if line] == ["delta=0"]:
+        return Cobracket(algebra, ring)
     rows = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -492,9 +484,8 @@ def parse_cobracket_text(text, algebra, ring=None):
         parts = head.split()
         if len(parts) != 2 or parts[1] not in algebra.index:
             raise ValueError(f"line {lineno}: expected 'delta <generator> = ...'")
-        if rhs.strip() == "0":
-            rows[parts[1]] = GradedTensor.zero(algebra, 2, ring)
-            continue
+        if parts[1] in rows:
+            raise ValueError(f"line {lineno}: second row for {parts[1]}")
         try:
             rows[parts[1]] = tensors.parse_wedge_sum(rhs, algebra, ring)
         except ValueError as exc:

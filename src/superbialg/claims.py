@@ -62,11 +62,9 @@ def _run_builtin_file(claim):
     ref = builtin(name)
     if parsed.basis != ref.basis or parsed.grades != ref.grades:
         return "fail", "basis mismatch"
-    n = ref.dim
-    same = all(parsed.c[i][j][k] == ref.c[i][j][k]
-               for i in range(n) for j in range(n) for k in range(n))
-    return ("pass", "file constants identical to builtin") if same \
-        else ("fail", "structure constants differ")
+    if parsed.constants != ref.constants:
+        return "fail", "structure constants differ"
+    return "pass", "file constants identical to builtin"
 
 
 def _run_coboundary_axioms(claim):

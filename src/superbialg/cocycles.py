@@ -54,11 +54,6 @@ class LinearSystem:
     def equation_count(self):
         return len(self.rows)
 
-    def unknown_names(self):
-        names = self.algebra.basis
-        return [f"f[{names[i]}]^({names[k]},{names[l]})"
-                for i, k, l in self.unknowns]
-
 
 def generic_cobracket(algebra):
     """A cobracket whose admissible constants are fresh ring parameters."""
@@ -273,15 +268,14 @@ def _is_zero(value):
 
 # -- cobracket <-> vector ----------------------------------------------------
 
-def cobracket_vector(d, unknowns, ring=None):
+def cobracket_vector(d, unknowns):
     """Flatten a Cobracket to its admissible-triple coefficient vector."""
     zero = d.ring.zero()
     return [d.rows[i].coeffs.get((k, l), zero) for (i, k, l) in unknowns]
 
 
-def vector_cobracket(algebra, unknowns, vector, ring=None):
-    ring = ring if ring is not None else algebra.ring
-    return Cobracket.from_entries(algebra, ring, zip(unknowns, vector))
+def vector_cobracket(algebra, unknowns, vector):
+    return Cobracket.from_entries(algebra, algebra.ring, zip(unknowns, vector))
 
 
 class SolutionFamily:
@@ -296,8 +290,8 @@ class SolutionFamily:
     def nullity(self):
         return len(self.vectors)
 
-    def cobrackets(self, ring=None):
-        return [vector_cobracket(self.algebra, self.unknowns, v, ring)
+    def cobrackets(self):
+        return [vector_cobracket(self.algebra, self.unknowns, v)
                 for v in self.vectors]
 
 

@@ -205,10 +205,6 @@ class Ring:
                 and self._kinds == other._kinds
                 and self._relation_spec == other._relation_spec)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self._evens, self._odds, self._relation_spec))
 
@@ -308,9 +304,6 @@ class SuperScalar:
         for key, coeff in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = coeff
         return self.ring._make(even), self.ring._make(odd)
-
-    def constant_term(self):
-        return self._terms.get((self.ring._zero_exps, ()), Fraction(0))
 
     def as_fraction(self):
         """The rational value of a constant element; error otherwise."""
@@ -426,10 +419,6 @@ class SuperScalar:
         if other.ring != self.ring:
             return False
         return self._terms == other._terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
 

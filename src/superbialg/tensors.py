@@ -1,5 +1,6 @@
 """Graded tensor powers of a superalgebra: wedges, the adjoint action on
-rank-2 and rank-3 tensors, and the Schouten bracket [[r,r]].
+rank-2 and rank-3 tensors, the Schouten bracket [[r,r]], and the sparse
+contraction shared by the Jacobi and co-Jacobi checks.
 
 Sign conventions (frozen here, used everywhere):
 
@@ -98,10 +99,6 @@ class GradedTensor:
             return False
         return self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def basis_parity(self, idx):
@@ -140,11 +137,6 @@ class GradedTensor:
         return f"<rank-{self.rank} {self.render()}>"
 
 
-def basis_tensor(algebra, idx, ring=None, coeff=1):
-    ring = ring if ring is not None else algebra.ring
-    return GradedTensor(algebra, len(idx), {tuple(idx): ring.coerce(coeff)}, ring)
-
-
 def wedge(algebra, x, y, ring=None, coeff=1):
     """x ^ y = x(x)y - z(x,y) y(x)x on basis elements (names or indices)."""
     ring = ring if ring is not None else algebra.ring
@@ -167,29 +159,47 @@ def ad_action(algebra, g, t):
     """Adjoint action of basis element `g` on a rank-2 or rank-3 tensor."""
     if t.rank == 1:
         raise ValueError("ad_action expects rank 2 or 3")
-    gi = algebra.index[g] if isinstance(g, str) else g
+    return _adjoint(algebra, algebra.index[g] if isinstance(g, str) else g, t)
+
+
+def _adjoint(algebra, gi, t):
+    """ad_{g_i}(t) for a tensor of any rank: the bracket enters each slot in
+    turn, after the Koszul signs of the scalar and the slots it passes."""
     ggrade = algebra.grades[gi]
     ring = t.ring
-    out = GradedTensor.zero(algebra, t.rank, ring)
+    out = {}
     for idx, coeff in t.coeffs.items():
         for cpart in coeff.homogeneous_parts():
             if cpart.is_zero():
                 continue
-            # move g past the scalar coefficient
-            csign = -1 if (ggrade and cpart.parity()) else 1
-            slot_sign = 1
-            for slot in range(t.rank):
-                target = idx[slot]
-                terms = {}
+            # move g past the scalar coefficient, then past each slot
+            sign = -1 if (ggrade and cpart.parity()) else 1
+            for slot, target in enumerate(idx):
                 for k, cval in algebra.bracket_indices(gi, target):
                     new_idx = idx[:slot] + (k,) + idx[slot + 1:]
-                    value = (csign * slot_sign) * (cpart * cval.convert(ring))
-                    if not value.is_zero():
-                        terms[new_idx] = terms.get(new_idx, ring.zero()) + value
-                if terms:
-                    out = out + GradedTensor(algebra, t.rank, terms, ring)
+                    value = sign * (cpart * cval.convert(ring))
+                    acc = out.get(new_idx)
+                    out[new_idx] = value if acc is None else acc + value
                 if ggrade and algebra.grades[target]:
-                    slot_sign = -slot_sign
+                    sign = -sign
+    return GradedTensor(algebra, t.rank, out, ring)
+
+
+def contract(rows):
+    """T(a,b,c,d) = sum_j rows[a][(b,j)] rows[j][(c,d)] over stored entries.
+
+    `rows` is a list of {(b, j): scalar} dicts.  With rows[i][(k,l)] = f_i^{kl}
+    this is the co-Jacobi contraction of a cobracket; with rows[i][(j,k)] =
+    c_ij^k it is [[g_a,g_b],g_c]_d, the Jacobi term of an algebra.
+    """
+    out = {}
+    for a, row in enumerate(rows):
+        for (b, j), left in row.items():
+            for (c, d), right in rows[j].items():
+                key = (a, b, c, d)
+                prod = left * right
+                acc = out.get(key)
+                out[key] = prod if acc is None else acc + prod
     return out
 
 
@@ -237,6 +247,8 @@ def _split_wedge_terms(text):
     text = text.strip()
     if text.startswith("r") and "=" in text.split("^", 1)[0]:
         text = text.split("=", 1)[1].strip()
+    if text == "0":
+        return []
     tokens = text.split()
     terms = []
     current = []
@@ -258,8 +270,8 @@ def _split_wedge_terms(text):
 
 def parse_wedge_sum(text, algebra, ring=None):
     """Parse `1 H^P+ - 1 V+^V+` (wedge grammar, SuperScalar coefficients)
-    into a rank-2 tensor; a malformed term, an unknown basis name or a bad
-    coefficient raises ScalarParseError."""
+    into a rank-2 tensor; a lone `0` is the zero tensor.  A malformed term,
+    an unknown basis name or a bad coefficient raises ScalarParseError."""
     ring = ring if ring is not None else algebra.ring
     total = GradedTensor.zero(algebra, 2, ring)
     for sign, term in _split_wedge_terms(text):

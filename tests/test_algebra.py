@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superbialg.scalars import Ring
 from superbialg.algebra import (SuperLieAlgebra, AlgebraError, builtin,
                                 bracket, parse_algebra_text,
                                 render_algebra_text)
+from superbialg.bialgebra import Cobracket, dual_algebra
 from superbialg.claims import data_path
+from superbialg.tensors import GradedTensor
+from test_bialgebra import NAMED, _named_cobracket
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +184,146 @@ X H = 1 X
 """
         with pytest.raises(ValueError):
             parse_algebra_text(bad)
+
+
+# -- frozen dense references -------------------------------------------------
+#
+# The constructor fill, the validator and the dual table as they ran over a
+# dense n x n x n table before structure constants were stored sparsely.  The
+# sparse store must give the same table and nonzero brackets, and `validate`
+# the same three reports, entry for entry and in the same order.
+
+def dense_fill(algebra, brackets):
+    n = algebra.dim
+    zero = algebra.ring.zero()
+    c = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (iname, jname), rhs in brackets.items():
+        i, j = algebra.index[iname], algebra.index[jname]
+        for coeff, kname in rhs:
+            k = algebra.index[kname]
+            value = algebra.ring.coerce(coeff)
+            c[i][j][k] = c[i][j][k] + value
+            if i != j:
+                zij = algebra.z(i, j)
+                c[j][i][k] = c[j][i][k] - zij * value
+    return c
+
+
+def dense_validate(algebra, c):
+    """(grading, antisymmetry, jacobi) failure lists of table c."""
+    grading, antisymmetry, jacobi = [], [], []
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v = c[i][j][k]
+                if v.is_zero():
+                    continue
+                if (algebra.grades[i] + algebra.grades[j]) % 2 != algebra.grades[k]:
+                    grading.append(
+                        (algebra.basis[i], algebra.basis[j], algebra.basis[k], v.render()))
+    for i in range(n):
+        for j in range(i, n):
+            zij = algebra.z(i, j)
+            for k in range(n):
+                res = c[i][j][k] + zij * c[j][i][k]
+                if not res.is_zero():
+                    antisymmetry.append(
+                        (algebra.basis[i], algebra.basis[j], algebra.basis[k], res.render()))
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for m in range(n):
+                    res = algebra.ring.zero()
+                    for k in range(n):
+                        res = res + c[i][j][k] * c[k][l][m] * algebra.z(i, l)
+                        res = res + c[j][l][k] * c[k][i][m] * algebra.z(j, i)
+                        res = res + c[l][i][k] * c[k][j][m] * algebra.z(l, j)
+                    if not res.is_zero():
+                        jacobi.append(
+                            (algebra.basis[i], algebra.basis[j], algebra.basis[l],
+                             algebra.basis[m], res.render()))
+    return grading, antisymmetry, jacobi
+
+
+def dense_dual_table(algebra, d):
+    n = algebra.dim
+    f = d.f
+    return [[[f[i][k][l] for i in range(n)] for l in range(n)] for k in range(n)]
+
+
+def assert_store_matches_dense(algebra, c):
+    assert algebra.c == c
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            assert list(algebra.bracket_indices(i, j)) == [
+                (k, v) for k, v in enumerate(c[i][j]) if not v.is_zero()]
+    report = algebra.validate()
+    assert (report.grading_failures, report.antisymmetry_failures,
+            report.jacobi_failures) == dense_validate(algebra, c)
+
+
+def alg_file_brackets(name):
+    """The [brackets] section of a bundled .alg file, read line by line."""
+    brackets = {}
+    text = data_path(f"{name}.alg").read_text().split("[brackets]", 1)[1]
+    for line in text.splitlines():
+        lhs, _, rhs = line.split("#", 1)[0].partition("=")
+        tokens = rhs.split()
+        if tokens:
+            brackets[tuple(lhs.split())] = [
+                (Fraction(tokens[p]), tokens[p + 1]) for p in range(0, len(tokens), 2)]
+    return brackets
+
+
+@st.composite
+def constructor_inputs(draw):
+    """A basis of up to four elements and brackets on any ordered pairs,
+    diagonal ones included, so that grading, antisymmetry and Jacobi fail."""
+    grades = draw(st.lists(st.sampled_from(["even", "odd"]), min_size=1, max_size=4))
+    names = [f"g{i}" for i in range(len(grades))]
+    terms = st.lists(st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.sampled_from(names)), min_size=1, max_size=3)
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return list(zip(names, grades)), draw(st.dictionaries(pairs, terms, max_size=6))
+
+
+class TestSparseStoreMatchesDense:
+    @pytest.mark.parametrize("name", ["super_e2", "osp12"])
+    def test_builtins(self, name):
+        algebra = builtin(name)
+        assert_store_matches_dense(algebra, dense_fill(algebra, alg_file_brackets(name)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(constructor_inputs())
+    @example(([("H", "even"), ("X", "even")], {("H", "H"): [(1, "X")]}))
+    def test_constructor_algebras(self, drawn):
+        basis, brackets = drawn
+        algebra = SuperLieAlgebra("drawn", basis, brackets)
+        assert_store_matches_dense(algebra, dense_fill(algebra, brackets))
+
+    @pytest.mark.parametrize("label", NAMED)
+    def test_named_duals(self, label):
+        d = _named_cobracket(label)
+        assert_store_matches_dense(dual_algebra(d.algebra, d),
+                                   dense_dual_table(d.algebra, d))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["osp12", "super_e2"]).flatmap(
+        lambda name: st.tuples(st.just(name), st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 4)] * 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            max_size=12))))
+    def test_random_duals(self, drawn):
+        name, entries = drawn
+        algebra = builtin(name)
+        ring = algebra.ring
+        coeffs = [{} for _ in range(algebra.dim)]
+        for (i, k, l), value in entries:
+            coeffs[i][(k, l)] = coeffs[i].get((k, l), ring.zero()) + value
+        raw = Cobracket(algebra, ring,
+                        [GradedTensor(algebra, 2, c, ring) for c in coeffs])
+        for d in (Cobracket.from_entries(algebra, ring, entries), raw):
+            assert_store_matches_dense(dual_algebra(algebra, d),
+                                       dense_dual_table(algebra, d))

@@ -13,7 +13,8 @@ from superbialg.bialgebra import (Cobracket, _cojacobi_residuals, case_a,
                                   family_ids, parse_cobracket_text,
                                   CYBE, MCYBE)
 from superbialg.scalars import Ring
-from superbialg.tensors import GradedTensor, RMatrix, parse_rmatrix
+from superbialg.tensors import (GradedTensor, RMatrix, parse_rmatrix,
+                                render_wedge_form)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,38 @@ class TestCobracketText:
         i = e2.index
         assert d.f[i["H"]][i["P+"]][i["P-"]] == 1
         assert d.f[i["H"]][i["P-"]][i["P+"]] == -1
+
+
+def _round_trip_cases():
+    """r:<id> and coboundary:<id> for every r-matrix family, cobracket:<id>
+    for every cobracket family, and the zero r-matrix and zero cobracket of
+    both built-in algebras."""
+    cases = []
+    for fid in family_ids():
+        if isinstance(family(fid), RMatrix):
+            cases += [f"r:{fid}", f"coboundary:{fid}"]
+        else:
+            cases.append(f"cobracket:{fid}")
+    return cases + [f"{kind}:zero-{name}" for kind in ("r", "cobracket")
+                    for name in ("osp12", "super_e2")]
+
+
+@pytest.mark.parametrize("case", _round_trip_cases())
+def test_rendered_output_parses_back(case):
+    kind, label = case.split(":")
+    if label.startswith("zero-"):
+        algebra = builtin(label[len("zero-"):])
+        obj = RMatrix(algebra, {}) if kind == "r" else Cobracket(algebra)
+    else:
+        obj = family(label)
+        if kind == "coboundary":
+            obj = coboundary_delta(obj.algebra, obj)
+    if kind == "r":
+        text = render_wedge_form(obj)
+        assert parse_rmatrix(text, obj.algebra, obj.ring) == obj, text
+    else:
+        text = obj.render()
+        assert parse_cobracket_text(text, obj.algebra, obj.ring) == obj, text
 
 
 # -- frozen dense references -------------------------------------------------

@@ -243,9 +243,9 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
 
 
 @pytest.mark.parametrize("row", ["delta H = 1/0 P+^P-", "delta H = 1 Q^P+",
-                                 "delta H = 1 P+ P-"],
+                                 "delta H = 1 P+ P-", "delta P+ = 1 H^P+"],
                          ids=["zero-denominator", "unknown-basis-name",
-                              "malformed-term"])
+                              "malformed-term", "duplicate-row"])
 def test_cobracket_file_errors_name_the_line(row, tmp_path):
     path = tmp_path / "d.cob"
     path.write_text(f"delta P+ = 1 P+^P-\n{row}\n")

@@ -360,10 +360,13 @@ class TestPublishedTables:
     def test_fault_injection_fails_claims(self, monkeypatch):
         # a mutated built-in must make the corresponding claims fail
         from superbialg import algebra
-        mutated = algebra.builtin("super_e2", fresh=True)
+        text = algebra.render_algebra_text(algebra.builtin("super_e2"))
+        assert "D+ D+ = 1 P+\n" in text
+        mutated = algebra.parse_algebra_text(
+            text.replace("D+ D+ = 1 P+\n", "D+ D+ = 1 P-\n"), validate=False)
         i = mutated.index
-        mutated.c[i["D+"]][i["D+"]][i["P+"]] = mutated.ring.zero()
-        mutated.c[i["D+"]][i["D+"]][i["P-"]] = mutated.ring.one()
+        assert mutated.c[i["D+"]][i["D+"]][i["P+"]] == 0
+        assert mutated.c[i["D+"]][i["D+"]][i["P-"]] == 1
         monkeypatch.setitem(algebra._BUILTIN_CACHE, "super_e2", mutated)
         results = run_claims(prefix="axioms.e2")
         assert results and all(r.status == "fail" for r in results)
