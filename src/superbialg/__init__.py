@@ -65,8 +65,6 @@ from .poisson import (
     VectorField,
     PoissonStructure,
     coboundary_structure,
-    cocycle_structure,
-    mixed_structure,
     named_structure,
     check_axioms,
     render_table,

@@ -199,7 +199,7 @@ def residual_of(system, vector):
     return [sum(r * x for r, x in zip(row, vector)) for row in system.rows]
 
 
-def in_span(basis, vector, ring=None):
+def in_span(basis, vector):
     """Solve sum_j x_j basis_j = vector; vector entries may be scalars.
 
     The basis is rational, so elimination uses rational pivots only; returns

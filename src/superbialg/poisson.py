@@ -10,16 +10,20 @@ Coordinate rings:
   derived letters e = 1 + alpha*delta, gamma = c*alpha - a*delta and
   beta = d*alpha - b*delta are expansion macros, not generators.
 
-Brackets come in two shapes.  A coboundary structure uses the invariant
-vector fields
+Every bracket has one shape, a Sklyanin term of the classical r-matrix plus
+a group-valued cocycle term Phi (the c*s P+^P- term of the non-coboundary
+super-E(2) families, or the whole bracket of family iv):
 
     {f, g} = (Y_k^(r) f) r^{kj} (Y_j^(l) g) - (X_k^(r) f) r^{kj} (X_j^(l) g)
+             + (X_j^(r) f) Phi^{jk} (X_k^(l) g)
 
-with r^{kj} the tensor components of the classical r-matrix; a cocycle
-structure uses {f, g} = (X_j^(r) f) Phi^{jk} (X_k^(l) g) with Phi a
-group-element-valued table; a mixed structure is the sum (the extra
-c*s P+^P- term of the non-coboundary families).  Products are taken in the
-written order; the supercommutative ring supplies every Koszul sign.
+Both r and Phi are rank-2 wedge sums; the nine published structures are one
+table (`_STRUCTURES`) of r-matrix families and Phi texts.  `bracket` runs
+one loop over (left field, coefficient, right field) triples, applies each
+field to f and to g at most once per call and skips a triple with a zero
+image.  Products are taken in the written order; the supercommutative ring
+supplies every Koszul sign.  `check_axioms` computes the generator brackets
+pi[f, g] = {x_f, x_g} once and reads them in every axiom that needs them.
 
 The invariant fields are derived from the coproduct and a tangent vector
 xi_k at the identity: Y_k = (id (x) xi_k) o Delta and X_k = (xi_k (x) id) o
@@ -51,6 +55,7 @@ from fractions import Fraction
 from .scalars import EVEN, ODD, Ring
 from .algebra import builtin
 from .bialgebra import family as bialgebra_family
+from .tensors import parse_wedge_sum
 
 HALF = Fraction(1, 2)
 
@@ -428,124 +433,119 @@ def group(name):
 # -- Poisson structures --------------------------------------------------------
 
 class PoissonStructure:
-    """Coboundary (r tensor components), cocycle (Phi table), or both."""
+    """The bracket of an r-matrix and a group-valued cocycle Phi.
 
-    def __init__(self, grp, structure_id="", r_entries=(), phi_entries=(),
+    `r` is an RMatrix with rational components and `phi` a rank-2
+    GradedTensor over the group ring; either may be absent.  They are kept as
+    `r_entries`, (k, j, r^{kj}) name triples, and `phi`, {(j, k) names:
+    Phi^{jk}}.  Every Phi^{jk} must vanish at the identity.
+    """
+
+    def __init__(self, grp, structure_id="", r=None, phi=None,
                  display_scale=1):
         self.group = grp
         self.structure_id = structure_id
-        self.r_entries = list(r_entries)
-        self.phi = dict(phi_entries)
         self.display_scale = Fraction(display_scale)
+        self.r_entries = [] if r is None else [
+            (r.algebra.basis[k], r.algebra.basis[j], v.as_fraction())
+            for (k, j), v in sorted(r.coeffs.items())]
+        self.phi = {} if phi is None else {
+            (phi.algebra.basis[j], phi.algebra.basis[k]): v
+            for (j, k), v in phi.coeffs.items()}
         for (j, k), value in self.phi.items():
             if not grp.vanishes_at_identity(value):
                 raise ValueError(
                     f"Phi^({j},{k}) = {value.render()} does not vanish at the"
                     " group identity")
+        self._triples = None
 
-    @property
-    def kind(self):
-        if self.r_entries and self.phi:
-            return "mixed"
-        if self.phi:
-            return "cocycle"
-        return "coboundary"
+    def _bracket_triples(self):
+        # (left field, coefficient, right field) for every term of the bracket
+        field = self.group.field
+        triples = []
+        for k, j, coeff in self.r_entries:
+            triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
+            triples.append((field(k, "X", "r"), -coeff, field(j, "X", "l")))
+        for (j, k), value in self.phi.items():
+            triples.append((field(j, "X", "r"), value, field(k, "X", "l")))
+        return triples
 
     def bracket(self, f, g):
-        grp = self.group
-        out = grp.ring.zero()
-        for (k, j, coeff) in self.r_entries:
-            yterm = grp.field(k, "Y", "r")(f) * coeff * grp.field(j, "Y", "l")(g)
-            xterm = grp.field(k, "X", "r")(f) * coeff * grp.field(j, "X", "l")(g)
-            out = out + yterm - xterm
-        for (j, k), value in self.phi.items():
-            out = out + grp.field(j, "X", "r")(f) * value * grp.field(k, "X", "l")(g)
-        return out
+        """Sum of L(f) c R(g) over the triples; each image of f and of g is
+        computed once, and a triple with a zero image is skipped."""
+        if self._triples is None:
+            self._triples = self._bracket_triples()
+        left = {}
+        right = {}
+        out = {}
+        get = out.get
+        for lfield, coeff, rfield in self._triples:
+            lf = left.get(lfield)
+            if lf is None:
+                lf = left[lfield] = lfield(f)
+            if lf.is_zero():
+                continue
+            rg = right.get(rfield)
+            if rg is None:
+                rg = right[rfield] = rfield(g)
+            if rg.is_zero():
+                continue
+            for k, c in (lf * coeff * rg)._terms.items():
+                acc = get(k)
+                out[k] = c if acc is None else acc + c
+        return self.group.ring._make({k: c for k, c in out.items() if c})
 
     def __repr__(self):
         return f"<PoissonStructure {self.group.name}:{self.structure_id}>"
 
 
 def coboundary_structure(grp, r, structure_id="", display_scale=1):
-    """Build from a bialgebra RMatrix (rational tensor components)."""
-    names = r.algebra.basis
-    entries = []
-    for (k, l), v in sorted(r.coeffs.items()):
-        entries.append((names[k], names[l], v.as_fraction()))
-    return PoissonStructure(grp, structure_id, entries, (),
-                            display_scale=display_scale)
+    """The structure of an RMatrix alone (rational tensor components)."""
+    return PoissonStructure(grp, structure_id, r, display_scale=display_scale)
 
 
-def cocycle_structure(grp, phi_entries, structure_id="", display_scale=1):
-    return PoissonStructure(grp, structure_id, (), phi_entries,
-                            display_scale=display_scale)
-
-
-def mixed_structure(grp, r, phi_entries, structure_id="", display_scale=1):
-    base = coboundary_structure(grp, r, structure_id, display_scale)
-    return PoissonStructure(grp, structure_id, base.r_entries, phi_entries,
-                            display_scale=display_scale)
-
-
-def _phi_cs(grp):
-    """The extra term c*s P+^P- carried by every non-coboundary member."""
-    cs = grp.parse("c*s")
-    return {("P+", "P-"): cs, ("P-", "P+"): -cs}
-
-
-def _phi_case_iv(grp):
-    """The cocycle of the family-(iv) structure (overall scale set to 1)."""
-    p = grp.parse
-    table = {}
-
-    def add_wedge(x, y, value, odd_pair=False):
-        table[(x, y)] = table.get((x, y), grp.ring.zero()) + value
-        sign = 1 if odd_pair else -1
-        table[(y, x)] = table.get((y, x), grp.ring.zero()) + sign * value
-
-    add_wedge("P+", "H", p("-2*a*E^2"))
-    add_wedge("D+", "D+", p("-2*a*E^2") * HALF, odd_pair=True)
-    add_wedge("P-", "H", p("-2*b*E^-2"))
-    add_wedge("P-", "P+", p("2*a*b"))
-    add_wedge("D-", "D-", p("2*b*E^-2") * HALF, odd_pair=True)
-    add_wedge("H", "D+", p("E*xi"))
-    add_wedge("P+", "D+", p("-a*E^3*xi"))
-    add_wedge("P-", "D+", p("b*E^-1*xi"))
-    add_wedge("H", "D-", p("E^-1*eta"))
-    add_wedge("P+", "D-", p("-a*E*eta"))
-    add_wedge("P-", "D-", p("b*E^-3*eta"))
-    add_wedge("D+", "D-", p("-1/2*xi*eta"), odd_pair=True)
-    return {key: v for key, v in table.items() if not v.is_zero()}
+# The nine published structures: group -> id -> (r-matrix family, its
+# parameters, Phi as a wedge sum over the group ring).  Every non-coboundary
+# super-E(2) member carries c*s P+^P-; Phi of (iv) has overall scale 1.
+_STRUCTURES = {
+    "osp": {
+        "1": ("osp-r1", {}, None),
+        "2": ("osp-r2", {}, None),
+        "3": ("osp-r3", {"t": 1}, None),
+    },
+    "super-e2": {
+        "i": (None, {}, "c*s P+^P-"),
+        "ii": ("e2-r-ii", {}, "c*s P+^P-"),
+        "iii": ("e2-r-iii", {}, "c*s P+^P-"),
+        "iv": (None, {},
+               "2*a*E^2 H^P+ + 2*b*E^-2 H^P- + E*xi H^D+ + E^-1*eta H^D-"
+               " - 2*a*b P+^P- - a*E^3*xi P+^D+ - a*E*eta P+^D-"
+               " + b*E^-1*xi P-^D+ + b*E^-3*eta P-^D- - a*E^2 D+^D+"
+               " - 1/2*xi*eta D+^D- + b*E^-2 D-^D-"),
+        "v": ("e2-r-v", {}, "c*s P+^P-"),
+        "vi": ("e2-r-vi", {}, "c*s P+^P-"),
+    },
+}
 
 
 def named_structure(group_name, structure_id):
     """The nine published structures: osp 1|2|3 and super-e2 i..vi."""
     grp = group(group_name)
     sid = str(structure_id).lower()
-    if grp.name == "osp":
-        families = {"1": "osp-r1", "2": "osp-r2", "3": "osp-r3"}
-        if sid not in families:
+    entry = _STRUCTURES[grp.name].get(sid)
+    if entry is None:
+        if grp.name == "osp":
             raise KeyError(f"unknown OSp structure {structure_id!r} (1|2|3)")
-        if sid == "3":
-            r = bialgebra_family("osp-r3", t=1)
-        else:
-            r = bialgebra_family(families[sid])
-        return coboundary_structure(grp, r, structure_id=sid, display_scale=2)
-    families = {"ii": "e2-r-ii", "iii": "e2-r-iii", "v": "e2-r-v",
-                "vi": "e2-r-vi"}
-    if sid == "i":
-        return cocycle_structure(grp, _phi_cs(grp), structure_id=sid)
-    if sid == "iv":
-        return cocycle_structure(grp, _phi_case_iv(grp), structure_id=sid)
-    if sid in families:
-        r = bialgebra_family(families[sid])
-        return mixed_structure(grp, r, _phi_cs(grp), structure_id=sid)
-    raise KeyError(f"unknown super-e2 structure {structure_id!r} (i..vi)")
+        raise KeyError(f"unknown super-e2 structure {structure_id!r} (i..vi)")
+    family_id, params, phi_text = entry
+    r = bialgebra_family(family_id, **params) if family_id else None
+    phi = parse_wedge_sum(phi_text, grp.algebra, grp.ring) if phi_text else None
+    return PoissonStructure(grp, sid, r, phi,
+                            display_scale=2 if grp.name == "osp" else 1)
 
 
 def structure_ids(group_name):
-    return ["1", "2", "3"] if group(group_name).name == "osp" \
-        else ["i", "ii", "iii", "iv", "v", "vi"]
+    return list(_STRUCTURES[group(group_name).name])
 
 
 def _tensor_bracket(structure, F, G):
@@ -603,19 +603,22 @@ class AxiomReport:
 
 def check_axioms(structure, leibniz_triples=None):
     """Graded antisymmetry, Leibniz, graded Jacobi, and the coproduct
-    morphism property, all on the group generators (exact, symbolic)."""
+    morphism property, all on the group generators (exact, symbolic).
+
+    The generator brackets pi[f, g] = {x_f, x_g} are computed once and read
+    by every axiom that needs them."""
     grp = structure.group
     gens = list(grp.coordinates)
     par = {g: grp.parity_of(g) for g in gens}
     val = {g: grp.var(g) for g in gens}
     report = AxiomReport()
+    pi = {(f, g): structure.bracket(val[f], val[g]) for f in gens for g in gens}
 
     def z(p, q):
         return -1 if (p and q) else 1
 
     for f, g in itertools.combinations_with_replacement(gens, 2):
-        res = structure.bracket(val[f], val[g]) \
-            + z(par[f], par[g]) * structure.bracket(val[g], val[f])
+        res = pi[f, g] + z(par[f], par[g]) * pi[g, f]
         if not res.is_zero():
             report.antisymmetry.append((f"{{{f},{g}}}", res.render()))
 
@@ -624,20 +627,19 @@ def check_axioms(structure, leibniz_triples=None):
         triples = list(itertools.product(gens, repeat=3))
     for f, g, h in triples:
         lhs = structure.bracket(val[f], val[g] * val[h])
-        rhs = structure.bracket(val[f], val[g]) * val[h] \
-            + z(par[f], par[g]) * (val[g] * structure.bracket(val[f], val[h]))
+        rhs = pi[f, g] * val[h] + z(par[f], par[g]) * (val[g] * pi[f, h])
         if lhs != rhs:
             report.leibniz.append((f"{{{f},{g}*{h}}}", (lhs - rhs).render()))
 
     for f, g, h in itertools.combinations_with_replacement(gens, 3):
-        total = z(par[f], par[h]) * structure.bracket(val[f], structure.bracket(val[g], val[h])) \
-            + z(par[g], par[f]) * structure.bracket(val[g], structure.bracket(val[h], val[f])) \
-            + z(par[h], par[g]) * structure.bracket(val[h], structure.bracket(val[f], val[g]))
+        total = z(par[f], par[h]) * structure.bracket(val[f], pi[g, h]) \
+            + z(par[g], par[f]) * structure.bracket(val[g], pi[h, f]) \
+            + z(par[h], par[g]) * structure.bracket(val[h], pi[f, g])
         if not total.is_zero():
             report.jacobi.append((f"({f},{g},{h})", total.render()))
 
     for f, g in itertools.combinations_with_replacement(gens, 2):
-        lhs = grp.coproduct(structure.bracket(val[f], val[g]))
+        lhs = grp.coproduct(pi[f, g])
         rhs = _tensor_bracket(structure, grp.coproduct(val[f]),
                               grp.coproduct(val[g]))
         if lhs != rhs:

@@ -81,12 +81,9 @@ class GradedTensor:
         """Left multiplication by a scalar (Koszul-free: the scalar sits in
         front of every term)."""
         scalar = self.ring.coerce(scalar)
-        out = {}
-        for k, v in self.coeffs.items():
-            prod = scalar * v
-            if not prod.is_zero():
-                out[k] = prod
-        return GradedTensor(self.algebra, self.rank, out, self.ring)
+        return GradedTensor(self.algebra, self.rank,
+                            {k: scalar * v for k, v in self.coeffs.items()},
+                            self.ring)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -143,15 +140,8 @@ def wedge(algebra, x, y, ring=None, coeff=1):
     i = algebra.index[x] if isinstance(x, str) else x
     j = algebra.index[y] if isinstance(y, str) else y
     coeff = ring.coerce(coeff)
-    out = {}
-    zij = algebra.z(i, j)
-    out[(i, j)] = coeff
-    key = (j, i)
-    acc = out.get(key, ring.zero()) - zij * coeff
-    if acc.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = acc
+    out = {(i, j): coeff}
+    out[(j, i)] = out.get((j, i), ring.zero()) - algebra.z(i, j) * coeff
     return GradedTensor(algebra, 2, out, ring)
 
 
@@ -247,6 +237,8 @@ def _split_wedge_terms(text):
     text = text.strip()
     if text.startswith("r") and "=" in text.split("^", 1)[0]:
         text = text.split("=", 1)[1].strip()
+    if not text:
+        raise ScalarParseError("empty wedge sum")
     if text == "0":
         return []
     tokens = text.split()
@@ -270,8 +262,9 @@ def _split_wedge_terms(text):
 
 def parse_wedge_sum(text, algebra, ring=None):
     """Parse `1 H^P+ - 1 V+^V+` (wedge grammar, SuperScalar coefficients)
-    into a rank-2 tensor; a lone `0` is the zero tensor.  A malformed term,
-    an unknown basis name or a bad coefficient raises ScalarParseError."""
+    into a rank-2 tensor; a lone `0` is the zero tensor.  A blank sum, a
+    malformed term, an unknown basis name or a bad coefficient raises
+    ScalarParseError."""
     ring = ring if ring is not None else algebra.ring
     total = GradedTensor.zero(algebra, 2, ring)
     for sign, term in _split_wedge_terms(text):
