@@ -162,7 +162,6 @@ def _run_quadratic_point(claim):
     coeffs = cocycles.in_span(fam.vectors, vec)
     if coeffs is None:
         return "fail", "point is outside the linear cocycle space"
-    coeffs = [d.ring.coerce(x) if not hasattr(x, "ring") else x for x in coeffs]
     bad = cocycles.evaluate_constraints(constraints, coeffs, d.ring)
     if claim["point"] == "case-a":
         if bad:

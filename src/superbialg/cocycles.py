@@ -340,16 +340,8 @@ def evaluate_constraints(constraints, point, ring):
     """
     bad = []
     for poly in constraints:
-        total = ring.zero()
-        for exps, odds, coeff in poly.terms():
-            term = ring.scalar(coeff)
-            for pos, e in enumerate(exps):
-                if e:
-                    value = point[pos]
-                    if not hasattr(value, "ring"):
-                        value = ring.scalar(value)
-                    term = term * value ** e
-            total = total + term
+        images = dict(zip(poly.ring.even_names, map(ring.coerce, point)))
+        total = poly.map(ring, images)
         if not total.is_zero():
             bad.append((poly, total))
     return bad

@@ -25,22 +25,37 @@ image.  Products are taken in the written order; the supercommutative ring
 supplies every Koszul sign.  `check_axioms` computes the generator brackets
 pi[f, g] = {x_f, x_g} once and reads them in every axiom that needs them.
 
+The tensor square A (x) A is a coordinate ring of its own
+(`CoordinateRing.square`): slot-tagged variables x1, x2, shared parameters,
+the relations and Laurent rules retagged per slot.  Every map between A and
+A (x) A is the one ring-map kernel `SuperScalar.map`: the coproduct sends x
+to Delta(x), embed_s sends x to x_s, and restrict_s keeps slot s and sends
+the other slot to the identity.  A field lifted to slot s (`lift`) is the
+same derivation with its generator table embedded in that slot, so the
+Leibniz rule of the square supplies every Koszul sign.  The product bracket
+on G x G (`PoissonStructure.square`) is the same bracket loop over every
+triple lifted to slot 1 and to slot 2, and `check_axioms` reads the
+coproduct morphism as Delta{x_f, x_g} = {Delta x_f, Delta x_g} in it.
+
 The invariant fields are derived from the coproduct and a tangent vector
-xi_k at the identity: Y_k = (id (x) xi_k) o Delta and X_k = (xi_k (x) id) o
-Delta, with xi_k(v) evaluated at the identity.  The tangent maps are
+xi_k at the identity: Y_k = restrict_1 o xi_k(slot 2) o Delta and
+X_k = restrict_2 o xi_k(slot 1) o Delta.  The tangent maps are
 
     super-E(2): H -> d/ds, P+ -> d/da, P- -> d/db, D+ -> d/dxi, D- -> d/deta
     OSp(1|2):   H -> 1/2 (d/da - d/dd), X+ -> d/db, X- -> d/dc,
                 V+ -> 1/2 d/dalpha, V- -> 1/2 d/ddelta
 
-For an odd xi_k the left and right derivatives differ by the sign
-(-1)^{|kept half|}: a left Y crosses the slot-1 half, a right X the slot-2
-half.  Field application is the graded Leibniz rule of the field's side, with
-the chain rule field(E) = 1/2 field(s) E on the group-like variable.
+An odd xi_k of either side is lifted with that side, and its Leibniz rule on
+the square gives the sign (-1)^{|kept half|} of crossing the other slot: a
+left Y crosses the slot-1 half, a right X the slot-2 half.  Field
+application is the graded Leibniz rule of the field's side, with the chain
+rule field(E) = 1/2 field(s) E on the group-like variable.
 Each field keeps the image of every monomial it has been applied to
 (`VectorField.images`), and `apply_field` sums coeff * image per term; the
-memo lives as long as its group, i.e. the process for `group()`, and after a
-full verify-paper run holds 770 images in about 0.25 MB.
+memo lives as long as its group, i.e. the process for `group()`.  Lifted
+fields are shared by every structure on their group (`lifted_fields`).
+After a full verify-paper run the memos hold 2022 images in about 0.66 MB:
+610 on the 40 fields of the two groups, 1412 on 80 lifted fields.
 
 OSp bracket values are conventionally displayed after multiplication by 2,
 which is how the published table is normalized; `render_table` applies the
@@ -106,7 +121,8 @@ class CoordinateRing:
         self.algebra = builtin(algebra_name)
         self.tangents = dict(tangents)  # generator -> {coordinate: rational}
         self._fields = None
-        self._tensor = None
+        self._square = None
+        self.lifted_fields = {}  # (field, slot) -> field on the square
         self._coproduct_rules = coproduct_rules
         self._delta = None
 
@@ -134,38 +150,26 @@ class CoordinateRing:
         return self._fields[(gen, chirality, side)]
 
     def _derive_fields(self):
-        # Per term u (x) v of Delta(x): Y(x) gets u xi(v)|_e and X(x) gets
-        # xi(u)|_e v.  An odd derivative reaches v across u from the left
-        # and u across v from the right, hence the sign of a left Y and a
-        # right X on an odd kept half.
-        split = self.tensor_square()[3]
+        # Y_k = restrict_1 o xi_k(slot 2) o Delta and X_k = restrict_2 o
+        # xi_k(slot 1) o Delta: the lifted tangent's Leibniz rule gives an
+        # odd xi_k its sign for crossing the other slot.  An even field is
+        # the same on both sides, so it is derived once.
         delta = self._generator_coproducts()
-        ring = self.ring
         fields = {}
         for gen, parity in zip(self.algebra.basis, self.algebra.grades):
-            tangent = VectorField(self, f"xi_{gen}", parity, {
-                name: ring.scalar(q) for name, q in self.tangents[gen].items()})
-            tables = {key: {} for key in itertools.product("YX", "lr")}
-            for name in self.coordinates:
-                sums = dict.fromkeys(tables, ring.zero())
-                for exps, odds, coeff in delta[name].terms():
-                    u, v = split(exps, odds)
-                    at_v = self.at_identity(self.apply_field(tangent, v))
-                    if not at_v.is_zero():
-                        y = coeff * u * at_v
-                        sums["Y", "r"] += y
-                        sums["Y", "l"] += -y if parity and u.parity() else y
-                    at_u = self.at_identity(self.apply_field(tangent, u))
-                    if not at_u.is_zero():
-                        x = coeff * at_u * v
-                        sums["X", "l"] += x
-                        sums["X", "r"] += -x if parity and v.parity() else x
-                for key, value in sums.items():
-                    if not value.is_zero():
-                        tables[key][name] = value
-            for (chirality, side), table in tables.items():
-                fields[(gen, chirality, side)] = VectorField(
-                    self, f"{chirality}_{gen}^({side})", parity, table, side)
+            table = {name: self.ring.scalar(q)
+                     for name, q in self.tangents[gen].items()}
+            for side in ("l", "r") if parity else ("l",):
+                tangent = VectorField(self, f"xi_{gen}", parity, table, side)
+                for chirality, slot, kept in (("Y", 2, 1), ("X", 1, 2)):
+                    lifted = self.lift(tangent, slot)
+                    values = {name: self.restrict(lifted(delta[name]), kept)
+                              for name in self.coordinates}
+                    values = {name: v for name, v in values.items()
+                              if not v.is_zero()}
+                    for s in (side,) if parity else ("l", "r"):
+                        fields[gen, chirality, s] = VectorField(
+                            self, f"{chirality}_{gen}^({s})", parity, values, s)
         return fields
 
     # -- derivations ---------------------------------------------------------
@@ -233,102 +237,86 @@ class CoordinateRing:
             out = out + even_part * before * value * after
         return out
 
-    # -- coproduct -----------------------------------------------------------
+    # -- the tensor square ---------------------------------------------------
 
-    def tensor_square(self):
-        """(tensor ring, embed1, embed2, split) for the coproduct checks.
+    def square(self):
+        """The coordinate ring of G x G, built once.
 
         Variable layout: shared parameters first, then slot-1 evens, slot-2
-        evens, slot-1 odds, slot-2 odds; slot-1 Grassmann generators precede
-        slot-2 ones so that splitting a canonical term costs no sign.
+        evens, slot-1 odds, slot-2 odds.  The Laurent rules are retagged per
+        slot (E1 <- s1, E2 <- s2), so a field of the square acts on either
+        slot by the same Leibniz rule as on G.
         """
-        if self._tensor is not None:
-            return self._tensor
-        ring = self.ring
-        variables = [(p, ring.kind(p)) for p in self.params]
-        for slot in (1, 2):
-            for name in ring.even_names:
-                if name in self.params:
-                    continue
-                variables.append((f"{name}{slot}", ring.kind(name)))
-        for slot in (1, 2):
-            for name in ring.odd_names:
-                variables.append((f"{name}{slot}", "grassmann"))
-        relations = []
-        for rel_text, lead_text in ring._relation_spec:
-            for slot in (1, 2):
-                relations.append((_retag(rel_text, ring, self.params, slot),
-                                  _retag(lead_text, ring, self.params, slot)))
+        if self._square is not None:
+            return self._square
+        ring, params = self.ring, self.params
+
+        def tag(name, slot):
+            return name if name in params else f"{name}{slot}"
+
+        slots = (1, 2)
+        variables = [(p, ring.kind(p)) for p in params]
+        for names in (ring.even_names, ring.odd_names):
+            for slot in slots:
+                variables += [(tag(n, slot), ring.kind(n))
+                              for n in names if n not in params]
+        relations = [(_retag(text, ring, params, slot),
+                      _retag(lead, ring, params, slot))
+                     for text, lead in ring._relation_spec for slot in slots]
         tring = Ring(variables, relations)
+        self._square = CoordinateRing(
+            f"{self.name}^2", tring,
+            coordinates=[tag(n, slot) for slot in slots
+                         for n in self.coordinates],
+            identity={tag(n, slot): v for slot in slots
+                      for n, v in self.identity.items()},
+            tangents={}, coproduct_rules={},
+            laurent_rules={tag(n, slot): (tag(src, slot), q) for slot in slots
+                           for n, (src, q) in self.laurent_rules.items()},
+            display=(), algebra_name=self.algebra.name, params=params)
+        # embed_s: x -> x_s; restrict_s: x_s -> x and the other slot -> e
+        self._embeddings = {slot: {n: tring.var(tag(n, slot))
+                                   for n in ring.names} for slot in slots}
+        self._restrictions = {slot: {
+            tag(n, s): ring.var(n) if s == slot or n in params
+            else ring.scalar(self.identity[n])
+            for n in ring.names for s in slots} for slot in slots}
+        return self._square
 
-        def embedder(slot):
-            def embed(x):
-                out = tring.zero()
-                for exps, odds, coeff in x.terms():
-                    e2 = [0] * len(tring.even_names)
-                    for pos, e in enumerate(exps):
-                        if not e:
-                            continue
-                        name = ring.even_names[pos]
-                        target = name if name in self.params else f"{name}{slot}"
-                        e2[tring._even_pos[target]] = e
-                    o2 = tuple(tring._odd_pos[f"{ring.odd_names[i]}{slot}"]
-                               for i in odds)
-                    out = out + tring.monomial(e2, o2, coeff)
-                return out
-            return embed
+    def tensor_square(self):
+        """(tensor ring, embed1, embed2) for the coproduct checks."""
+        tring = self.square().ring
+        return (tring, lambda x: self.embed(x, 1),
+                lambda x: self.embed(x, 2))
 
-        def split(exps, odds):
-            """Partition a tensor-ring monomial into base-ring halves."""
-            e1 = [0] * len(ring.even_names)
-            eb = [0] * len(ring.even_names)
-            for pos, e in enumerate(exps):
-                if not e:
-                    continue
-                name = tring.even_names[pos]
-                if name in self.params:
-                    e1[ring._even_pos[name]] = e
-                elif name.endswith("1"):
-                    e1[ring._even_pos[name[:-1]]] = e
-                else:
-                    eb[ring._even_pos[name[:-1]]] = e
-            o1 = []
-            ob = []
-            for oi in odds:
-                name = tring.odd_names[oi]
-                (o1 if name.endswith("1") else ob).append(
-                    ring._odd_pos[name[:-1]])
-            return (ring.monomial(e1, tuple(o1)),
-                    ring.monomial(eb, tuple(ob)))
+    def embed(self, x, slot):
+        """x in slot 1 or 2 of the square; parameters stay shared."""
+        return x.map(self.square().ring, self._embeddings[slot])
 
-        self._tensor = (tring, embedder(1), embedder(2), split)
-        return self._tensor
+    def restrict(self, x, slot):
+        """Keep slot 1 or 2 of the square and send the other to the identity."""
+        self.square()
+        return x.map(self.ring, self._restrictions[slot])
+
+    def lift(self, field, slot):
+        """`field` acting on one slot of the square: the same derivation,
+        parity and side, its generator table embedded in that slot."""
+        table = {f"{name}{slot}": self.embed(value, slot)
+                 for name, value in field.table.items()}
+        return VectorField(self.square(), f"{field.label}_{slot}",
+                           field.parity, table, field.side)
 
     def _generator_coproducts(self):
         """Delta of every ring variable, parsed once into the tensor square."""
         if self._delta is None:
-            tring = self.tensor_square()[0]
+            tring = self.square().ring
             self._delta = {name: tring.parse(rule)
                            for name, rule in self._coproduct_rules.items()}
         return self._delta
 
     def coproduct(self, f):
-        """Multiplicative extension of the generator coproducts."""
-        tring = self.tensor_square()[0]
-        rules = self._generator_coproducts()
-        ring = self.ring
-        out = tring.zero()
-        for exps, odds, coeff in f.terms():
-            acc = tring.scalar(coeff)
-            for pos, k in enumerate(exps):
-                if not k:
-                    continue
-                name = ring.even_names[pos]
-                acc = acc * (rules[name] ** k)
-            for oi in odds:
-                acc = acc * rules[ring.odd_names[oi]]
-            out = out + acc
-        return out
+        """The ring map sending each variable to its generator coproduct."""
+        return f.map(self.square().ring, self._generator_coproducts())
 
     def __repr__(self):
         return f"<CoordinateRing {self.name}>"
@@ -458,28 +446,51 @@ class PoissonStructure:
                     f"Phi^({j},{k}) = {value.render()} does not vanish at the"
                     " group identity")
         self._triples = None
+        self._square = None
 
     def _bracket_triples(self):
-        # (left field, coefficient, right field) for every term of the bracket
-        field = self.group.field
-        triples = []
-        for k, j, coeff in self.r_entries:
-            triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
-            triples.append((field(k, "X", "r"), -coeff, field(j, "X", "l")))
-        for (j, k), value in self.phi.items():
-            triples.append((field(j, "X", "r"), value, field(k, "X", "l")))
-        return triples
+        # (left field, coefficient, right field) for every term of the
+        # bracket, built on first use
+        if self._triples is None:
+            field = self.group.field
+            triples = []
+            for k, j, coeff in self.r_entries:
+                triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
+                triples.append((field(k, "X", "r"), -coeff, field(j, "X", "l")))
+            for (j, k), value in self.phi.items():
+                triples.append((field(j, "X", "r"), value, field(k, "X", "l")))
+            self._triples = triples
+        return self._triples
+
+    def square(self):
+        """The product structure on G x G, built once: every triple lifted to
+        slot 1 and to slot 2, a Phi coefficient embedded in its slot."""
+        if self._square is None:
+            grp = self.group
+            lifted = grp.lifted_fields  # shared by the structures on grp
+
+            def lift(field, slot):
+                if (field, slot) not in lifted:
+                    lifted[field, slot] = grp.lift(field, slot)
+                return lifted[field, slot]
+
+            square = PoissonStructure(grp.square(), self.structure_id)
+            square.r_entries, square.phi = self.r_entries, self.phi
+            square._triples = [
+                (lift(left, slot), coeff if isinstance(coeff, Fraction)
+                 else grp.embed(coeff, slot), lift(right, slot))
+                for slot in (1, 2) for left, coeff, right in self._bracket_triples()]
+            self._square = square
+        return self._square
 
     def bracket(self, f, g):
         """Sum of L(f) c R(g) over the triples; each image of f and of g is
         computed once, and a triple with a zero image is skipped."""
-        if self._triples is None:
-            self._triples = self._bracket_triples()
         left = {}
         right = {}
         out = {}
         get = out.get
-        for lfield, coeff, rfield in self._triples:
+        for lfield, coeff, rfield in self._bracket_triples():
             lf = left.get(lfield)
             if lf is None:
                 lf = left[lfield] = lfield(f)
@@ -528,10 +539,17 @@ _STRUCTURES = {
 }
 
 
+_NAMED = {}
+
+
 def named_structure(group_name, structure_id):
-    """The nine published structures: osp 1|2|3 and super-e2 i..vi."""
+    """The nine published structures: osp 1|2|3 and super-e2 i..vi.
+    Cached like `group()`: one object per (group, id)."""
     grp = group(group_name)
     sid = str(structure_id).lower()
+    key = (grp.name, sid)
+    if key in _NAMED:
+        return _NAMED[key]
     entry = _STRUCTURES[grp.name].get(sid)
     if entry is None:
         if grp.name == "osp":
@@ -540,40 +558,13 @@ def named_structure(group_name, structure_id):
     family_id, params, phi_text = entry
     r = bialgebra_family(family_id, **params) if family_id else None
     phi = parse_wedge_sum(phi_text, grp.algebra, grp.ring) if phi_text else None
-    return PoissonStructure(grp, sid, r, phi,
-                            display_scale=2 if grp.name == "osp" else 1)
+    _NAMED[key] = PoissonStructure(grp, sid, r, phi,
+                                   display_scale=2 if grp.name == "osp" else 1)
+    return _NAMED[key]
 
 
 def structure_ids(group_name):
     return list(_STRUCTURES[group(group_name).name])
-
-
-def _tensor_bracket(structure, F, G):
-    """Componentwise bracket on the tensor square:
-    {f(x)g, h(x)k} = (-1)^{|g||h|} ({f,h}(x)gk + fh(x){g,k})."""
-    grp = structure.group
-    tring, embed1, embed2, split = grp.tensor_square()
-    out = tring.zero()
-    for e_f, o_f, c_f in F.terms():
-        u, v = split(e_f, o_f)
-        u = c_f * u
-        vpar = v.parity() if not v.is_zero() else EVEN
-        for e_g, o_g, c_g in G.terms():
-            w, x = split(e_g, o_g)
-            w = c_g * w
-            wpar = w.parity() if not w.is_zero() else EVEN
-            sign = -1 if (vpar and wpar) else 1
-            uw = structure.bracket(u, w)
-            if not uw.is_zero():
-                vx = v * x
-                if not vx.is_zero():
-                    out = out + sign * (embed1(uw) * embed2(vx))
-            uw_prod = u * w
-            if not uw_prod.is_zero():
-                vx_br = structure.bracket(v, x)
-                if not vx_br.is_zero():
-                    out = out + sign * (embed1(uw_prod) * embed2(vx_br))
-    return out
 
 
 class AxiomReport:
@@ -606,7 +597,8 @@ def check_axioms(structure, leibniz_triples=None):
     morphism property, all on the group generators (exact, symbolic).
 
     The generator brackets pi[f, g] = {x_f, x_g} are computed once and read
-    by every axiom that needs them."""
+    by every axiom that needs them; the right side of the coproduct
+    morphism is the product bracket of the structure's square."""
     grp = structure.group
     gens = list(grp.coordinates)
     par = {g: grp.parity_of(g) for g in gens}
@@ -638,10 +630,11 @@ def check_axioms(structure, leibniz_triples=None):
         if not total.is_zero():
             report.jacobi.append((f"({f},{g},{h})", total.render()))
 
+    square = structure.square()
+    delta = {g: grp.coproduct(val[g]) for g in gens}
     for f, g in itertools.combinations_with_replacement(gens, 2):
         lhs = grp.coproduct(pi[f, g])
-        rhs = _tensor_bracket(structure, grp.coproduct(val[f]),
-                              grp.coproduct(val[g]))
+        rhs = square.bracket(delta[f], delta[g])
         if lhs != rhs:
             report.coproduct_morphism.append(
                 (f"Delta{{{f},{g}}}", (lhs - rhs).render()))

@@ -429,10 +429,10 @@ class SuperScalar:
 
         Values must be elements of the same ring (or rationals).  A binding
         must preserve parity: even variables take even values, Grassmann
-        variables take odd values or 0.
+        variables take odd values or 0.  Unbound variables stay as they are.
         """
         ring = self.ring
-        vals = {}
+        images = {name: ring.var(name) for name in ring.names}
         for name, value in bindings.items():
             kind = ring._kinds.get(name)
             if kind is None:
@@ -444,30 +444,30 @@ class SuperScalar:
                     raise ParityError(
                         f"binding for {name!r} must be "
                         f"{'odd' if want else 'even'}")
-            vals[name] = value
-        result = ring.zero()
-        for (exps, odds), coeff in self._terms.items():
-            acc = ring.scalar(coeff)
+            images[name] = value
+        return self.map(ring, images)
+
+    def map(self, target, images):
+        """The ring homomorphism into `target` that sends each variable to
+        `images[name]`, an element of `target`: the multiplicative extension
+        over the terms, taking the Grassmann factors in their stored order.
+        A negative Laurent power inverts its image."""
+        ring = self.ring
+        evens = [images[name] for name in ring._evens]
+        odds = [images[name] for name in ring._odds]
+        out = {}
+        get = out.get
+        for (exps, odd_idx), coeff in self._terms.items():
+            acc = target.scalar(coeff)
             for pos, k in enumerate(exps):
-                if not k:
-                    continue
-                name = ring._evens[pos]
-                if name in vals:
-                    acc = acc * (vals[name] ** k)
-                else:
-                    exp_vec = list(ring._zero_exps)
-                    exp_vec[pos] = k
-                    acc = acc * ring.monomial(exp_vec, ())
-            for oi in odds:
-                name = ring._odds[oi]
-                factor = vals.get(name)
-                if factor is None:
-                    factor = ring.monomial(ring._zero_exps, (oi,))
-                acc = acc * factor
-                if acc.is_zero():
-                    break
-            result = result + acc
-        return result
+                if k:
+                    acc = acc * (evens[pos] if k == 1 else evens[pos] ** k)
+            for oi in odd_idx:
+                acc = acc * odds[oi]
+            for key, c in acc._terms.items():
+                prev = get(key)
+                out[key] = c if prev is None else prev + c
+        return target._make({key: c for key, c in out.items() if c})
 
     def convert(self, target):
         """Re-express in `target`, matching variables by name and kind."""

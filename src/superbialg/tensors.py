@@ -136,12 +136,21 @@ class GradedTensor:
 
 def wedge(algebra, x, y, ring=None, coeff=1):
     """x ^ y = x(x)y - z(x,y) y(x)x on basis elements (names or indices)."""
+    return _wedge_sum(algebra, [(coeff, x, y)], ring)
+
+
+def _wedge_sum(algebra, entries, ring=None):
+    """The sum of coeff * (x ^ y) over (coeff, x, y) terms, filled into one
+    coefficient dict."""
     ring = ring if ring is not None else algebra.ring
-    i = algebra.index[x] if isinstance(x, str) else x
-    j = algebra.index[y] if isinstance(y, str) else y
-    coeff = ring.coerce(coeff)
-    out = {(i, j): coeff}
-    out[(j, i)] = out.get((j, i), ring.zero()) - algebra.z(i, j) * coeff
+    out = {}
+    for coeff, x, y in entries:
+        i = algebra.index[x] if isinstance(x, str) else x
+        j = algebra.index[y] if isinstance(y, str) else y
+        coeff = ring.coerce(coeff)
+        for key, value in (((i, j), coeff), ((j, i), -algebra.z(i, j) * coeff)):
+            acc = out.get(key)
+            out[key] = value if acc is None else acc + value
     return GradedTensor(algebra, 2, out, ring)
 
 
@@ -218,11 +227,8 @@ class RMatrix(GradedTensor):
     @classmethod
     def from_wedges(cls, algebra, entries, ring=None):
         """Build from (coefficient, name, name) wedge terms."""
-        ring = ring if ring is not None else algebra.ring
-        total = GradedTensor.zero(algebra, 2, ring)
-        for coeff, x, y in entries:
-            total = total + wedge(algebra, x, y, ring, coeff)
-        return cls(algebra, total.coeffs, ring)
+        total = _wedge_sum(algebra, entries, ring)
+        return cls(algebra, total.coeffs, total.ring)
 
 
 _WEDGE_TERM = re.compile(r"^(?:(?P<coeff>.*?)\s+)?(?P<x>\S+)\^(?P<y>\S+)$")
@@ -241,11 +247,10 @@ def _split_wedge_terms(text):
         raise ScalarParseError("empty wedge sum")
     if text == "0":
         return []
-    tokens = text.split()
     terms = []
     current = []
     sign = 1
-    for tok in tokens:
+    for tok in text.split():
         if tok in ("+", "-"):
             if current:
                 terms.append((sign, " ".join(current)))
@@ -255,18 +260,19 @@ def _split_wedge_terms(text):
                 sign = -sign
             continue
         current.append(tok)
-    if current:
-        terms.append((sign, " ".join(current)))
+    if not current:
+        raise ScalarParseError("dangling sign")
+    terms.append((sign, " ".join(current)))
     return terms
 
 
 def parse_wedge_sum(text, algebra, ring=None):
     """Parse `1 H^P+ - 1 V+^V+` (wedge grammar, SuperScalar coefficients)
     into a rank-2 tensor; a lone `0` is the zero tensor.  A blank sum, a
-    malformed term, an unknown basis name or a bad coefficient raises
-    ScalarParseError."""
+    sign with no term after it, a malformed term, an unknown basis name or a
+    bad coefficient raises ScalarParseError."""
     ring = ring if ring is not None else algebra.ring
-    total = GradedTensor.zero(algebra, 2, ring)
+    entries = []
     for sign, term in _split_wedge_terms(text):
         m = _WEDGE_TERM.match(term)
         if not m:
@@ -276,8 +282,8 @@ def parse_wedge_sum(text, algebra, ring=None):
             raise ScalarParseError(f"unknown basis name in {term!r}")
         coeff_text = m.group("coeff")
         coeff = ring.parse(coeff_text) if coeff_text else ring.one()
-        total = total + wedge(algebra, x, y, ring, sign * coeff)
-    return total
+        entries.append((sign * coeff, x, y))
+    return _wedge_sum(algebra, entries, ring)
 
 
 def parse_rmatrix(text, algebra, ring=None):

@@ -207,8 +207,9 @@ class TestUsage:
         assert "all axioms hold" in proc.stdout
 
 
-# inputs with a zero denominator, a blank r-matrix or an unknown family
-# parameter, as (argv, file name, file text)
+# inputs with a zero denominator, a blank r-matrix, an r-matrix with a sign
+# and no term after it, or an unknown family parameter, as (argv, file name,
+# file text)
 BAD_INPUTS = {
     "params-zero-denominator": (
         ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
@@ -216,6 +217,9 @@ BAD_INPUTS = {
     "r-zero-denominator": (
         ["schouten", "--algebra", "osp12", "--r", "1/0 H^X+"], None, None),
     "r-blank": (["schouten", "--algebra", "osp12", "--r", "  "], None, None),
+    "r-lone-sign": (["schouten", "--algebra", "osp12", "--r", "-"], None, None),
+    "r-dangling-sign": (
+        ["schouten", "--algebra", "osp12", "--r", "1 H^X+ +"], None, None),
     "cobracket-file-zero-denominator": (
         ["cobracket-check", "--algebra", "super_e2", "--cobracket-file"],
         "d.cob", "delta H = 1/0 P+^P-\n"),
@@ -245,9 +249,10 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
 
 @pytest.mark.parametrize("row", ["delta H = 1/0 P+^P-", "delta H = 1 Q^P+",
                                  "delta H = 1 P+ P-", "delta P+ = 1 H^P+",
-                                 "delta H ="],
+                                 "delta H =", "delta H = 1 P+^P- -"],
                          ids=["zero-denominator", "unknown-basis-name",
-                              "malformed-term", "duplicate-row", "blank-row"])
+                              "malformed-term", "duplicate-row", "blank-row",
+                              "dangling-sign"])
 def test_cobracket_file_errors_name_the_line(row, tmp_path):
     path = tmp_path / "d.cob"
     path.write_text(f"delta P+ = 1 P+^P-\n{row}\n")

@@ -234,7 +234,7 @@ def e2_half(grp, name):
 
 class TestCoproduct:
     def test_primitive_s(self, e2):
-        tring, embed1, embed2, _ = e2.tensor_square()
+        tring, embed1, embed2 = e2.tensor_square()
         ds = e2.coproduct(e2.var("s"))
         assert ds == embed1(e2.var("s")) + embed2(e2.var("s"))
 
@@ -257,11 +257,77 @@ class TestCoproduct:
         assert rel == tring.one()
 
     def test_counit(self, osp):
-        _, embed1, embed2, _ = osp.tensor_square()
+        _, embed1, embed2 = osp.tensor_square()
         ident2 = {"a2": 1, "b2": 0, "c2": 0, "d2": 1, "alpha2": 0, "delta2": 0}
         for gname in osp.coordinates:
             dg = osp.coproduct(osp.var(gname))
             assert dg.substitute(ident2) == embed1(osp.var(gname))
+
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_counit_both_slots(self, gname):
+        grp = group(gname)
+        for name in grp.ring.names:
+            x = grp.var(name)
+            dx = grp.coproduct(x)
+            assert grp.restrict(dx, 1) == x == grp.restrict(dx, 2), name
+
+
+# The previous coproduct loop, kept verbatim as the reference for the ring
+# map; `_frozen_embedder` below is the previous slot embedding.
+def _frozen_coproduct(grp, f):
+    tring = grp.tensor_square()[0]
+    rules = grp._generator_coproducts()
+    ring = grp.ring
+    out = tring.zero()
+    for exps, odds, coeff in f.terms():
+        acc = tring.scalar(coeff)
+        for pos, k in enumerate(exps):
+            if not k:
+                continue
+            name = ring.even_names[pos]
+            acc = acc * (rules[name] ** k)
+        for oi in odds:
+            acc = acc * rules[ring.odd_names[oi]]
+        out = out + acc
+    return out
+
+
+class TestRingMap:
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_coproduct_and_embeddings_equal_frozen(self, gname):
+        # draws carry negative powers of E on super-E(2) and both Grassmann
+        # generators in either parity
+        grp = group(gname)
+        _, embed1, embed2 = grp.tensor_square()
+        frozen = {1: _frozen_embedder(grp, 1), 2: _frozen_embedder(grp, 2)}
+
+        @settings(max_examples=25, deadline=None)
+        @given(_pair(gname))
+        def check(drawn):
+            _, f, g = drawn
+            x = f + g
+            assert grp.coproduct(x) == _frozen_coproduct(grp, x)
+            assert embed1(x) == frozen[1](x)
+            assert embed2(x) == frozen[2](x)
+            for slot, other in ((1, 2), (2, 1)):
+                assert grp.restrict(frozen[slot](x), slot) == x
+                assert grp.restrict(frozen[other](x), slot) == grp.at_identity(x)
+
+        check()
+
+    def test_square_is_a_coordinate_ring(self, e2):
+        sq = e2.square()
+        assert sq is e2.square()
+        assert sq.ring is e2.tensor_square()[0]
+        assert sq.laurent_rules == {"E1": ("s1", Fraction(1, 2)),
+                                    "E2": ("s2", Fraction(1, 2))}
+        # a lifted field acts on its slot only, with the same Leibniz rule
+        fld = e2.field("D+", "Y", "l")
+        lifted = e2.lift(fld, 2)
+        assert (lifted.parity, lifted.side) == (fld.parity, fld.side)
+        x = sq.ring.parse("xi1*a2*E2^-2")
+        assert lifted(x) == -e2.embed(e2.var("xi"), 1) \
+            * e2.embed(fld(e2.parse("a*E^-2")), 2)
 
 
 class TestBrackets:
@@ -382,7 +448,9 @@ class TestPublishedTables:
 # The references below are the previous structure layer, kept verbatim as
 # test data: its Phi tables of the published structures, its bracket (one
 # loop over the r entries, one over Phi), its check_axioms (every generator
-# bracket recomputed where an axiom reads it) and its tensor-square bracket.
+# bracket recomputed where an axiom reads it) and its tensor-square bracket,
+# with the slot embedding and the split of a tensor-ring monomial into its
+# two halves that the bracket used.
 
 def _frozen_phi_cs(grp):
     """The extra term c*s P+^P- carried by every non-coboundary member."""
@@ -439,9 +507,59 @@ class _FrozenStructure:
         return out
 
 
+def _frozen_embedder(grp, slot):
+    tring = grp.tensor_square()[0]
+    ring = grp.ring
+
+    def embed(x):
+        out = tring.zero()
+        for exps, odds, coeff in x.terms():
+            e2 = [0] * len(tring.even_names)
+            for pos, e in enumerate(exps):
+                if not e:
+                    continue
+                name = ring.even_names[pos]
+                target = name if name in grp.params else f"{name}{slot}"
+                e2[tring._even_pos[target]] = e
+            o2 = tuple(tring._odd_pos[f"{ring.odd_names[i]}{slot}"]
+                       for i in odds)
+            out = out + tring.monomial(e2, o2, coeff)
+        return out
+    return embed
+
+
+def _frozen_split(grp, exps, odds):
+    """Partition a tensor-ring monomial into base-ring halves."""
+    tring = grp.tensor_square()[0]
+    ring = grp.ring
+    e1 = [0] * len(ring.even_names)
+    eb = [0] * len(ring.even_names)
+    for pos, e in enumerate(exps):
+        if not e:
+            continue
+        name = tring.even_names[pos]
+        if name in grp.params:
+            e1[ring._even_pos[name]] = e
+        elif name.endswith("1"):
+            e1[ring._even_pos[name[:-1]]] = e
+        else:
+            eb[ring._even_pos[name[:-1]]] = e
+    o1 = []
+    ob = []
+    for oi in odds:
+        name = tring.odd_names[oi]
+        (o1 if name.endswith("1") else ob).append(ring._odd_pos[name[:-1]])
+    return ring.monomial(e1, tuple(o1)), ring.monomial(eb, tuple(ob))
+
+
 def _frozen_tensor_bracket(structure, F, G):
     grp = structure.group
-    tring, embed1, embed2, split = grp.tensor_square()
+    tring = grp.tensor_square()[0]
+    embed1, embed2 = _frozen_embedder(grp, 1), _frozen_embedder(grp, 2)
+
+    def split(exps, odds):
+        return _frozen_split(grp, exps, odds)
+
     out = tring.zero()
     for e_f, o_f, c_f in F.terms():
         u, v = split(e_f, o_f)
@@ -570,6 +688,16 @@ def _case(name):
 ALL_CASES = list(FROZEN_NAMED) + list(FAILING)
 
 
+def _tensor(gname):
+    """Tensor-ring elements: sums of embed1(u) * embed2(v) over one or two
+    drawn pairs (u, v)."""
+    grp = group(gname)
+    embed1, embed2 = _frozen_embedder(grp, 1), _frozen_embedder(grp, 2)
+    zero = grp.tensor_square()[0].zero()
+    return st.lists(_pair(gname), min_size=1, max_size=2).map(
+        lambda pairs: sum((embed1(u) * embed2(v) for _, u, v in pairs), zero))
+
+
 def _case_id(name):
     return name if isinstance(name, str) else "-".join(name)
 
@@ -608,6 +736,18 @@ class TestOneStructurePath:
         def check(drawn):
             _, f, g = drawn
             assert new.bracket(f, g) == old.bracket(f, g)
+
+        check()
+
+    @pytest.mark.parametrize("name", ALL_CASES, ids=_case_id)
+    def test_square_bracket_equals_frozen(self, name):
+        new, old = _case(name)
+        square = new.square()
+
+        @settings(max_examples=12, deadline=None)
+        @given(_tensor(new.group.name), _tensor(new.group.name))
+        def check(F, G):
+            assert square.bracket(F, G) == _frozen_tensor_bracket(old, F, G)
 
         check()
 

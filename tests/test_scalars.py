@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from superbialg.poisson import group
 from superbialg.scalars import (
+    EVEN,
+    GRASSMANN,
+    ODD,
     Ring,
     ParityError,
     RingMismatchError,
@@ -306,3 +309,96 @@ def test_ring_mismatch_on_every_product():
 def test_monomial_is_in_normal_form():
     ring = group("osp").ring
     assert ring.monomial((1, 0, 0, 1), ()) == ring.parse("a*d")
+
+
+# -- the ring map against the substitution loop it replaced --------------------
+#
+# The previous SuperScalar.substitute body, kept verbatim as the reference
+# for `substitute`, which now goes through `SuperScalar.map`.
+
+def _frozen_substitute(x, bindings):
+    ring = x.ring
+    vals = {}
+    for name, value in bindings.items():
+        kind = ring._kinds.get(name)
+        if kind is None:
+            raise KeyError(f"no variable {name!r} in ring")
+        value = ring.coerce(value)
+        if not value.is_zero():
+            want = ODD if kind == GRASSMANN else EVEN
+            if value.parity() != want:
+                raise ParityError(
+                    f"binding for {name!r} must be "
+                    f"{'odd' if want else 'even'}")
+        vals[name] = value
+    result = ring.zero()
+    for (exps, odds), coeff in x._terms.items():
+        acc = ring.scalar(coeff)
+        for pos, k in enumerate(exps):
+            if not k:
+                continue
+            name = ring._evens[pos]
+            if name in vals:
+                acc = acc * (vals[name] ** k)
+            else:
+                exp_vec = list(ring._zero_exps)
+                exp_vec[pos] = k
+                acc = acc * ring.monomial(exp_vec, ())
+        for oi in odds:
+            name = ring._odds[oi]
+            factor = vals.get(name)
+            if factor is None:
+                factor = ring.monomial(ring._zero_exps, (oi,))
+            acc = acc * factor
+            if acc.is_zero():
+                break
+        result = result + acc
+    return result
+
+
+def _bindings(ring, elements):
+    """Random parity-preserving bindings of a subset of the variables.  A
+    Laurent variable takes an invertible image (a nonzero multiple of a
+    power of itself), so negative powers invert it; a Grassmann variable
+    may take another Grassmann generator, reordering the factors."""
+    def value(name):
+        kind = ring.kind(name)
+        if kind == "laurent":
+            return st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                             st.integers(-2, 2)).map(
+                lambda ck: ck[0] * ring.var(name) ** ck[1])
+        part = 1 if kind == "grassmann" else 0
+        drawn = elements.map(lambda x: x.homogeneous_parts()[part])
+        if kind == "grassmann":
+            drawn = st.one_of(drawn, st.sampled_from(
+                [ring.var(n) for n in ring.odd_names] + [0]))
+        return st.one_of(drawn, st.integers(-2, 2)) if part == 0 else drawn
+
+    return st.fixed_dictionaries({}, optional={
+        name: value(name) for name in ring.names})
+
+
+class TestSubstituteIsTheRingMap:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_frozen_substitute(self, data):
+        elements = data.draw(st.sampled_from(
+            [(RING, _elements(RING)), (OSP_RING, _osp_elements())]))
+        ring, strategy = elements
+        x = data.draw(strategy)
+        bindings = data.draw(_bindings(ring, strategy))
+        assert x.substitute(bindings) == _frozen_substitute(x, bindings)
+
+    def test_swapped_grassmann_generators(self, ring):
+        xi, eta, E = ring.var("xi"), ring.var("eta"), ring.var("E")
+        x = ring.parse("2*a*E^-2*xi*eta - E^-1*eta + xi")
+        swap = {"xi": eta, "eta": xi, "E": 3 * E ** -1}
+        assert x.substitute(swap) == _frozen_substitute(x, swap) \
+            == ring.parse("-2/9*a*E^2*xi*eta - 1/3*E*xi + eta")
+
+    def test_map_into_another_ring(self, ring, osp_ring):
+        x = ring.parse("a*E^-1*xi + b^2")
+        images = {"a": osp_ring.parse("a"), "b": osp_ring.parse("b+c"),
+                  "E": osp_ring.one(), "xi": osp_ring.parse("alpha"),
+                  "eta": osp_ring.parse("delta")}
+        assert x.map(osp_ring, images) == osp_ring.parse("a*alpha+b^2+2*b*c+c^2")
