@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .algebra import builtin, parse_algebra_text
@@ -136,11 +135,11 @@ def _run_cocycle_spaces(claim):
     if fam.nullity != claim["nullity"] or len(cob_vectors) != claim["coboundary_dim"]:
         return "fail", "; ".join(details) + " (frozen values differ)"
     for v in cob_vectors:
-        if cocycles.in_span(fam.vectors, [Fraction(x) for x in v]) is None:
+        if cocycles.in_span(fam.vectors, v) is None:
             return "fail", "a coboundary escaped the cocycle space"
     if claim["relation"] == "equal":
         for v in fam.vectors:
-            if cocycles.in_span(cob_vectors, [Fraction(x) for x in v]) is None:
+            if cocycles.in_span(cob_vectors, v) is None:
                 return "fail", "a cocycle is not a coboundary"
         details.append("spaces coincide")
     else:

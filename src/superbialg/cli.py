@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from .algebra import builtin, parse_algebra_file, AlgebraError
-from .bialgebra import (check_cobracket, coboundary_delta, cybe_status,
-                        family, parse_cobracket_text)
-from .tensors import parse_rmatrix, schouten as schouten_op
+from .bialgebra import (Cobracket, check_cobracket, coboundary_delta,
+                        cybe_status, family, parse_cobracket_text)
+from .tensors import RMatrix, parse_rmatrix, schouten as schouten_op
 from . import cocycles
 from .equivalence import verify_orbit_claims
 from .poisson import named_structure, check_axioms, format_table
@@ -74,6 +74,8 @@ def cmd_cobracket_check(args):
             d = parse_cobracket_text(fh.read(), algebra)
     else:
         raise UsageError("need --family or --cobracket-file")
+    if not isinstance(d, Cobracket):
+        raise UsageError(f"family {args.family!r} is not a cobracket")
     if d.algebra is not algebra:
         raise UsageError("cobracket family belongs to a different algebra")
     report = check_cobracket(algebra, d)
@@ -99,10 +101,14 @@ def cmd_schouten(args):
 def _r_from_args(args, algebra):
     if args.r:
         return parse_rmatrix(args.r, algebra)
-    if args.family:
-        params = _parse_params(args.params)
-        return family(args.family, **params)
-    raise UsageError("need --r or --family")
+    if not args.family:
+        raise UsageError("need --r or --family")
+    r = family(args.family, **_parse_params(args.params))
+    if not isinstance(r, RMatrix):
+        raise UsageError(f"family {args.family!r} is not an r-matrix")
+    if r.algebra is not algebra:
+        raise UsageError("r-matrix family belongs to a different algebra")
+    return r
 
 
 def cmd_coboundary(args):

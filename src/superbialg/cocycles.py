@@ -1,8 +1,8 @@
 """Re-derivation of the classification inputs.
 
 Builds the linear system the cocycle identity imposes on the unknown
-cobracket constants, computes its exact nullspace (fraction-free Bareiss
-elimination), generates the quadratic co-Jacobi constraints on the surviving
+cobracket constants, computes its exact nullspace (Gauss-Jordan elimination
+over Q), generates the quadratic co-Jacobi constraints on the surviving
 parameters, and compares the cocycle space with the span of coboundaries.
 
 Unknown ordering: admissible triples (i, k, l) sorted lexicographically,
@@ -12,7 +12,6 @@ included once.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .scalars import Ring
@@ -100,98 +99,68 @@ def build_cocycle_system(algebra):
 
 # -- exact linear algebra ---------------------------------------------------
 
-def _integerize(row):
-    lcm = 1
-    for x in row:
-        if x.denominator != 1:
-            g = math.gcd(lcm, x.denominator)
-            lcm = lcm // g * x.denominator
-    return [int(x * lcm) for x in row]
+def _rref(rows, ncols, rhs=None):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
 
-
-def _bareiss_echelon(rows, ncols):
-    """Fraction-free row echelon form; returns (matrix, pivot columns).
-
-    Entries stay integers throughout; each elimination step divides exactly
-    by the previous pivot.
+    Returns (rows, pivot columns, rhs).  The first len(pivots) rows carry 1
+    in their pivot column, which is 0 in every other row; the remaining rows
+    are zero.  `rhs` (rationals or SuperScalars, one per row) rides along as
+    an extra column, so it follows the same row operations.
     """
-    m = [list(map(int, r)) for r in rows]
+    m = [[Fraction(x) for x in row] for row in rows]
+    if rhs is not None:
+        for row, value in zip(m, rhs):
+            row.append(value)
     pivots = []
-    prev = 1
-    r = 0
     for col in range(ncols):
-        pivot_row = None
-        for rr in range(r, len(m)):
-            if m[rr][col]:
-                pivot_row = rr
-                break
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((rr for rr in range(r, len(m)) if m[rr][col]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        for rr in range(r + 1, len(m)):
-            if not any(m[rr][col:]):
-                continue
-            for cc in range(ncols):
-                if cc == col:
-                    continue
-                m[rr][cc] = (m[r][col] * m[rr][cc] - m[rr][col] * m[r][cc]) // prev
-            m[rr][col] = 0
-        prev = m[r][col]
+        # entries left of col are zero in rows r.., so updates start at col
+        inv = 1 / m[r][col]
+        pivot = [x * inv for x in m[r][col:]]
+        m[r][col:] = pivot
+        for rr, row in enumerate(m):
+            factor = row[col]
+            if rr != r and factor:
+                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot)]
         pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return m, pivots, None if rhs is None else [row.pop() for row in m]
 
 
 def rank(rows, ncols=None):
-    if not rows:
-        return 0
-    ncols = ncols if ncols is not None else len(rows[0])
-    scaled = [_integerize([Fraction(x) for x in row]) for row in rows]
-    _, pivots = _bareiss_echelon(scaled, ncols)
-    return len(pivots)
+    ncols = ncols if ncols is not None else len(rows[0]) if rows else 0
+    return len(_rref(rows, ncols)[1])
 
 
 def nullspace(rows, ncols=None, column_order=None):
     """Exact basis of {v : M v = 0}.
 
-    Bareiss elimination over integers, then rational back-substitution; one
-    basis vector per free column, normalized with 1 in its free slot.
-    `column_order` permutes the columns before elimination (used by the
-    determinism cross-check); returned vectors are always in natural order.
+    One basis vector per free column of the reduced echelon form, with 1 in
+    its free slot and 0 in the other free slots.  `column_order` permutes
+    the columns before elimination (used by the determinism cross-check);
+    returned vectors are always in natural order.
     """
-    if not rows:
-        return []
-    ncols = ncols if ncols is not None else len(rows[0])
+    ncols = ncols if ncols is not None else len(rows[0]) if rows else 0
     order = list(column_order) if column_order is not None else list(range(ncols))
     if sorted(order) != list(range(ncols)):
         raise ValueError("column_order must be a permutation")
-    scaled = [_integerize([Fraction(row[c]) for c in order]) for row in rows]
-    ech, pivots = _bareiss_echelon(scaled, ncols)
+    reduced, pivots, _ = _rref([[row[c] for c in order] for row in rows], ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        # back-substitute pivot rows bottom-up
-        for rr in range(len(pivots) - 1, -1, -1):
-            pc = pivots[rr]
-            s = Fraction(0)
-            for cc in range(pc + 1, ncols):
-                if v[cc]:
-                    s += Fraction(ech[rr][cc]) * v[cc]
-            v[pc] = -s / Fraction(ech[rr][pc])
-        out = [Fraction(0)] * ncols
-        for pos, c in enumerate(order):
-            out[c] = v[pos]
-        basis.append(out)
+        v[order[free]] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[order[pc]] = -row[free]
+        basis.append(v)
     return basis
-
-
-def kernel_of_system(system, column_order=None):
-    return nullspace(system.rows, system.unknown_count, column_order)
 
 
 def residual_of(system, vector):
@@ -203,67 +172,17 @@ def in_span(basis, vector):
     """Solve sum_j x_j basis_j = vector; vector entries may be scalars.
 
     The basis is rational, so elimination uses rational pivots only; returns
-    the coefficient list or None when the vector is outside the span.
+    the coefficient list (0 on basis vectors not needed) or None when the
+    vector is outside the span.
     """
-    if not basis:
-        return None if any(
-            (not v.is_zero()) if hasattr(v, "is_zero") else v
-            for v in vector) else []
-    ncols = len(basis)
-    nrows = len(vector)
-    m = [[Fraction(basis[j][i]) for j in range(ncols)] for i in range(nrows)]
-    rhs = list(vector)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for rr in range(r, nrows):
-            if m[rr][col]:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        rhs[r] = _scale(rhs[r], inv)
-        for rr in range(nrows):
-            if rr != r and m[rr][col]:
-                factor = m[rr][col]
-                m[rr] = [a - factor * b for a, b in zip(m[rr], m[r])]
-                rhs[rr] = _axpy(rhs[rr], -factor, rhs[r])
-        pivots.append(col)
-        r += 1
-    coeffs = [None] * ncols
-    for row_idx, col in enumerate(pivots):
-        coeffs[col] = rhs[row_idx]
-    for rr in range(len(pivots), nrows):
-        if not _is_zero(rhs[rr]):
-            return None
-    # free columns take coefficient zero
-    for idx, val in enumerate(coeffs):
-        if val is None:
-            coeffs[idx] = 0
+    columns = [[b[i] for b in basis] for i in range(len(vector))]
+    _, pivots, rhs = _rref(columns, len(basis), vector)
+    if any(x != 0 for x in rhs[len(pivots):]):
+        return None
+    coeffs = [0] * len(basis)
+    for col, value in zip(pivots, rhs):
+        coeffs[col] = value
     return coeffs
-
-
-def _scale(value, q):
-    if hasattr(value, "ring"):
-        return q * value
-    return Fraction(value) * q
-
-
-def _axpy(value, q, other):
-    if hasattr(value, "ring") or hasattr(other, "ring"):
-        return value + q * other
-    return Fraction(value) + q * Fraction(other)
-
-
-def _is_zero(value):
-    if hasattr(value, "is_zero"):
-        return value.is_zero()
-    return value == 0
 
 
 # -- cobracket <-> vector ----------------------------------------------------
@@ -297,7 +216,7 @@ class SolutionFamily:
 
 def solve_cocycle_space(algebra):
     system = build_cocycle_system(algebra)
-    basis = kernel_of_system(system)
+    basis = nullspace(system.rows, system.unknown_count)
     return system, SolutionFamily(algebra, system.unknowns, basis)
 
 
@@ -318,19 +237,16 @@ def basis_r_matrices(algebra):
 
 
 def coboundary_space(algebra):
-    """A maximal independent set of coboundary cobrackets."""
+    """A maximal independent set of coboundary cobrackets: the pivot columns
+    of the candidates' reduced echelon form, i.e. each candidate that is not
+    in the span of those before it."""
     unknowns = admissible_unknowns(algebra)
-    picked = []
-    picked_vectors = []
-    for r in basis_r_matrices(algebra):
-        d = coboundary_delta(algebra, r)
-        vec = [v.as_fraction() for v in cobracket_vector(d, unknowns)]
-        if not any(vec):
-            continue
-        if rank(picked_vectors + [vec]) > len(picked_vectors):
-            picked.append(d)
-            picked_vectors.append(vec)
-    return picked, picked_vectors
+    deltas = [coboundary_delta(algebra, r) for r in basis_r_matrices(algebra)]
+    vectors = [[v.as_fraction() for v in cobracket_vector(d, unknowns)]
+               for d in deltas]
+    columns = [[vec[i] for vec in vectors] for i in range(len(unknowns))]
+    _, pivots, _ = _rref(columns, len(vectors))
+    return [deltas[c] for c in pivots], [vectors[c] for c in pivots]
 
 
 def evaluate_constraints(constraints, point, ring):
@@ -365,8 +281,9 @@ def cojacobi_constraints(family):
     for *_, res in _cojacobi_residuals(algebra, d):
         text = res.render()
         if text.startswith("-"):
-            text = (-res).render()
+            res = -res
+            text = res.render()
         if text not in seen_rendered:
             seen_rendered.add(text)
-            seen.append(ring.parse(text))
+            seen.append(res)
     return ring, seen

@@ -389,15 +389,17 @@ class SuperScalar:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self._invert() ** (-k)
-        result = self.ring.one()
+        if not k:
+            return self.ring.one()
+        result = None
         base = self
-        n = k
-        while n:
-            if n & 1:
-                result = result * base
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
             base = base * base
-            n >>= 1
-        return result
 
     def _invert(self):
         if len(self._terms) != 1:

@@ -156,6 +156,8 @@ def _wedge_sum(algebra, entries, ring=None):
 
 def ad_action(algebra, g, t):
     """Adjoint action of basis element `g` on a rank-2 or rank-3 tensor."""
+    if t.algebra is not algebra:
+        raise RingMismatchError("tensor of a different algebra")
     if t.rank == 1:
         raise ValueError("ad_action expects rank 2 or 3")
     return _adjoint(algebra, algebra.index[g] if isinstance(g, str) else g, t)
@@ -311,6 +313,8 @@ def render_wedge_form(t):
 
 def schouten(algebra, r):
     """[[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] for an even r."""
+    if r.algebra is not algebra:
+        raise RingMismatchError("tensor of a different algebra")
     if r.rank != 2:
         raise ValueError("schouten expects a rank-2 tensor")
     if r.parity() != EVEN:

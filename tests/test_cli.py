@@ -100,6 +100,28 @@ class TestSolveCocycle:
         assert "nullity\t6" in out
         assert "coboundary-dim\t6" in out
 
+    @pytest.mark.parametrize("algebra, digest", [
+        ("osp12", "fd1484b6069cc853b705c2cb38cab0eeaafb87c250865656ab13b88ebaeeb464"),
+        ("super_e2", "6a56fe71202feef7cf44e2c2144d17eb530d21999c288fbddd45bb92918ec13b"),
+    ])
+    def test_report_is_golden(self, capsys, algebra, digest):
+        # pins the printed nullspace basis, constraints and dimensions
+        code, out, _ = run_cli(capsys, "solve-cocycle", "--algebra", algebra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_abelian_every_cobracket_is_a_cocycle(self, capsys, tmp_path):
+        # no brackets, so no equations: the cocycle space is all 30 unknowns
+        path = tmp_path / "abelian.alg"
+        path.write_text("[algebra] name = abelian\n"
+                        "basis = A:even B:even C:even S:odd T:odd\n[brackets]\n")
+        code, out, _ = run_cli(capsys, "solve-cocycle", "--algebra", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:4] == ["unknowns\t30", "equations\t0", "rank\t0",
+                             "nullity\t30"]
+        assert "coboundary-dim\t0" in lines
+
 
 class TestPoisson:
     def test_table(self, capsys):
@@ -208,7 +230,8 @@ class TestUsage:
 
 
 # inputs with a zero denominator, a blank r-matrix, an r-matrix with a sign
-# and no term after it, or an unknown family parameter, as (argv, file name,
+# and no term after it, an unknown family parameter, or a family of the wrong
+# kind (r-matrix vs cobracket) or of the other algebra, as (argv, file name,
 # file text)
 BAD_INPUTS = {
     "params-zero-denominator": (
@@ -230,6 +253,18 @@ BAD_INPUTS = {
     "unknown-family-parameter": (
         ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
          "--params", "a=1,b=2,zz=3"], None, None),
+    "cobracket-check-r-matrix-family": (
+        ["cobracket-check", "--algebra", "osp12", "--family", "osp-r1"],
+        None, None),
+    "schouten-cobracket-family": (
+        ["schouten", "--algebra", "super_e2", "--family", "e2-case-a"],
+        None, None),
+    "coboundary-other-algebra-family": (
+        ["coboundary", "--algebra", "osp12", "--family", "e2-r-ii"],
+        None, None),
+    "schouten-other-algebra-family": (
+        ["schouten", "--algebra", "osp12", "--family", "e2-r-iii"],
+        None, None),
 }
 
 

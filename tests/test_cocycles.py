@@ -1,5 +1,6 @@
 """Tests for the cocycle linear system, exact nullspace, and constraints."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbialg.algebra import builtin
-from superbialg.bialgebra import case_a, case_b, check_cobracket
-from superbialg.cocycles import (admissible_unknowns, build_cocycle_system,
-                                 coboundary_space, cojacobi_constraints,
+from superbialg.bialgebra import (case_a, case_b, check_cobracket,
+                                  coboundary_delta)
+from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
+                                 build_cocycle_system, coboundary_space, cojacobi_constraints,
                                  cobracket_vector, evaluate_constraints,
-                                 in_span, kernel_of_system, nullspace,
-                                 residual_of, solve_cocycle_space,
-                                 vector_cobracket)
+                                 in_span, nullspace, rank, residual_of,
+                                 solve_cocycle_space, vector_cobracket)
 from superbialg.poisson import group
+from superbialg.scalars import Ring
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,7 @@ class TestNullspace:
         rng = random.Random(11)
         order = list(range(n))
         rng.shuffle(order)
-        permuted = kernel_of_system(system, column_order=order)
+        permuted = nullspace(system.rows, n, column_order=order)
         assert len(permuted) == fam.nullity
         # the two bases span the same space (mutual membership)
         for v in permuted:
@@ -198,3 +200,268 @@ def test_vector_cobracket_round_trip(e2, e2_solution):
         d = vector_cobracket(e2, fam.unknowns, v)
         again = cobracket_vector(d, fam.unknowns)
         assert [x.as_fraction() for x in again] == list(v)
+
+
+# -- reference: the elimination kernels before the single Gauss-Jordan routine
+# (fraction-free Bareiss with back-substitution for rank and nullspace, and
+# a separate rational elimination for in_span), kept verbatim; only the names
+# carry a _frozen prefix.
+
+def _frozen_integerize(row):
+    lcm = 1
+    for x in row:
+        if x.denominator != 1:
+            g = math.gcd(lcm, x.denominator)
+            lcm = lcm // g * x.denominator
+    return [int(x * lcm) for x in row]
+
+
+def _frozen_bareiss_echelon(rows, ncols):
+    m = [list(map(int, r)) for r in rows]
+    pivots = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for rr in range(r, len(m)):
+            if m[rr][col]:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for rr in range(r + 1, len(m)):
+            if not any(m[rr][col:]):
+                continue
+            for cc in range(ncols):
+                if cc == col:
+                    continue
+                m[rr][cc] = (m[r][col] * m[rr][cc] - m[rr][col] * m[r][cc]) // prev
+            m[rr][col] = 0
+        prev = m[r][col]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _frozen_rank(rows, ncols=None):
+    if not rows:
+        return 0
+    ncols = ncols if ncols is not None else len(rows[0])
+    scaled = [_frozen_integerize([Fraction(x) for x in row]) for row in rows]
+    _, pivots = _frozen_bareiss_echelon(scaled, ncols)
+    return len(pivots)
+
+
+def _frozen_nullspace(rows, ncols=None, column_order=None):
+    if not rows:
+        return []
+    ncols = ncols if ncols is not None else len(rows[0])
+    order = list(column_order) if column_order is not None else list(range(ncols))
+    if sorted(order) != list(range(ncols)):
+        raise ValueError("column_order must be a permutation")
+    scaled = [_frozen_integerize([Fraction(row[c]) for c in order]) for row in rows]
+    ech, pivots = _frozen_bareiss_echelon(scaled, ncols)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for free in free_cols:
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for rr in range(len(pivots) - 1, -1, -1):
+            pc = pivots[rr]
+            s = Fraction(0)
+            for cc in range(pc + 1, ncols):
+                if v[cc]:
+                    s += Fraction(ech[rr][cc]) * v[cc]
+            v[pc] = -s / Fraction(ech[rr][pc])
+        out = [Fraction(0)] * ncols
+        for pos, c in enumerate(order):
+            out[c] = v[pos]
+        basis.append(out)
+    return basis
+
+
+def _frozen_in_span(basis, vector):
+    if not basis:
+        return None if any(
+            (not v.is_zero()) if hasattr(v, "is_zero") else v
+            for v in vector) else []
+    ncols = len(basis)
+    nrows = len(vector)
+    m = [[Fraction(basis[j][i]) for j in range(ncols)] for i in range(nrows)]
+    rhs = list(vector)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for rr in range(r, nrows):
+            if m[rr][col]:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        rhs[r] = _frozen_scale(rhs[r], inv)
+        for rr in range(nrows):
+            if rr != r and m[rr][col]:
+                factor = m[rr][col]
+                m[rr] = [a - factor * b for a, b in zip(m[rr], m[r])]
+                rhs[rr] = _frozen_axpy(rhs[rr], -factor, rhs[r])
+        pivots.append(col)
+        r += 1
+    coeffs = [None] * ncols
+    for row_idx, col in enumerate(pivots):
+        coeffs[col] = rhs[row_idx]
+    for rr in range(len(pivots), nrows):
+        if not _frozen_is_zero(rhs[rr]):
+            return None
+    for idx, val in enumerate(coeffs):
+        if val is None:
+            coeffs[idx] = 0
+    return coeffs
+
+
+def _frozen_scale(value, q):
+    if hasattr(value, "ring"):
+        return q * value
+    return Fraction(value) * q
+
+
+def _frozen_axpy(value, q, other):
+    if hasattr(value, "ring") or hasattr(other, "ring"):
+        return value + q * other
+    return Fraction(value) + q * Fraction(other)
+
+
+def _frozen_is_zero(value):
+    if hasattr(value, "is_zero"):
+        return value.is_zero()
+    return value == 0
+
+
+# small rationals, zero half the time, so that random rows are often
+# dependent and pivots often missing
+_ENTRY = st.sampled_from([Fraction(0)] * 6 + [
+    Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)])
+
+
+@st.composite
+def _matrices(draw, max_rows=4, max_cols=6):
+    """At least one row, with zero rows, duplicate rows and combinations of
+    other rows mixed in, in random row order; plus a column order."""
+    ncols = draw(st.integers(1, max_cols))
+    row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=max_rows))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "combo"]),
+                              max_size=3)):
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(base))))
+        else:
+            x, y = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            q = draw(_ENTRY)
+            rows.append([a + q * b for a, b in zip(x, y)])
+    rows = draw(st.permutations(rows))
+    return rows, ncols, draw(st.permutations(range(ncols)))
+
+
+class TestOneEliminationKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(_matrices())
+    def test_rank_and_nullspace_equal_frozen(self, case):
+        rows, ncols, order = case
+        assert rank(rows, ncols) == _frozen_rank(rows, ncols)
+        assert rank(rows) == _frozen_rank(rows)
+        assert nullspace(rows) == _frozen_nullspace(rows)
+        basis = nullspace(rows, ncols, column_order=order)
+        assert basis == _frozen_nullspace(rows, ncols, column_order=order)
+        assert len(basis) == ncols - rank(rows, ncols)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrices(max_cols=4), st.data())
+    def test_in_span_equals_frozen(self, case, data):
+        # the rows, padded by a zero coordinate, are the basis vectors; one
+        # vector inside their span, one with a nonzero last coordinate, and
+        # one arbitrary vector
+        rows, ncols, _ = case
+        basis = data.draw(st.sampled_from([[r + [0] for r in rows], []]))
+        weights = data.draw(st.lists(_ENTRY, min_size=len(basis),
+                                     max_size=len(basis)))
+        inside = [sum((w * b[i] for w, b in zip(weights, basis)), Fraction(0))
+                  for i in range(ncols + 1)]
+        outside = inside[:-1] + [data.draw(_ENTRY.filter(bool))]
+        other = data.draw(st.lists(_ENTRY, min_size=ncols + 1,
+                                   max_size=ncols + 1))
+        for vector in (inside, outside, other):
+            coeffs = in_span(basis, vector)
+            assert coeffs == _frozen_in_span(basis, vector)
+            if coeffs is not None:
+                assert [sum(c * b[i] for c, b in zip(coeffs, basis))
+                        for i in range(ncols + 1)] == vector
+        assert in_span(basis, inside) is not None
+        assert in_span(basis, outside) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(_matrices(max_cols=4), st.data())
+    def test_in_span_with_scalar_entries_equals_frozen(self, case, data):
+        # weights in a ring with a Laurent and two Grassmann generators; the
+        # rows, padded by a zero coordinate, are the basis, and the vector
+        # outside the span has an odd element there
+        ring = Ring([("a", "commuting"), ("E", "laurent"),
+                     ("xi", "grassmann"), ("eta", "grassmann")])
+        texts = ["0", "1", "-2/3", "a", "E^-1", "xi", "a*eta+E", "xi*eta"]
+        rows, ncols, _ = case
+        basis = [r + [0] for r in rows]
+        weights = data.draw(st.lists(st.sampled_from(texts).map(ring.parse),
+                                     min_size=len(basis), max_size=len(basis)))
+        inside = [sum((b[i] * w for w, b in zip(weights, basis)), ring.zero())
+                  for i in range(ncols + 1)]
+        outside = inside[:-1] + [ring.var("xi")]
+        for vector in (inside, outside):
+            coeffs = in_span(basis, vector)
+            assert coeffs == _frozen_in_span(basis, vector)
+            if coeffs is not None:
+                assert [sum((b[i] * c for c, b in zip(coeffs, basis)),
+                            ring.zero()) for i in range(ncols + 1)] == vector
+        assert in_span(basis, inside) is not None
+        assert in_span(basis, outside) is None
+
+    @pytest.mark.parametrize("name", ["osp12", "super_e2"])
+    def test_coboundary_space_picks_as_frozen_greedy_loop(self, name):
+        # the previous coboundary_space kept each candidate that raised the
+        # rank of those kept before it
+        algebra = builtin(name)
+        unknowns = admissible_unknowns(algebra)
+        picked = []
+        for r in basis_r_matrices(algebra):
+            vec = [v.as_fraction() for v in cobracket_vector(
+                coboundary_delta(algebra, r), unknowns)]
+            if any(vec) and _frozen_rank(picked + [vec]) > len(picked):
+                picked.append(vec)
+        cobs, vectors = coboundary_space(algebra)
+        assert vectors == picked
+        assert [[x.as_fraction() for x in cobracket_vector(d, unknowns)]
+                for d in cobs] == vectors
+
+    def test_no_equations_leave_the_whole_space(self):
+        eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        assert nullspace([], ncols=3) == eye
+        # free columns come in the permuted order
+        assert nullspace([], ncols=3, column_order=[2, 0, 1]) == [
+            eye[2], eye[0], eye[1]]
+        assert rank([], 3) == 0
+        assert nullspace([]) == []
+
+    def test_empty_basis_spans_only_zero(self):
+        assert in_span([], [Fraction(0)] * 3) == []
+        assert in_span([], [Fraction(0), Fraction(1)]) is None

@@ -14,6 +14,7 @@ from superbialg.scalars import (
     ParityError,
     RingMismatchError,
     ScalarParseError,
+    SuperScalar,
     reduce_mod_relation,
     rational_sqrt,
 )
@@ -65,6 +66,34 @@ class TestLaurent:
     def test_commuting_not_invertible(self, ring):
         with pytest.raises(ValueError):
             ring.var("a") ** -1
+
+
+def test_pow_makes_no_spare_multiplies(osp_ring, monkeypatch):
+    # square-and-multiply: x ** 1 is x itself, x ** 4 is two squarings
+    x = osp_ring.parse("a+alpha*delta")
+    calls = []
+    mul = SuperScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(SuperScalar, "__mul__", counted)
+
+    def count(f):
+        calls.clear()
+        value = f()
+        return len(calls), value
+
+    assert count(lambda: x ** 1) == (0, x)
+    muls, x4 = count(lambda: x ** 4)
+    assert muls == 2 and x4 == mul(mul(x, x), mul(x, x))
+    muls, x5 = count(lambda: x ** 5)
+    assert muls == 3 and x5 == mul(x4, x)
+    assert count(lambda: x ** 0) == (0, osp_ring.one())
+    muls, abc = count(lambda: osp_ring.parse("a*b*c"))
+    assert muls <= 3
+    assert abc == mul(mul(osp_ring.var("a"), osp_ring.var("b")), osp_ring.var("c"))
 
 
 class TestArithmetic:
