@@ -95,9 +95,6 @@ class SuperLieAlgebra:
                 table[i][j][k] = v
         return table
 
-    def grade(self, i):
-        return self.grades[i]
-
     def z(self, i, j):
         """Koszul sign (-1)^{|i||j|} for basis indices."""
         return -1 if (self.grades[i] and self.grades[j]) else 1

@@ -335,18 +335,15 @@ def case_b(a=None, b=None, c=None, d=None):
     return Cobracket.from_rows(algebra, rows, ring)
 
 
-def _r_a_wedges(x, y, z):
-    """The wedge terms of r_a at scalars x, y, z of any one ring."""
-    return [(x, "X+", "X-"), (2 * x, "V+", "V-"),
-            (y, "H", "X+"), (-y, "V+", "V+"),
-            (z, "H", "X-"), (-z, "V-", "V-")]
-
-
 def osp_r_a(x=None, y=None, z=None):
     """r_a = x(X+^X- + 2 V+^V-) + y(H^X+ - V+^V+) + z(H^X- - V-^V-)."""
     ring, val = _resolve_params({"x": x, "y": y, "z": z})
-    return RMatrix.from_wedges(
-        builtin("osp12"), _r_a_wedges(val["x"], val["y"], val["z"]), ring)
+    x, y, z = val["x"], val["y"], val["z"]
+    return RMatrix.from_wedges(builtin("osp12"), [
+        (x, "X+", "X-"), (2 * x, "V+", "V-"),
+        (y, "H", "X+"), (-y, "V+", "V+"),
+        (z, "H", "X-"), (-z, "V-", "V-"),
+    ], ring)
 
 
 def osp_r_b(p=None, q=None):

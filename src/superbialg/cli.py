@@ -35,7 +35,14 @@ def _load_algebra(args):
         raise UsageError("--algebra (builtin name or file path) is required")
     if name in ("osp12", "super_e2"):
         return builtin(name)
-    return parse_algebra_file(name)
+    algebra = parse_algebra_file(name)
+    if algebra.name in ("osp12", "super_e2"):
+        # a file that restates a builtin is that builtin, whose families apply
+        ref = builtin(algebra.name)
+        if (ref.basis, ref.grades, ref.constants) == (
+                algebra.basis, algebra.grades, algebra.constants):
+            return ref
+    return algebra
 
 
 def _parse_params(text):

@@ -283,12 +283,6 @@ class CoordinateRing:
             for n in ring.names for s in slots} for slot in slots}
         return self._square
 
-    def tensor_square(self):
-        """(tensor ring, embed1, embed2) for the coproduct checks."""
-        tring = self.square().ring
-        return (tring, lambda x: self.embed(x, 1),
-                lambda x: self.embed(x, 2))
-
     def embed(self, x, slot):
         """x in slot 1 or 2 of the square; parameters stay shared."""
         return x.map(self.square().ring, self._embeddings[slot])

@@ -84,7 +84,9 @@ class Ring:
     (relation_text, leading_monomial_text) pairs in the scalar grammar; each
     relation must be homogeneous even, carry its leading monomial with
     coefficient 1, and the leading monomial must divide no other monomial of
-    the relation.
+    the relation.  No two leading monomials may share a variable: then no
+    two rules overlap, and by Buchberger's first criterion the normal form
+    does not depend on which rule fires first.
     """
 
     def __init__(self, variables=(), relations=()):
@@ -110,10 +112,15 @@ class Ring:
         self._relation_spec = tuple(relations)
         self._relations = ()
         rules = []
-        for rel_text, lead_text in relations:
-            rel = self.parse(rel_text)
-            lead = self.parse(lead_text)
-            rules.append(self._compile_relation(rel, lead))
+        for rel_text, lead_text in self._relation_spec:
+            rule = self._compile_relation(self.parse(rel_text),
+                                          self.parse(lead_text))
+            for (other, _), (_, other_text) in zip(rules, self._relation_spec):
+                if any(l and o for l, o in zip(rule[0], other)):
+                    raise ReductionError(
+                        f"leading monomials {other_text!r} and {lead_text!r}"
+                        " share a variable")
+            rules.append(rule)
         self._relations = tuple(rules)
 
     def _compile_relation(self, relation, leading):
@@ -472,43 +479,15 @@ class SuperScalar:
         return target._make({key: c for key, c in out.items() if c})
 
     def convert(self, target):
-        """Re-express in `target`, matching variables by name and kind."""
+        """Re-express in `target`, matching variables by name and kind: the
+        ring map that sends each variable to its namesake."""
         if target == self.ring:
             return target._make(dict(self._terms))
-        even_map = []
-        for name in self.ring._evens:
-            if name not in target._even_pos or target.kind(name) != self.ring.kind(name):
-                raise RingMismatchError(f"target ring lacks variable {name!r}")
-            even_map.append(target._even_pos[name])
-        odd_map = []
-        for name in self.ring._odds:
-            if name not in target._odd_pos:
-                raise RingMismatchError(f"target ring lacks Grassmann variable {name!r}")
-            odd_map.append(target._odd_pos[name])
-        out = {}
-        zero = (0,) * len(target._evens)
-        for (exps, odds), coeff in self._terms.items():
-            new_exps = list(zero)
-            for pos, e in enumerate(exps):
-                if e:
-                    new_exps[even_map[pos]] = e
-            mapped = [odd_map[i] for i in odds]
-            sign = 1
-            # insertion sort, flipping the sign per transposition
-            for i in range(1, len(mapped)):
-                j = i
-                while j > 0 and mapped[j - 1] > mapped[j]:
-                    mapped[j - 1], mapped[j] = mapped[j], mapped[j - 1]
-                    sign = -sign
-                    j -= 1
-            key = (tuple(new_exps), tuple(mapped))
-            acc = out.get(key, Fraction(0)) + sign * coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        out = target._reduce_terms(out)
-        return target._make(out)
+        for name, kind in self.ring._kinds.items():
+            if target._kinds.get(name) != kind:
+                what = "Grassmann variable" if kind == GRASSMANN else "variable"
+                raise RingMismatchError(f"target ring lacks {what} {name!r}")
+        return self.map(target, {n: target.var(n) for n in self.ring.names})
 
     # -- rendering -------------------------------------------------------
 

@@ -84,6 +84,39 @@ class TestCobracketCheck:
         assert code == 0
 
 
+class TestBuiltinFile:
+    """A `.alg` file that restates a builtin takes the builtin's families."""
+
+    def test_schouten_family_on_packaged_file(self, capsys):
+        code, out, _ = run_cli(capsys, "schouten", "--algebra",
+                               str(data_path("osp12.alg")),
+                               "--family", "osp-r1")
+        assert (code, out.strip()) == (0, "CYBE")
+
+    def test_cobracket_family_on_packaged_file(self, capsys):
+        code, out, _ = run_cli(capsys, "cobracket-check", "--algebra",
+                               str(data_path("super_e2.alg")),
+                               "--family", "e2-case-ii")
+        assert code == 0
+        assert "axioms: pass" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["schouten", "--family", "e2-r-iii"],
+        ["cobracket-check", "--family", "e2-case-ii"]])
+    def test_changed_constant_is_another_algebra(self, capsys, tmp_path,
+                                                 argv):
+        # D+ D+ = 2 P+ is super-e(2) with P+ rescaled: a valid algebra of
+        # the same name, but not the builtin
+        text = data_path("super_e2.alg").read_text()
+        assert "D+ D+ = 1 P+" in text
+        path = tmp_path / "super_e2.alg"
+        path.write_text(text.replace("D+ D+ = 1 P+", "D+ D+ = 2 P+"))
+        code, _, err = run_cli(capsys, argv[0], "--algebra", str(path),
+                               *argv[1:])
+        assert code == 2
+        assert "belongs to a different algebra" in err
+
+
 class TestCoboundary:
     def test_rows(self, capsys):
         code, out, _ = run_cli(capsys, "coboundary", "--algebra", "super_e2",

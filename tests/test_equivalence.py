@@ -1,10 +1,12 @@
 """Tests for automorphisms, transforms, and the frozen orbit witnesses."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from superbialg import equivalence
 from superbialg.scalars import Ring
 from superbialg.algebra import builtin
 from superbialg.bialgebra import (Cobracket, case_a, case_b,
@@ -179,3 +181,124 @@ def test_sparse_transform_matches_dense_reference():
     for phi, d in _witnesses():
         assert isinstance(d, Cobracket) and not d.is_zero()
         assert transform(phi, d).f == dense_transform_table(phi, d), phi.name
+
+
+# -- the e2 inverses against the hand-written matrices they replaced ----------
+
+def _frozen_e2_inverse(gen, alpha, beta, ring):
+    """The inverse matrices e2_automorphism wrote out by hand before each
+    inverse became the same generator at the inverse parameters (kept
+    verbatim as the reference)."""
+    one = ring.one()
+    zero = ring.zero()
+
+    def diagonal():
+        return [[one if i == j else zero for j in range(5)] for i in range(5)]
+
+    if gen == "shift":
+        inv = diagonal()
+        inv[0][1] = -alpha
+        inv[0][2] = -beta
+        return inv
+    if gen == "flip":
+        m = [[zero] * 5 for _ in range(5)]
+        m[0][0] = -one
+        m[1][2] = one
+        m[2][1] = one
+        m[3][4] = one
+        m[4][3] = one
+        return m
+    ainv = alpha ** -1
+    binv = beta ** -1
+    inv = diagonal()
+    inv[1][1] = ainv * ainv
+    inv[2][2] = binv * binv
+    inv[3][3] = ainv
+    inv[4][4] = binv
+    return inv
+
+
+class TestDerivedE2Inverses:
+    @pytest.mark.parametrize("gen", ["shift", "flip", "scale"])
+    def test_rational_parameters(self, gen):
+        ring = builtin("super_e2").ring
+        rng = random.Random(11)
+        for _ in range(8):
+            alpha, beta = (ring.scalar(Fraction(rng.choice([-1, 1])
+                                                * rng.randint(1, 9),
+                                                rng.randint(1, 9)))
+                           for _ in range(2))
+            phi = e2_automorphism(gen, alpha, beta)
+            assert phi.inverse == _frozen_e2_inverse(gen, alpha, beta, ring)
+
+    @pytest.mark.parametrize("gen, kind", [("shift", "commuting"),
+                                           ("flip", "commuting"),
+                                           ("scale", "laurent")])
+    def test_symbolic_parameters(self, gen, kind):
+        ring = Ring([("al", kind), ("be", kind)])
+        alpha, beta = 3 * ring.var("al"), -ring.var("be")
+        phi = e2_automorphism(gen, alpha, beta, ring=ring)
+        assert phi.inverse == _frozen_e2_inverse(gen, alpha, beta, ring)
+        assert phi.is_structure_preserving()
+
+    def test_parameter_errors_unchanged(self):
+        for alpha, beta in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="must be nonzero"):
+                e2_automorphism("scale", alpha, beta)
+        ring = Ring([("al", "commuting")])
+        with pytest.raises(ValueError, match="must be invertible"):
+            e2_automorphism("scale", ring.var("al"), 1, ring=ring)
+        with pytest.raises(KeyError, match="unknown generator"):
+            e2_automorphism("twist")
+
+
+# -- the witness table ----------------------------------------------------------
+
+WITNESS_CLAIMS = [c for c in equivalence.ORBIT_CLAIMS
+                  if isinstance(c.run, equivalence._Witnesses)]
+
+
+def _perturbed(point):
+    """The target point with one parameter changed: c of a cobracket family,
+    the last one of r3; r1 and r2 have none and trade places."""
+    name, *args = point
+    if not args:
+        return ({"r1": "r2", "r2": "r1"}[name],)
+    i = min(2, len(args) - 1)
+    args[i] = 1 if args[i] is None else args[i] + 1
+    return (name, *args)
+
+
+def test_witness_table_shape():
+    # nine claims of 18 rows; the four of another shape stay functions
+    assert len(WITNESS_CLAIMS) == 9
+    assert sum(len(c.run.rows) for c in WITNESS_CLAIMS) == 18
+    assert [c.claim_id for c in equivalence.ORBIT_CLAIMS
+            if c not in WITNESS_CLAIMS] == [
+        "orbit.congruence", "orbit.e2-generators", "orbit.det-condition",
+        "orbit.cybe-preserved"]
+
+
+@pytest.mark.parametrize("claim", WITNESS_CLAIMS, ids=lambda c: c.claim_id)
+def test_every_witness_row_is_checked(claim):
+    witnesses = claim.run
+    for n, (spec, source, target) in enumerate(witnesses.rows):
+        rows = list(witnesses.rows)
+        rows[n] = (spec, source, _perturbed(target))
+        ok, detail = equivalence._Witnesses(witnesses.detail, *rows)()
+        assert not ok, (claim.claim_id, n)
+        if spec is None:
+            assert detail == (f"{equivalence._label(source)} is not "
+                              f"{equivalence._label(_perturbed(target))}")
+        else:
+            gen, *args = spec
+            name = gen + (f"({','.join(map(str, args))})" if args else "")
+            assert detail.startswith(f"{name} does not carry "), detail
+
+
+def test_verify_orbits_stdout_is_golden(capsys):
+    from superbialg.cli import main
+    assert main(["verify-orbits"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b1cf4ca89390c0e4e1be5b07b53d3d56c795b3037ecb18a4df787c6382596475")

@@ -12,6 +12,7 @@ from superbialg.scalars import (
     ODD,
     Ring,
     ParityError,
+    ReductionError,
     RingMismatchError,
     ScalarParseError,
     SuperScalar,
@@ -431,3 +432,134 @@ class TestSubstituteIsTheRingMap:
                   "E": osp_ring.one(), "xi": osp_ring.parse("alpha"),
                   "eta": osp_ring.parse("delta")}
         assert x.map(osp_ring, images) == osp_ring.parse("a*alpha+b^2+2*b*c+c^2")
+
+
+# -- convert against the remapping loop it replaced -----------------------------
+#
+# The previous SuperScalar.convert body, kept verbatim as the reference for
+# `convert`, which now goes through `SuperScalar.map`.
+
+def _frozen_convert(x, target):
+    if target == x.ring:
+        return target._make(dict(x._terms))
+    even_map = []
+    for name in x.ring._evens:
+        if name not in target._even_pos or target.kind(name) != x.ring.kind(name):
+            raise RingMismatchError(f"target ring lacks variable {name!r}")
+        even_map.append(target._even_pos[name])
+    odd_map = []
+    for name in x.ring._odds:
+        if name not in target._odd_pos:
+            raise RingMismatchError(f"target ring lacks Grassmann variable {name!r}")
+        odd_map.append(target._odd_pos[name])
+    out = {}
+    zero = (0,) * len(target._evens)
+    for (exps, odds), coeff in x._terms.items():
+        new_exps = list(zero)
+        for pos, e in enumerate(exps):
+            if e:
+                new_exps[even_map[pos]] = e
+        mapped = [odd_map[i] for i in odds]
+        sign = 1
+        # insertion sort, flipping the sign per transposition
+        for i in range(1, len(mapped)):
+            j = i
+            while j > 0 and mapped[j - 1] > mapped[j]:
+                mapped[j - 1], mapped[j] = mapped[j], mapped[j - 1]
+                sign = -sign
+                j -= 1
+        key = (tuple(new_exps), tuple(mapped))
+        acc = out.get(key, Fraction(0)) + sign * coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    out = target._reduce_terms(out)
+    return target._make(out)
+
+
+def _ring_elements(ring):
+    """Sums of up to four random terms of any ring, with negative powers of
+    its Laurent variables and any set of its Grassmann generators."""
+    exps = st.tuples(*[st.integers(-2 if ring.kind(n) == "laurent" else 0, 2)
+                       for n in ring.even_names])
+    odds = st.sets(st.sampled_from(range(len(ring.odd_names)))).map(
+        lambda s: tuple(sorted(s)))
+    term = st.tuples(exps, odds, st.integers(-4, 4).map(Fraction))
+
+    def build(terms):
+        total = ring.zero()
+        for e, o, c in terms:
+            total = total + ring.monomial(e, o, c)
+        return total
+
+    return st.lists(term, max_size=4).map(build)
+
+
+# RING and OSP_RING with their variables listed in other orders, Grassmann
+# generators interleaved; SHUFFLED carries an extra variable
+SHUFFLED = Ring([("eta", "grassmann"), ("E", "laurent"), ("t", "commuting"),
+                 ("xi", "grassmann"), ("b", "commuting"), ("a", "commuting")])
+OSP_FREE = Ring([("delta", "grassmann"), ("d", "commuting"),
+                 ("alpha", "grassmann"), ("c", "commuting"),
+                 ("b", "commuting"), ("a", "commuting")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(RING, SHUFFLED), (OSP_FREE, OSP_RING),
+                        (OSP_RING, OSP_FREE), (RING, RING)]).flatmap(
+    lambda pair: st.tuples(st.just(pair[1]), _ring_elements(pair[0]))))
+def test_convert_equals_frozen_convert(drawn):
+    target, x = drawn
+    assert x.convert(target) == _frozen_convert(x, target)
+
+
+@pytest.mark.parametrize("target", [
+    Ring([("a", "commuting"), ("E", "laurent"), ("xi", "grassmann"),
+          ("eta", "grassmann")]),                                # lacks b
+    Ring([("a", "commuting"), ("b", "commuting"), ("E", "commuting"),
+          ("xi", "grassmann"), ("eta", "grassmann")]),           # E's kind
+    Ring([("a", "commuting"), ("b", "commuting"), ("E", "laurent"),
+          ("xi", "commuting"), ("eta", "grassmann")]),           # xi's kind
+], ids=["missing-name", "kind-mismatch", "grassmann-as-even"])
+def test_convert_mismatch_raises(target):
+    x = RING.parse("a*E^-1*xi + b")
+    for convert in (SuperScalar.convert, _frozen_convert):
+        with pytest.raises(RingMismatchError):
+            convert(x, target)
+
+
+# -- rewrite soundness with several relations ----------------------------------
+
+def test_overlapping_leading_monomials_are_rejected():
+    variables = [(n, "commuting") for n in "abcd"]
+    with pytest.raises(ReductionError, match="'a\\*d' and 'a\\*b'"):
+        Ring(variables, relations=[("a*d-c", "a*d"), ("a*b-d", "a*b")])
+    # leads with no common variable are accepted
+    Ring(variables, relations=[("a*d-c", "a*d"), ("b*c-1", "b*c")])
+
+
+def test_osp_square_ring_is_accepted():
+    relations = group("osp").square().ring._relation_spec
+    assert [lead for _, lead in relations] == ["a1*d1", "a2*d2"]
+
+
+_SQUARE = group("osp").square().ring
+_SQUARE_SWAPPED = Ring(
+    [(n, _SQUARE.kind(n)) for n in _SQUARE.names],
+    relations=list(reversed(_SQUARE._relation_spec)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.tuples(*[st.integers(0, 2)] * len(_SQUARE.even_names)),
+    st.integers(-3, 3).filter(bool)), max_size=3))
+def test_square_normal_form_ignores_relation_order(terms):
+    # the same polynomial, reduced with the two relations in either order
+    forms = []
+    for ring in (_SQUARE, _SQUARE_SWAPPED):
+        x = ring.zero()
+        for exps, c in terms:
+            x = x + ring.monomial(exps, (), c)
+        forms.append(x.render())
+    assert forms[0] == forms[1]
