@@ -105,7 +105,9 @@ def _rref(rows, ncols, rhs=None):
     Returns (rows, pivot columns, rhs).  The first len(pivots) rows carry 1
     in their pivot column, which is 0 in every other row; the remaining rows
     are zero.  `rhs` (rationals or SuperScalars, one per row) rides along as
-    an extra column, so it follows the same row operations.
+    an extra column, so it follows the same row operations.  A row update
+    touches only the columns where the pivot row is nonzero; the rhs column
+    is always among them.
     """
     m = [[Fraction(x) for x in row] for row in rows]
     if rhs is not None:
@@ -121,13 +123,18 @@ def _rref(rows, ncols, rhs=None):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         # entries left of col are zero in rows r.., so updates start at col
-        inv = 1 / m[r][col]
-        pivot = [x * inv for x in m[r][col:]]
-        m[r][col:] = pivot
+        pivot = m[r]
+        inv = 1 / pivot[col]
+        live = [c for c in range(col, ncols) if pivot[c]]
+        if rhs is not None:
+            live.append(ncols)
+        for c in live:
+            pivot[c] = pivot[c] * inv
         for rr, row in enumerate(m):
             factor = row[col]
             if rr != r and factor:
-                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot)]
+                for c in live:
+                    row[c] = row[c] - factor * pivot[c]
         pivots.append(col)
     return m, pivots, None if rhs is None else [row.pop() for row in m]
 

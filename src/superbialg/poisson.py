@@ -92,7 +92,7 @@ class VectorField:
         self.parity = parity
         self.side = side
         self.table = table  # generator name -> SuperScalar
-        self.images = {}  # monomial key (exps, odds) -> term dict of its image
+        self.images = {}  # monomial key (exps, odds) -> its image
 
     def on_generator(self, name):
         value = self.table.get(name)
@@ -178,19 +178,13 @@ class CoordinateRing:
         # A field is linear, so field(f) = sum of coeff * field(monomial),
         # with each monomial's image computed once per field and kept.
         images = field.images
-        out = {}
-        get = out.get
+        pairs = []
         for key, coeff in f._terms.items():
             image = images.get(key)
             if image is None:
-                image = images[key] = self._monomial_image(field, key)._terms
-            for k, c in image.items():
-                c = c * coeff
-                acc = get(k)
-                out[k] = c if acc is None else acc + c
-        if len(f._terms) > 1:
-            out = {k: c for k, c in out.items() if c}
-        return self.ring._make(out)
+                image = images[key] = self._monomial_image(field, key)
+            pairs.append((coeff, image))
+        return self.ring.linear_combination(pairs)
 
     def _monomial_image(self, field, key):
         # For x1^k1 .. xm^km th_1 .. th_n, the factor at an odd slot t picks
@@ -200,7 +194,7 @@ class CoordinateRing:
         ring = self.ring
         right = field.side == "r" and field.parity
         exps, odds = key
-        out = ring.zero()
+        products = []
         n_odd = len(odds)
         even_sign = -1 if (right and n_odd % 2) else 1
         for pos, k in enumerate(exps):
@@ -211,19 +205,18 @@ class CoordinateRing:
             if rule is not None:
                 src, factor = rule
                 base = field.on_generator(src)
-                if base.is_zero():
-                    continue
-                whole = ring.monomial(exps, odds, k * factor * even_sign)
-                out = out + base * whole
+                if not base.is_zero():
+                    products.append((k * factor * even_sign,
+                                     (base, ring.monomial(exps, odds))))
                 continue
             value = field.on_generator(name)
             if value.is_zero():
                 continue
             reduced = list(exps)
             reduced[pos] = k - 1
-            rest_even = ring.monomial(reduced, (), k * even_sign)
-            odd_part = ring.monomial(ring._zero_exps, odds)
-            out = out + rest_even * value * odd_part
+            products.append((k * even_sign, (
+                ring.monomial(reduced, ()), value,
+                ring.monomial(ring._zero_exps, odds))))
         for t, oi in enumerate(odds):
             name = ring.odd_names[oi]
             value = field.on_generator(name)
@@ -231,11 +224,11 @@ class CoordinateRing:
                 continue
             crossed = (n_odd - 1 - t) if right else t
             sign = -1 if (field.parity and crossed % 2) else 1
-            even_part = ring.monomial(exps, (), sign)
-            before = ring.monomial(ring._zero_exps, odds[:t])
-            after = ring.monomial(ring._zero_exps, odds[t + 1:])
-            out = out + even_part * before * value * after
-        return out
+            products.append((sign, (
+                ring.monomial(exps, ()),
+                ring.monomial(ring._zero_exps, odds[:t]), value,
+                ring.monomial(ring._zero_exps, odds[t + 1:]))))
+        return ring.sum_of_products(products)
 
     # -- the tensor square ---------------------------------------------------
 
@@ -478,12 +471,12 @@ class PoissonStructure:
         return self._square
 
     def bracket(self, f, g):
-        """Sum of L(f) c R(g) over the triples; each image of f and of g is
-        computed once, and a triple with a zero image is skipped."""
+        """Sum of L(f) c R(g) over the triples, reduced once; each image of
+        f and of g is computed once, and a triple with a zero image is
+        skipped."""
         left = {}
         right = {}
-        out = {}
-        get = out.get
+        products = []
         for lfield, coeff, rfield in self._bracket_triples():
             lf = left.get(lfield)
             if lf is None:
@@ -495,10 +488,9 @@ class PoissonStructure:
                 rg = right[rfield] = rfield(g)
             if rg.is_zero():
                 continue
-            for k, c in (lf * coeff * rg)._terms.items():
-                acc = get(k)
-                out[k] = c if acc is None else acc + c
-        return self.group.ring._make({k: c for k, c in out.items() if c})
+            products.append((coeff, (lf, rg)) if isinstance(coeff, Fraction)
+                            else (1, (lf, coeff, rg)))
+        return self.group.ring.sum_of_products(products)
 
     def __repr__(self):
         return f"<PoissonStructure {self.group.name}:{self.structure_id}>"

@@ -9,9 +9,16 @@ a strictly increasing product of Grassmann generators.  Signs come from
 bubble-sorting Grassmann factors into that fixed order; a repeated generator
 annihilates the term.
 
+A stored coefficient is an ``int`` when it is integral and a non-integral
+``Fraction`` otherwise, so most arithmetic stays on Python integers;
+``terms()`` and ``as_fraction()`` hand out ``Fraction``s.  A float or a
+Decimal is refused with ``TypeError`` wherever a rational enters.
+
 Rings may carry rewrite relations (e.g. ``a*d - b*c + alpha*delta - 1`` with
 leading monomial ``a*d``), in which case every arithmetic result is reduced
-to its normal form automatically.
+to its normal form automatically.  A product is formed unreduced and reduced
+once; reduction is one linear pass over the terms, and the normal form of
+each reducible monomial is computed once per ring and kept.
 
 No floating point anywhere; all values are immutable and all operations are
 pure functions.
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Rational
 from operator import add as _add
 
 COMMUTING = "commuting"
@@ -47,6 +55,26 @@ class ReductionError(ValueError):
 
 class ScalarParseError(ValueError):
     """Text does not conform to the scalar grammar."""
+
+
+def _coefficient(q):
+    """The stored form of a rational: an int when integral, otherwise a
+    Fraction.  Ints, Fractions and rational strings are accepted; anything
+    inexact, such as a float or a Decimal, raises TypeError."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        if not isinstance(q, (Rational, str)):
+            raise TypeError(
+                f"coefficients are exact rationals, not {type(q).__name__}")
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _normalized(terms):
+    """`terms` without its zero coefficients, the others in stored form."""
+    return {key: c if type(c) is int else _coefficient(c)
+            for key, c in terms.items() if c}
 
 
 def _merge_grassmann(left, right):
@@ -111,6 +139,7 @@ class Ring:
         self._zero_exps = (0,) * len(self._evens)
         self._relation_spec = tuple(relations)
         self._relations = ()
+        self._normal_forms = {}  # reducible monomial -> its normal form
         rules = []
         for rel_text, lead_text in self._relation_spec:
             rule = self._compile_relation(self.parse(rel_text),
@@ -124,6 +153,7 @@ class Ring:
         self._relations = tuple(rules)
 
     def _compile_relation(self, relation, leading):
+        """The rule (leading exponents, replacement terms) of one relation."""
         if len(leading._terms) != 1:
             raise ReductionError("leading monomial must be a single term")
         (lead_key, lead_coeff), = leading._terms.items()
@@ -136,7 +166,7 @@ class Ring:
             raise ReductionError("leading monomial must have coefficient 1")
         if relation.parity() not in (EVEN, None) or not relation.is_homogeneous():
             raise ReductionError("relation must be homogeneous even")
-        if relation._terms.get(lead_key) != Fraction(1):
+        if relation._terms.get(lead_key) != 1:
             raise ReductionError("leading monomial must occur in the relation with coefficient 1")
         for (exps, odds) in relation._terms:
             if (exps, odds) == lead_key:
@@ -144,8 +174,8 @@ class Ring:
             if _divides(lead_exps, exps):
                 raise ReductionError("leading monomial divides another monomial of the relation")
         # lead == lead - relation modulo the relation
-        replacement = self._make({lead_key: Fraction(1)}) - relation
-        return (lead_exps, replacement)
+        replacement = self._make({lead_key: 1}) - relation
+        return (lead_exps, replacement._terms)
 
     # -- constructors -------------------------------------------------
 
@@ -159,8 +189,8 @@ class Ring:
         return self.scalar(1)
 
     def scalar(self, q):
-        q = Fraction(q)
-        if q == 0:
+        q = _coefficient(q)
+        if not q:
             return self.zero()
         return self._make({(self._zero_exps, ()): q})
 
@@ -169,21 +199,21 @@ class Ring:
         if kind is None:
             raise KeyError(f"no variable {name!r} in ring")
         if kind == GRASSMANN:
-            return self._make({(self._zero_exps, (self._odd_pos[name],)): Fraction(1)})
+            return self._make({(self._zero_exps, (self._odd_pos[name],)): 1})
         exps = list(self._zero_exps)
         exps[self._even_pos[name]] = 1
-        return self._make({(tuple(exps), ()): Fraction(1)})
+        return self._make({(tuple(exps), ()): 1})
 
     def monomial(self, exps, odds, coeff=1):
         """coeff * the monomial, in normal form modulo the relations."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        coeff = _coefficient(coeff)
+        if not coeff:
             return self.zero()
         return self._make(self._reduce_terms({(tuple(exps), tuple(odds)): coeff}))
 
     def coerce(self, value):
         if isinstance(value, SuperScalar):
-            if value.ring != self:
+            if value.ring is not self and value.ring != self:
                 raise RingMismatchError("scalar belongs to a different ring")
             return value
         return self.scalar(value)
@@ -224,7 +254,39 @@ class Ring:
     def _reduce_terms(self, terms):
         if not self._relations:
             return terms
-        return _rewrite(self, terms, self._relations)
+        return _rewrite(terms, self._relations, self._normal_forms)
+
+    def sum_of_products(self, products):
+        """The normal form of the sum of q * x1 * ... * xn over the (q,
+        (x1, ..., xn)) pairs in `products`: q rational, each x an element of
+        this ring, n >= 0.  Every product is formed unreduced and the sum is
+        reduced once; reduction is linear, so this equals the sum of the
+        reduced products."""
+        checked = []
+        for q, factors in products:
+            for x in factors:
+                if x.ring is not self and x.ring != self:
+                    raise RingMismatchError("factor belongs to a different ring")
+            checked.append((_coefficient(q), [x._terms for x in factors]))
+        return self._make(self._reduce_terms(
+            _sum_of_products(checked, (self._zero_exps, ()))))
+
+    def linear_combination(self, pairs):
+        """The sum of q * x over (rational q, element x) pairs.  A rational
+        combination of normal forms is a normal form, so nothing is
+        reduced."""
+        out = {}
+        get = out.get
+        for q, x in pairs:
+            if x.ring is not self and x.ring != self:
+                raise RingMismatchError("element belongs to a different ring")
+            if type(q) is not int:
+                q = _coefficient(q)
+            for key, c in x._terms.items():
+                c = c * q
+                acc = get(key)
+                out[key] = c if acc is None else acc + c
+        return self._make(_normalized(out))
 
     # -- parsing / rendering -------------------------------------------
 
@@ -239,41 +301,121 @@ def _divides(lead_exps, exps):
     return True
 
 
-def _rewrite(ring, terms, rules):
-    """Normal form of a term dict under compiled (lead_exps, replacement)
-    rules: repeatedly replace a term divisible by the first applicable
-    leading monomial.  The input dict is left unchanged."""
-    for _ in range(10000):
-        rewritten = None
-        for lead_exps, replacement in rules:
-            for (exps, odds), coeff in terms.items():
-                if _divides(lead_exps, exps):
-                    rewritten = ((exps, odds), coeff, lead_exps, replacement)
-                    break
-            if rewritten:
-                break
-        if rewritten is None:
-            return terms
-        (exps, odds), coeff, lead_exps, replacement = rewritten
-        terms = dict(terms)
-        del terms[(exps, odds)]
-        quotient = ring._make(
-            {(tuple(e - l for e, l in zip(exps, lead_exps)), odds): coeff})
-        for key, c in (quotient * replacement)._terms.items():
-            acc = terms.get(key, Fraction(0)) + c
-            if acc:
-                terms[key] = acc
+def _multiply(left, right, out):
+    """The product kernel: add every term product of the term dicts `left`
+    and `right` into `out` and return it.  Nothing is reduced, and a sum
+    that cancels stays in `out` as a zero until `_normalized`."""
+    get = out.get
+    right = list(right.items())
+    for (e1, o1), c1 in left.items():
+        for (e2, o2), c2 in right:
+            if o1 and o2:
+                odds, sign = _merge_grassmann(o1, o2)
+                if odds is None:
+                    continue
             else:
-                terms.pop(key, None)
-    raise ReductionError("relation rewriting did not terminate")
+                odds, sign = o1 or o2, 1
+            key = (tuple(map(_add, e1, e2)), odds)
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            acc = get(key)
+            out[key] = c if acc is None else acc + c
+    return out
+
+
+def _sum_of_products(products, unit):
+    """Sum of q * f1 * ... * fn over the (q, (f1, ..., fn)) pairs in
+    `products`, with q in stored form and each f a term dict: unreduced,
+    zero-free, in stored form.  `unit` is the key of the constant monomial,
+    the empty product.  The last factor multiplies straight into the sum."""
+    out = {}
+    get = out.get
+    for coeff, factors in products:
+        left = factors[0] if factors else {unit: 1}
+        if coeff != 1:
+            left = {key: c * coeff for key, c in left.items()}
+        if len(factors) < 2:
+            for key, c in left.items():
+                acc = get(key)
+                out[key] = c if acc is None else acc + c
+            continue
+        for right in factors[1:-1]:
+            left = _multiply(left, right, {})
+        _multiply(left, factors[-1], out)
+    return _normalized(out)
+
+
+def _rule_for(exps, rules):
+    for rule in rules:
+        if _divides(rule[0], exps):
+            return rule
+    return None
+
+
+def _rewrite(terms, rules, memo):
+    """Normal form of a term dict under compiled (lead_exps, replacement)
+    rules, in one linear pass: a term that no leading monomial divides is
+    kept, any other is replaced by its monomial's normal form, which
+    `_normal_form` computes once and keeps in `memo`.  The input dict is
+    left unchanged."""
+    for exps, _ in terms:
+        if _rule_for(exps, rules) is not None:
+            break
+    else:
+        return terms
+    out = {}
+    get = out.get
+    for key, c in terms.items():
+        form = memo.get(key)
+        if form is None:
+            if _rule_for(key[0], rules) is None:
+                acc = get(key)
+                out[key] = c if acc is None else acc + c
+                continue
+            form = _normal_form(key, rules, memo)
+        for k, f in form.items():
+            f = c * f
+            acc = get(k)
+            out[k] = f if acc is None else acc + f
+    return _normalized(out)
+
+
+def _normal_form(key, rules, memo):
+    """The normal form of the reducible monomial `key`, kept in `memo`
+    with that of every reducible monomial met on the way.  One rewrite step
+    turns a monomial into quotient * replacement; the monomials of that
+    expansion are settled first, depth first on an explicit stack.  A
+    monomial that reappears while its own normal form is being computed
+    means the rules do not terminate."""
+    expansions = {}  # monomials on the stack -> their one-step expansions
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        expansion = expansions.get(top)
+        if expansion is None:
+            exps, odds = top
+            lead_exps, replacement = _rule_for(exps, rules)
+            quotient = {(tuple(e - l for e, l in zip(exps, lead_exps)), odds): 1}
+            expansion = expansions[top] = _normalized(
+                _multiply(quotient, replacement, {}))
+        for k in expansion:
+            if k not in memo and _rule_for(k[0], rules) is not None:
+                if k in expansions:
+                    raise ReductionError("relation rewriting did not terminate")
+                stack.append(k)
+                break
+        else:
+            stack.pop()
+            del expansions[top]
+            memo[top] = _rewrite(expansion, rules, memo)
+    return memo[key]
 
 
 class SuperScalar:
     """Canonical element of a supercommutative ring.
 
     Stored as a map from (even exponent vector, increasing Grassmann index
-    tuple) to a nonzero Fraction.  Do not mutate; all operations return new
-    values.
+    tuple) to a nonzero coefficient: an int when integral, otherwise a
+    Fraction.  Do not mutate; all operations return new values.
     """
 
     __slots__ = ("ring", "_terms")
@@ -288,9 +430,9 @@ class SuperScalar:
         return not self._terms
 
     def terms(self):
-        """Iterate (even_exps, odd_indices, coefficient)."""
+        """Iterate (even_exps, odd_indices, coefficient as a Fraction)."""
         for (exps, odds), coeff in self._terms.items():
-            yield exps, odds, coeff
+            yield exps, odds, Fraction(coeff)
 
     def parity(self):
         """0, 1, or None for a mixed-parity (inhomogeneous) element."""
@@ -319,7 +461,7 @@ class SuperScalar:
         if len(self._terms) == 1:
             (key, coeff), = self._terms.items()
             if key == (self.ring._zero_exps, ()):
-                return coeff
+                return Fraction(coeff)
         raise ValueError(f"not a constant: {self}")
 
     # -- ring operations -------------------------------------------------
@@ -341,11 +483,15 @@ class SuperScalar:
             return self
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key, Fraction(0)) + coeff
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = coeff
+                continue
+            acc += coeff
             if acc:
-                terms[key] = acc
+                terms[key] = acc if type(acc) is int else _coefficient(acc)
             else:
-                terms.pop(key, None)
+                del terms[key]
         return self.ring._make(terms)
 
     __radd__ = __add__
@@ -363,29 +509,18 @@ class SuperScalar:
         ring = self.ring
         if isinstance(other, (int, Fraction)):
             # a rational multiple of a normal form is a normal form
+            other = _coefficient(other)
+            if other == 1:
+                return self
             if not other:
                 return ring.zero()
-            return ring._make({key: c * other for key, c in self._terms.items()})
+            return ring._make(_normalized(
+                {key: c * other for key, c in self._terms.items()}))
         if not isinstance(other, SuperScalar):
             return NotImplemented
         self._check(other)
-        out = {}
-        get = out.get
-        right = list(other._terms.items())
-        for (e1, o1), c1 in self._terms.items():
-            for (e2, o2), c2 in right:
-                if o1 and o2:
-                    odds, sign = _merge_grassmann(o1, o2)
-                    if odds is None:
-                        continue
-                else:
-                    odds, sign = o1 or o2, 1
-                key = (tuple(map(_add, e1, e2)), odds)
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                acc = get(key)
-                out[key] = c if acc is None else acc + c
-        out = {key: c for key, c in out.items() if c}
-        return ring._make(ring._reduce_terms(out))
+        return ring._make(ring._reduce_terms(
+            _normalized(_multiply(self._terms, other._terms, {}))))
 
     def __rmul__(self, other):
         # other is int/Fraction: even, commutes freely
@@ -418,7 +553,7 @@ class SuperScalar:
         for pos, e in enumerate(exps):
             if e and self.ring.kind(self.ring._evens[pos]) != LAURENT:
                 raise ValueError("only monomials in Laurent variables are invertible")
-        return self.ring.monomial(tuple(-e for e in exps), (), Fraction(1, 1) / coeff)
+        return self.ring.monomial(tuple(-e for e in exps), (), Fraction(1) / coeff)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -460,23 +595,22 @@ class SuperScalar:
         """The ring homomorphism into `target` that sends each variable to
         `images[name]`, an element of `target`: the multiplicative extension
         over the terms, taking the Grassmann factors in their stored order.
-        A negative Laurent power inverts its image."""
+        A negative Laurent power inverts its image.  The products are formed
+        unreduced and their sum is reduced once."""
         ring = self.ring
         evens = [images[name] for name in ring._evens]
         odds = [images[name] for name in ring._odds]
-        out = {}
-        get = out.get
+        for image in evens + odds:
+            if image.ring is not target and image.ring != target:
+                raise RingMismatchError("image belongs to a different ring")
+        products = []
         for (exps, odd_idx), coeff in self._terms.items():
-            acc = target.scalar(coeff)
-            for pos, k in enumerate(exps):
-                if k:
-                    acc = acc * (evens[pos] if k == 1 else evens[pos] ** k)
-            for oi in odd_idx:
-                acc = acc * odds[oi]
-            for key, c in acc._terms.items():
-                prev = get(key)
-                out[key] = c if prev is None else prev + c
-        return target._make({key: c for key, c in out.items() if c})
+            factors = [(evens[pos] if k == 1 else evens[pos] ** k)._terms
+                       for pos, k in enumerate(exps) if k]
+            factors.extend(odds[oi]._terms for oi in odd_idx)
+            products.append((coeff, factors))
+        return target._make(target._reduce_terms(
+            _sum_of_products(products, (target._zero_exps, ()))))
 
     def convert(self, target):
         """Re-express in `target`, matching variables by name and kind: the
@@ -541,7 +675,8 @@ def reduce_mod_relation(x, relation, leading_monomial):
     if isinstance(relation, str):
         relation = ring.parse(relation)
     rule = ring._compile_relation(relation, leading_monomial)
-    return ring._make(_rewrite(ring, x._terms, (rule,)))
+    # the rule is not the ring's, so its normal forms are kept apart
+    return ring._make(_rewrite(x._terms, (rule,), {}))
 
 
 # -- text grammar -----------------------------------------------------------

@@ -1,0 +1,409 @@
+"""The integer-first exact kernel against the kernels it replaced.
+
+`SuperScalar.__mul__`, the relation rewriter, `SuperScalar.map`,
+`PoissonStructure.bracket` and `cocycles._rref` now store integral
+coefficients as ints, form products unreduced and reduce once, memoize
+normal forms per ring and update only the live columns of a pivot row.
+The previous bodies are kept below as references, working on term dicts
+with Fraction coefficients, and must give equal results.
+"""
+
+import math
+from decimal import Decimal
+from fractions import Fraction
+from operator import add
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superbialg.cocycles import _rref, in_span, nullspace
+from superbialg.poisson import group, named_structure
+from superbialg.scalars import (
+    ReductionError,
+    Ring,
+    _divides,
+    _merge_grassmann,
+    reduce_mod_relation,
+)
+
+E2 = group("super_e2")
+OSP = group("osp")
+SQUARE = OSP.square()
+CONSTANTS = Ring([])
+
+
+# -- the previous kernels, kept as references ---------------------------------
+
+def _frozen_rules(ring):
+    """The ring's rules as the previous `_compile_relation` built them: the
+    relation parsed without reduction, replacement = lead - relation."""
+    free = Ring([(n, ring.kind(n)) for n in ring.names])
+    rules = []
+    for rel_text, lead_text in ring._relation_spec:
+        (lead_key, _), = free.parse(lead_text)._terms.items()
+        replacement = free._make({lead_key: Fraction(1)}) - free.parse(rel_text)
+        rules.append((lead_key[0], dict(replacement._terms)))
+    return tuple(rules)
+
+
+def _frozen_mul(left, right, rules):
+    # the previous SuperScalar.__mul__ loop, reducing its result
+    out = {}
+    get = out.get
+    right = list(right.items())
+    for (e1, o1), c1 in left.items():
+        for (e2, o2), c2 in right:
+            if o1 and o2:
+                odds, sign = _merge_grassmann(o1, o2)
+                if odds is None:
+                    continue
+            else:
+                odds, sign = o1 or o2, 1
+            key = (tuple(map(add, e1, e2)), odds)
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            acc = get(key)
+            out[key] = c if acc is None else acc + c
+    out = {key: c for key, c in out.items() if c}
+    return _frozen_rewrite(out, rules) if rules else out
+
+
+def _frozen_rewrite(terms, rules):
+    # the previous `_rewrite`: one rule application per step, from the start
+    for _ in range(10000):
+        rewritten = None
+        for lead_exps, replacement in rules:
+            for (exps, odds), coeff in terms.items():
+                if _divides(lead_exps, exps):
+                    rewritten = ((exps, odds), coeff, lead_exps, replacement)
+                    break
+            if rewritten:
+                break
+        if rewritten is None:
+            return terms
+        (exps, odds), coeff, lead_exps, replacement = rewritten
+        terms = dict(terms)
+        del terms[(exps, odds)]
+        quotient = {(tuple(e - l for e, l in zip(exps, lead_exps)), odds): coeff}
+        for key, c in _frozen_mul(quotient, replacement, rules).items():
+            acc = terms.get(key, Fraction(0)) + c
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+    raise ReductionError("relation rewriting did not terminate")
+
+
+def _frozen_power(terms, k, rules):
+    if k < 0:
+        (exps, _), coeff = next(iter(terms.items()))
+        terms = _frozen_rewrite(
+            {(tuple(-e for e in exps), ()): Fraction(1) / coeff}, rules)
+        k = -k
+    acc = terms
+    for _ in range(k - 1):
+        acc = _frozen_mul(acc, terms, rules)
+    return acc
+
+
+def _frozen_map(x, target, images):
+    # the previous SuperScalar.map: reduce after every factor
+    rules = _frozen_rules(target)
+    ring = x.ring
+    evens = [images[name]._terms for name in ring._evens]
+    odds = [images[name]._terms for name in ring._odds]
+    out = {}
+    for (exps, odd_idx), coeff in x._terms.items():
+        acc = {(target._zero_exps, ()): Fraction(coeff)}
+        for pos, k in enumerate(exps):
+            if k:
+                acc = _frozen_mul(acc, _frozen_power(evens[pos], k, rules), rules)
+        for oi in odd_idx:
+            acc = _frozen_mul(acc, odds[oi], rules)
+        for key, c in acc.items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _frozen_bracket(structure, f, g):
+    # the previous bracket: each triple's product reduced, then summed
+    total = structure.group.ring.zero()
+    for lfield, coeff, rfield in structure._bracket_triples():
+        total = total + lfield(f) * coeff * rfield(g)
+    return total
+
+
+def _frozen_rref(rows, ncols, rhs=None):
+    # the previous cocycles._rref: every row update recomputes every column
+    m = [[Fraction(x) for x in row] for row in rows]
+    if rhs is not None:
+        for row, value in zip(m, rhs):
+            row.append(value)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((rr for rr in range(r, len(m)) if m[rr][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][col]
+        pivot = [x * inv for x in m[r][col:]]
+        m[r][col:] = pivot
+        for rr, row in enumerate(m):
+            factor = row[col]
+            if rr != r and factor:
+                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot)]
+        pivots.append(col)
+    return m, pivots, None if rhs is None else [row.pop() for row in m]
+
+
+# -- strategies ----------------------------------------------------------------
+
+# integral Fractions included, so the stored form has something to normalize
+_COEFFS = st.one_of(st.integers(-4, 4), st.sampled_from(
+    [Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2), Fraction(-2, 3)]))
+
+
+def _term_dicts(ring, max_exp=2, max_size=4):
+    """Random zero-free term dicts, not reduced: negative powers of the
+    Laurent variables, any set of Grassmann generators."""
+    exps = st.tuples(*[st.integers(-2 if ring.kind(n) == "laurent" else 0,
+                                   max_exp) for n in ring.even_names])
+    odds = st.sets(st.sampled_from(range(len(ring.odd_names))) if
+                   ring.odd_names else st.nothing()).map(
+        lambda s: tuple(sorted(s)))
+    return st.dictionaries(st.tuples(exps, odds), _COEFFS.filter(bool),
+                           max_size=max_size)
+
+
+def _elements(ring, max_exp=2, max_size=4):
+    def build(terms):
+        total = ring.zero()
+        for (exps, odds), c in terms.items():
+            total = total + ring.monomial(exps, odds, c)
+        return total
+    return _term_dicts(ring, max_exp, max_size).map(build)
+
+
+RINGS = [E2.ring, OSP.ring, SQUARE.ring, CONSTANTS]
+
+
+def _stored(x):
+    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
+    return all(type(c) is int and c or type(c) is Fraction and c.denominator != 1
+               for c in x._terms.values())
+
+
+# -- products and the rewriter -------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(
+    lambda ring: st.tuples(_elements(ring, 1 if ring is SQUARE.ring else 2),
+                           _elements(ring, 1 if ring is SQUARE.ring else 2))))
+def test_product_equals_frozen(pair):
+    x, y = pair
+    rules = _frozen_rules(x.ring)
+    product = x * y
+    assert product._terms == _frozen_mul(x._terms, y._terms, rules)
+    for value in (product, x + y, x - y, -x, x * Fraction(3, 2), Fraction(2, 3) * y,
+                  x * Fraction(4, 2), x * 2):
+        assert _stored(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(OSP.ring, 3), (SQUARE.ring, 2)]).flatmap(
+    lambda drawn: st.tuples(st.just(drawn[0]), _term_dicts(*drawn))))
+def test_rewrite_equals_frozen(drawn):
+    ring, terms = drawn
+    want = _frozen_rewrite(terms, _frozen_rules(ring))
+    # the rewriter takes its input in stored form
+    terms = {key: c.numerator if c.denominator == 1 else c
+             for key, c in terms.items()}
+    # in a fresh ring, so the memo starts empty, and in the shared one
+    fresh = Ring([(n, ring.kind(n)) for n in ring.names], ring._relation_spec)
+    for r in (fresh, ring):
+        got = r._make(r._reduce_terms(dict(terms)))
+        assert got._terms == want and _stored(got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_term_dicts(OSP.ring, 3, 5))
+def test_reduce_mod_relation_equals_frozen(terms):
+    free = Ring([(n, OSP.ring.kind(n)) for n in OSP.ring.names])
+    x = free.zero()
+    for (exps, odds), c in terms.items():
+        x = x + free.monomial(exps, odds, c)
+    got = reduce_mod_relation(x, "a*d-b*c+alpha*delta-1", "a*d")
+    assert got._terms == _frozen_rewrite(dict(x._terms), _frozen_rules(OSP.ring))
+    assert _stored(got)
+
+
+# -- the ring map --------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([E2, OSP]).flatmap(
+    lambda grp: st.tuples(st.just(grp), _elements(grp.ring, 2, 3))))
+def test_coproduct_and_embeddings_equal_frozen(drawn):
+    grp, x = drawn
+    square = grp.square().ring
+    for got, images in ((grp.coproduct(x), grp._generator_coproducts()),
+                        (grp.embed(x, 1), grp._embeddings[1]),
+                        (grp.embed(x, 2), grp._embeddings[2])):
+        assert got._terms == _frozen_map(x, square, images)
+        assert _stored(got)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([E2.ring, OSP.ring]).flatmap(
+    lambda ring: st.tuples(_elements(ring), st.lists(_elements(ring), min_size=2,
+                                                     max_size=2))))
+def test_substitute_equals_frozen(drawn):
+    x, (u, v) = drawn
+    ring = x.ring
+    # an even value for the first two even variables, Laurent ones untouched
+    names = [n for n in ring.even_names if ring.kind(n) != "laurent"][:2]
+    bindings = {names[0]: u.homogeneous_parts()[0], names[1]: Fraction(1, 2)}
+    images = {n: ring.var(n) for n in ring.names}
+    images.update({n: ring.coerce(value) for n, value in bindings.items()})
+    got = x.substitute(bindings)
+    assert got._terms == _frozen_map(x, ring, images)
+    assert _stored(got)
+
+
+# -- fields and brackets -------------------------------------------------------
+
+_STRUCTURES = [("osp", "3"), ("super_e2", "i"), ("super_e2", "iv")]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_STRUCTURES).flatmap(
+    lambda sid: st.tuples(st.just(sid), _elements(group(sid[0]).ring, 1, 2),
+                          _elements(group(sid[0]).ring, 1, 2))))
+def test_bracket_equals_frozen(drawn):
+    (name, sid), f, g = drawn
+    structure = named_structure(name, sid)
+    got = structure.bracket(f, g)
+    assert got == _frozen_bracket(structure, f, g)
+    assert _stored(got)
+    field = group(name).field(structure.group.algebra.basis[0], "X", "l")
+    assert _stored(field(f)) and _stored(field(f * Fraction(2, 3)))
+
+
+def test_square_bracket_equals_frozen():
+    structure = named_structure("osp", "3").square()
+    ring = structure.group.ring
+    f, g = ring.parse("a1*b2+1/2*c1^2"), ring.parse("d2*alpha1 - 3*b1*delta2")
+    got = structure.bracket(f, g)
+    assert got == _frozen_bracket(structure, f, g) and _stored(got)
+
+
+# -- the relation rewriter: cycles and depth -------------------------------------
+
+def test_cycle_raises_through_ring_arithmetic():
+    # a*d -> a^2 + d^2 passes every relation check, yet a^2*d^2 comes back
+    # while its own normal form is being computed
+    ring = Ring([("a", "commuting"), ("d", "commuting")],
+                relations=[("a*d-a^2-d^2", "a*d")])
+    with pytest.raises(ReductionError, match="did not terminate"):
+        ring.parse("a^2*d^2")
+    with pytest.raises(ReductionError, match="did not terminate"):
+        ring.monomial((2, 2), ())
+    assert ring.parse("a*d") == ring.parse("a^2+d^2")
+
+
+def test_cycle_raises_through_reduce_mod_relation():
+    plain = Ring([("a", "commuting"), ("d", "commuting")])
+    with pytest.raises(ReductionError, match="did not terminate"):
+        reduce_mod_relation(plain.parse("a^2*d^2"), "a*d-a^2-d^2", "a*d")
+
+
+def test_powers_of_ad_equal_the_binomial_oracle():
+    # alpha*delta is nilpotent, so (ad)^k = (1 + bc - alpha*delta)^k
+    # = (1+bc)^k - k (1+bc)^(k-1) alpha*delta, written out with binomial
+    # coefficients in a relation-free ring and converted
+    ring = Ring(OSP.ring._kinds.items(), OSP.ring._relation_spec)
+    free = Ring(OSP.ring._kinds.items())
+    for k in range(1, 41):
+        oracle = free.zero()
+        for j in range(k + 1):
+            oracle = oracle + free.monomial((0, j, j, 0), (), math.comb(k, j))
+        for j in range(k):
+            oracle = oracle + free.monomial((0, j, j, 0), (0, 1),
+                                            -k * math.comb(k - 1, j))
+        assert ring.monomial((k, 0, 0, k), ()) == oracle.convert(ring), k
+    assert len(ring._normal_forms) < 2000
+
+
+# -- no floats -----------------------------------------------------------------
+
+@pytest.mark.parametrize("inexact", [0.1, 2.0, Decimal("0.5")],
+                         ids=["float", "integral-float", "decimal"])
+def test_inexact_values_are_refused(inexact):
+    ring = E2.ring
+    x = ring.parse("a*xi + b")
+    for enter in (ring.scalar, ring.coerce,
+                  lambda q: ring.monomial((0, 1, 0, 0, 0), (), q),
+                  lambda q: x.substitute({"b": q}),
+                  lambda q: ring.sum_of_products([(q, (x,))])):
+        with pytest.raises(TypeError):
+            enter(inexact)
+
+
+def test_exact_values_are_accepted():
+    ring = E2.ring
+    half = Fraction(1, 2)
+    for q in (half, "1/2", "3/6"):
+        assert ring.scalar(q) == half
+        assert ring.monomial((0, 0, 1, 0, 0), (), q) == half * ring.var("a")
+        assert ring.coerce(q) == half
+    assert ring.scalar(Fraction(4, 2))._terms == {(ring._zero_exps, ()): 2}
+    assert type(ring.scalar("2").as_fraction()) is Fraction
+    x = ring.parse("a*b")
+    assert x.substitute({"b": "1/4"}) == Fraction(1, 4) * ring.var("a")
+    assert x.substitute({"b": 3}) == 3 * ring.var("a")
+
+
+# -- sparse Gauss-Jordan ---------------------------------------------------------
+
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                     st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+
+
+def _matrices(min_rows=0):
+    return st.integers(1, 6).flatmap(lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                 min_size=min_rows, max_size=6)))
+
+
+def _no_float(values):
+    return not any(isinstance(v, float) for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_rref_equals_frozen(drawn):
+    ncols, rows = drawn
+    got = _rref(rows, ncols)
+    assert got == _frozen_rref(rows, ncols)
+    assert all(_no_float(row) for row in got[0])
+    basis = nullspace(rows, ncols)
+    assert all(_no_float(v) for v in basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_matrices(min_rows=1), st.data())
+def test_rref_with_scalar_rhs_equals_frozen(drawn, data):
+    ncols, rows = drawn
+    ring = E2.ring
+    rhs = data.draw(st.lists(st.one_of(_ENTRIES, _elements(ring, 1, 2)),
+                             min_size=len(rows), max_size=len(rows)))
+    got = _rref(rows, ncols, rhs)
+    want = _frozen_rref(rows, ncols, rhs)
+    assert got[:2] == want[:2]
+    assert all(a == b for a, b in zip(got[2], want[2]))
+    assert _no_float(got[2])
+    # in_span over the columns: the rows, read as basis vectors
+    coeffs = in_span([list(col) for col in zip(*rows)], rhs)
+    assert coeffs is None or _no_float(coeffs)
