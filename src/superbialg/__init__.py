@@ -41,8 +41,6 @@ from .bialgebra import (
     cybe_status,
     dual_algebra,
     family,
-    case_a,
-    case_b,
     parse_cobracket_text,
 )
 from .cocycles import (

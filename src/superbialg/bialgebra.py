@@ -25,7 +25,7 @@ from fractions import Fraction
 from .scalars import EVEN, Ring, rational_sqrt
 from .algebra import SuperLieAlgebra, _sparse_constants, builtin
 from . import tensors
-from .tensors import GradedTensor, RMatrix, ad_action, wedge
+from .tensors import GradedTensor, RMatrix, ad_action
 
 CYBE = "CYBE"
 MCYBE = "mCYBE"
@@ -97,9 +97,13 @@ class Cobracket:
         return Cobracket(self.algebra, self.ring,
                          [a - b for a, b in zip(self.rows, other.rows)])
 
-    def convert(self, ring):
+    def map(self, ring, images):
+        """Every row through `GradedTensor.map(ring, images)`."""
         return Cobracket(self.algebra, ring,
-                         [row.convert(ring) for row in self.rows])
+                         [row.map(ring, images) for row in self.rows])
+
+    def convert(self, ring):
+        return self.map(ring, self.ring.namesakes(ring))
 
     def render(self):
         lines = []
@@ -245,217 +249,127 @@ def dual_algebra(algebra, d, name=None):
 
 
 # -- named families ----------------------------------------------------------
+#
+# id -> (algebra, parameters, text): a wedge sum is an r-matrix, `delta <g> =`
+# rows a cobracket.  With a `branch` the text may use m = branch*sqrt(ab).
 
-def _resolve_params(params, extra=(), relations=()):
-    """The family ring and {name: scalar}: numeric parameters become ring
-    scalars, the others (in order, then `extra`) commuting ring variables."""
-    symbolic = [name for name, value in params.items() if value is None]
-    symbolic += extra
-    ring = Ring([(name, "commuting") for name in symbolic], relations)
-    values = {name: ring.var(name) for name in symbolic}
-    for name, value in params.items():
-        if value is not None:
-            values[name] = ring.scalar(value)
-    return ring, values
-
-
-def _resolve_with_root(params, branch):
-    """`_resolve_params` plus m = branch * sqrt(ab): with a and b both
-    numeric, m is their exact rational root (error if irrational); otherwise
-    m is a ring variable constrained by m^2 = a*b."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    a, b = params["a"], params["b"]
-    if a is None or b is None:
-        a_text = "a" if a is None else str(Fraction(a))
-        b_text = "b" if b is None else str(Fraction(b))
-        ring, val = _resolve_params(
-            params, ["m"], [(f"m^2-{a_text}*{b_text}", "m^2")])
-        val["m"] = branch * val["m"]
-        return ring, val
-    root = rational_sqrt(Fraction(a) * Fraction(b))
-    if root is None:
-        raise ValueError("a*b must be a rational square for a numeric family")
-    ring, val = _resolve_params(params)
-    val["m"] = ring.scalar(branch * root)
-    return ring, val
-
-
-def case_a(a=None, b=None, c=None, branch=1):
-    """Case-A cobracket family on super-e(2); m stands for sqrt(ab).
-
-    With both a and b numeric, m is the exact rational square root of a*b
-    (error if irrational); otherwise m stays a ring parameter constrained by
-    m^2 = a*b.  `branch` (+1/-1) selects the sign of the m-terms.
-
-    The delta(D-) row uses -1/2 (a P+ - b P-) ^ D-: the opposite sign fails
-    the cocycle identity and disagrees with the coboundary of the case-A
-    r-matrix family (see ERRATA.md).
-    """
-    ring, val = _resolve_with_root({"a": a, "b": b, "c": c}, branch)
-    algebra = builtin("super_e2")
-    w = lambda x, y, coeff: wedge(algebra, x, y, ring, coeff)
-    half = Fraction(1, 2)
-    rows = {
-        "H": w("H", "P+", val["a"]) + w("H", "P-", val["b"])
-             + w("P+", "P-", val["c"]),
-        "P+": w("P+", "P-", val["b"]),
-        "P-": w("P+", "P-", -val["a"]),
-        "D+": w("P+", "D+", half * val["a"]) + w("P-", "D+", -half * val["b"])
-              + w("P+", "D-", val["m"]),
-        "D-": w("P+", "D-", -half * val["a"]) + w("P-", "D-", half * val["b"])
-              + w("P-", "D+", val["m"]),
-    }
-    return Cobracket.from_rows(algebra, rows, ring)
-
-
-def case_b(a=None, b=None, c=None, d=None):
-    """Case-B cobracket family on super-e(2) (a bialgebra only when cd=0).
-
-    The published delta(D-) row carries a doubled "+ +"; it is read as a
-    single plus (see ERRATA.md).
-    """
-    ring, val = _resolve_params({"a": a, "b": b, "c": c, "d": d})
-    algebra = builtin("super_e2")
-    w = lambda x, y, coeff: wedge(algebra, x, y, ring, coeff)
-    half = Fraction(1, 2)
-    rows = {
-        "H": w("H", "P+", val["a"]) + w("D+", "D+", -half * val["a"])
-             + w("H", "P-", val["b"]) + w("D-", "D-", half * val["b"])
-             + w("P+", "P-", val["c"]),
-        "P+": w("P+", "P-", val["b"]) + w("H", "P+", 2 * val["d"])
-              + w("D+", "D+", -val["d"]),
-        "P-": w("P+", "P-", -val["a"]) + w("H", "P-", 2 * val["d"])
-              + w("D-", "D-", val["d"]),
-        "D+": w("P+", "D+", -half * val["a"]) + w("P-", "D+", -half * val["b"])
-              + w("H", "D+", val["d"]),
-        "D-": w("P+", "D-", -half * val["a"]) + w("P-", "D-", -half * val["b"])
-              + w("H", "D-", val["d"]),
-    }
-    return Cobracket.from_rows(algebra, rows, ring)
-
-
-def osp_r_a(x=None, y=None, z=None):
-    """r_a = x(X+^X- + 2 V+^V-) + y(H^X+ - V+^V+) + z(H^X- - V-^V-)."""
-    ring, val = _resolve_params({"x": x, "y": y, "z": z})
-    x, y, z = val["x"], val["y"], val["z"]
-    return RMatrix.from_wedges(builtin("osp12"), [
-        (x, "X+", "X-"), (2 * x, "V+", "V-"),
-        (y, "H", "X+"), (-y, "V+", "V+"),
-        (z, "H", "X-"), (-z, "V-", "V-"),
-    ], ring)
-
-
-def osp_r_b(p=None, q=None):
-    """r_b = pq X+^X- + p^2 H^X+ + q^2 H^X-  (u=p^2, v=q^2, the sign branch
-    of sqrt(uv) rides on the sign of q)."""
-    ring, val = _resolve_params({"p": p, "q": q})
-    return RMatrix.from_wedges(builtin("osp12"), [
-        (val["p"] * val["q"], "X+", "X-"),
-        (val["p"] ** 2, "H", "X+"),
-        (val["q"] ** 2, "H", "X-"),
-    ], ring)
-
-
-def osp_r1():
-    return RMatrix.from_wedges(builtin("osp12"), [(1, "H", "X+")])
-
-
-def osp_r2():
-    return RMatrix.from_wedges(
-        builtin("osp12"), [(1, "H", "X+"), (-1, "V+", "V+")])
-
-
-def osp_r3(t=None):
-    ring, val = _resolve_params({"t": t})
-    t = val["t"]
-    return RMatrix.from_wedges(builtin("osp12"), [
-        (t, "H", "X+"), (-t, "V+", "V+"),
-        (t, "H", "X-"), (-t, "V-", "V-"),
-    ], ring)
-
-
-def e2_r_a(a=None, b=None, f=None, branch=1):
-    """r_A = a H^P+ - b H^P- + m D+^D- + f P+^P-, with m^2 = ab."""
-    ring, val = _resolve_with_root({"a": a, "b": b, "f": f}, branch)
-    return RMatrix.from_wedges(builtin("super_e2"), [
-        (val["a"], "H", "P+"), (-val["b"], "H", "P-"),
-        (val["m"], "D+", "D-"), (val["f"], "P+", "P-"),
-    ], ring)
-
-
-def e2_r_b(a=None, b=None, f=None):
-    """r_B = a(H^P+ - 1/2 D+^D+) - b(H^P- + 1/2 D-^D-) + f P+^P-."""
-    ring, val = _resolve_params({"a": a, "b": b, "f": f})
-    half = Fraction(1, 2)
-    return RMatrix.from_wedges(builtin("super_e2"), [
-        (val["a"], "H", "P+"), (-half * val["a"], "D+", "D+"),
-        (-val["b"], "H", "P-"), (-half * val["b"], "D-", "D-"),
-        (val["f"], "P+", "P-"),
-    ], ring)
-
-
-def e2_r_ii():
-    return RMatrix.from_wedges(builtin("super_e2"), [(1, "H", "P+")])
-
-
-def e2_r_iii():
-    return RMatrix.from_wedges(
-        builtin("super_e2"), [(1, "H", "P+"), (-1, "H", "P-"), (1, "D+", "D-")])
-
-
-def e2_r_v():
-    return RMatrix.from_wedges(
-        builtin("super_e2"), [(1, "H", "P+"), (Fraction(-1, 2), "D+", "D+")])
-
-
-def e2_r_vi():
-    return RMatrix.from_wedges(builtin("super_e2"), [
-        (1, "H", "P+"), (Fraction(-1, 2), "D+", "D+"),
-        (-1, "H", "P-"), (Fraction(-1, 2), "D-", "D-")])
-
-
-_FAMILY_BUILDERS = {
-    "osp-r-a": osp_r_a,
-    "osp-r-b": osp_r_b,
-    "osp-r1": osp_r1,
-    "osp-r2": osp_r2,
-    "osp-r3": osp_r3,
-    "e2-case-a": case_a,
-    "e2-case-b": case_b,
-    "e2-case-i": lambda c=None: case_a(0, 0, c),
-    "e2-case-ii": lambda c=None: case_a(1, 0, c),
-    "e2-case-iii": lambda c=None, branch=1: case_a(1, 1, c, branch=branch),
-    "e2-case-iv": lambda d=None: case_b(0, 0, 0, d),
-    "e2-case-v": lambda c=None: case_b(1, 0, c, 0),
-    "e2-case-vi": lambda c=None: case_b(1, 1, c, 0),
-    "e2-r-a": e2_r_a,
-    "e2-r-b": e2_r_b,
-    "e2-r-ii": e2_r_ii,
-    "e2-r-iii": e2_r_iii,
-    "e2-r-v": e2_r_v,
-    "e2-r-vi": e2_r_vi,
+_FAMILIES = {
+    "osp-r-a": ("osp12", "x y z",
+                "x X+^X- + 2*x V+^V- + y H^X+ - y V+^V+ + z H^X- - z V-^V-"),
+    # u = p^2, v = q^2: the sign branch of sqrt(uv) rides on the sign of q
+    "osp-r-b": ("osp12", "p q", "p*q X+^X- + p^2 H^X+ + q^2 H^X-"),
+    "osp-r1": ("osp12", "", "H^X+"),
+    "osp-r2": ("osp12", "", "H^X+ - V+^V+"),
+    "osp-r3": ("osp12", "t", "t H^X+ - t V+^V+ + t H^X- - t V-^V-"),
+    "e2-case-a": ("super_e2", "a b c branch", """
+        delta H = a H^P+ + b H^P- + c P+^P-
+        delta P+ = b P+^P-
+        delta P- = -a P+^P-
+        delta D+ = 1/2*a P+^D+ - 1/2*b P-^D+ + m P+^D-
+        # printed +1/2 (a P+ - b P-)^D-: fails the cocycle identity (ERRATA)
+        delta D- = -1/2*a P+^D- + 1/2*b P-^D- + m P-^D+"""),
+    # a bialgebra only when cd = 0
+    "e2-case-b": ("super_e2", "a b c d", """
+        delta H = a H^P+ - 1/2*a D+^D+ + b H^P- + 1/2*b D-^D- + c P+^P-
+        delta P+ = b P+^P- + 2*d H^P+ - d D+^D+
+        delta P- = -a P+^P- + 2*d H^P- + d D-^D-
+        delta D+ = -1/2*a P+^D+ - 1/2*b P-^D+ + d H^D+
+        # printed `^ D- + + d(H ^ D-)`: the doubled plus read as one (ERRATA)
+        delta D- = -1/2*a P+^D- - 1/2*b P-^D- + d H^D-"""),
+    "e2-r-a": ("super_e2", "a b f branch", "a H^P+ - b H^P- + m D+^D- + f P+^P-"),
+    "e2-r-b": ("super_e2", "a b f",
+               "a H^P+ - 1/2*a D+^D+ - b H^P- - 1/2*b D-^D- + f P+^P-"),
+    "e2-r-ii": ("super_e2", "", "H^P+"),
+    "e2-r-iii": ("super_e2", "", "H^P+ - H^P- + D+^D-"),
+    "e2-r-v": ("super_e2", "", "H^P+ - 1/2 D+^D+"),
+    "e2-r-vi": ("super_e2", "", "H^P+ - 1/2 D+^D+ - H^P- - 1/2 D-^D-"),
 }
+
+# The normal forms (i)-(vi): id -> (parent id, parameters, fixed values).
+_NORMAL_FORMS = {
+    "e2-case-i": ("e2-case-a", "c", {"a": 0, "b": 0}),
+    "e2-case-ii": ("e2-case-a", "c", {"a": 1, "b": 0}),
+    "e2-case-iii": ("e2-case-a", "c branch", {"a": 1, "b": 1}),
+    "e2-case-iv": ("e2-case-b", "d", {"a": 0, "b": 0, "c": 0}),
+    "e2-case-v": ("e2-case-b", "c", {"a": 1, "b": 0, "d": 0}),
+    "e2-case-vi": ("e2-case-b", "c", {"a": 1, "b": 1, "d": 0}),
+}
+
+_PARSED = {}  # id of _FAMILIES -> the family at symbolic parameters
+
+
+def _bind(names, values):
+    """The ring of a family call and the image in it of every symbol of the
+    family's text.  A numeric value becomes a scalar, any other parameter a
+    commuting variable, in table order.  m is branch * sqrt(ab): 0 when a or
+    b is 0, the rational root when both are numbers (an error when it is
+    irrational), and otherwise branch * a variable m with m^2 = ab."""
+    free = [n for n in names if n != "branch" and values.get(n) is None]
+    relations, root, branch = [], None, values.get("branch", 1)
+    if "branch" in names:
+        if branch not in (1, -1):
+            raise ValueError("branch must be +1 or -1")
+        a, b = values.get("a"), values.get("b")
+        if a == 0 or b == 0:
+            root = 0
+        elif a is None or b is None:
+            free.append("m")
+            relations.append((f"m^2-{'a' if a is None else Fraction(a)}"
+                              f"*{'b' if b is None else Fraction(b)}", "m^2"))
+        else:
+            root = rational_sqrt(Fraction(a) * Fraction(b))
+            if root is None:
+                raise ValueError(
+                    "a*b must be a rational square for a numeric family")
+    ring = Ring([(n, "commuting") for n in free], relations)
+    images = {n: ring.var(n) if n in free else ring.scalar(values[n])
+              for n in names if n != "branch"}
+    if "branch" in names:
+        images["m"] = branch * (ring.var("m") if root is None
+                                else ring.scalar(root))
+    return ring, images
+
+
+def _parsed(key):
+    """The family `key` of `_FAMILIES` at symbolic parameters, parsed once."""
+    if key not in _PARSED:
+        algebra, names, text = _FAMILIES[key]
+        parse = (parse_cobracket_text if "delta" in text
+                 else tensors.parse_rmatrix)
+        _PARSED[key] = parse(text, builtin(algebra), _bind(names.split(), {})[0])
+    return _PARSED[key]
 
 
 def family_ids():
-    return sorted(_FAMILY_BUILDERS)
+    return sorted([*_FAMILIES, *_NORMAL_FORMS])
 
 
-def family(family_id, **params):
-    """Named cobracket or r-matrix families (ids via family_ids())."""
+def family(family_id, *args, **params):
+    """A named cobracket or r-matrix family (ids via family_ids()).  Values
+    bind the parameters by position, in table order, or by name; an unbound
+    parameter, or one bound to None, stays symbolic."""
     key = family_id.lower().replace("_", "-")
-    builder = _FAMILY_BUILDERS.get(key)
-    if builder is None:
+    if key in _NORMAL_FORMS:
+        parent, accepted, fixed = _NORMAL_FORMS[key]
+    elif key in _FAMILIES:
+        parent, accepted, fixed = key, _FAMILIES[key][1], {}
+    else:
         raise KeyError(f"unknown family {family_id!r}")
-    import inspect
-    accepted = inspect.signature(builder).parameters
+    accepted = accepted.split()
+    if len(args) > len(accepted) or set(accepted[:len(args)]) & set(params):
+        raise TypeError(f"family {family_id!r} takes one value at most for"
+                        f" each of: {', '.join(accepted) or 'none'}")
+    params.update(zip(accepted, args))
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValueError(
             f"family {family_id!r} has no parameter {', '.join(unknown)};"
             f" it accepts: {', '.join(accepted) or 'none'}")
-    return builder(**params)
+    symbolic = _parsed(parent)
+    ring, images = _bind(_FAMILIES[parent][1].split(), {**params, **fixed})
+    if isinstance(symbolic, Cobracket):
+        return symbolic.map(ring, images)
+    return RMatrix(symbolic.algebra, symbolic.map(ring, images).coeffs, ring)
 
 
 # -- cobracket text format ----------------------------------------------------

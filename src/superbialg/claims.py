@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import builtin, parse_algebra_text
-from .bialgebra import (check_cobracket, coboundary_delta, cybe_status,
-                        case_a, case_b, family)
+from .bialgebra import check_cobracket, coboundary_delta, cybe_status, family
 from .tensors import parse_rmatrix
 from . import cocycles
 from .equivalence import ORBIT_CLAIMS
@@ -87,7 +86,7 @@ def _run_cobracket_axioms(claim):
 
 def _run_case_b_generic(claim):
     algebra = builtin("super_e2")
-    d = case_b()
+    d = family("e2-case-b")
     report = check_cobracket(algebra, d)
     failing = report.failing_axioms()
     if failing != ["cojacobi"]:
@@ -154,9 +153,9 @@ def _run_quadratic_point(claim):
     _, fam = cocycles.solve_cocycle_space(algebra)
     _, constraints = cocycles.cojacobi_constraints(fam)
     if claim["point"] == "case-a":
-        d = case_a()
+        d = family("e2-case-a")
     else:
-        d = case_b(c=1, d=1)
+        d = family("e2-case-b", c=1, d=1)
     vec = cocycles.cobracket_vector(d, fam.unknowns)
     coeffs = cocycles.in_span(fam.vectors, vec)
     if coeffs is None:

@@ -18,8 +18,7 @@ from fractions import Fraction
 from .scalars import Ring
 from .algebra import builtin, bracket
 from .tensors import GradedTensor, RMatrix
-from .bialgebra import (Cobracket, case_a, case_b, cybe_status, osp_r_a,
-                        osp_r_b, osp_r1, osp_r2, osp_r3)
+from .bialgebra import Cobracket, cybe_status, family
 
 
 def _matmul(left, right, zero):
@@ -217,8 +216,8 @@ class OrbitClaim:
         self.run = run
 
 
-_FAMILIES = {"r_a": osp_r_a, "r_b": osp_r_b, "r1": osp_r1, "r2": osp_r2,
-             "r3": osp_r3, "case_A": case_a, "case_B": case_b}
+_FAMILIES = {"r_a": "osp-r-a", "r_b": "osp-r-b", "r1": "osp-r1", "r2": "osp-r2",
+             "r3": "osp-r3", "case_A": "e2-case-a", "case_B": "e2-case-b"}
 
 
 def _label(point):
@@ -239,8 +238,8 @@ class _Witnesses:
 
     def __call__(self):
         for spec, source, target in self.rows:
-            x = _FAMILIES[source[0]](*source[1:])
-            want = _FAMILIES[target[0]](*target[1:])
+            x = family(_FAMILIES[source[0]], *source[1:])
+            want = family(_FAMILIES[target[0]], *target[1:])
             if spec is None:
                 if x != want:
                     return False, f"{_label(source)} is not {_label(target)}"
@@ -266,7 +265,7 @@ def _claim_congruence():
     phi = osp_automorphism(a, b, c, d, ring)
     if not phi.is_structure_preserving():
         return False, "osp automorphism fails structure preservation"
-    r_a = osp_r_a().convert(ring)
+    r_a = family("osp-r-a").convert(ring)
     law = {"x": -(a * b * y) + (a * d + b * c) * x - c * d * z,
            "y": a * a * y - 2 * a * c * x + c * c * z,
            "z": b * b * y - 2 * b * d * x + d * d * z}
@@ -301,9 +300,9 @@ def _claim_cybe_preserved():
     """Equivalence preserves the CYBE/mCYBE classification on the frozen
     witnesses."""
     osp = builtin("osp12")
-    for fermion, r in (((1, 0, 1, 1), osp_r_a(1, 1, 1)),
-                       ((0, -1, 1, 1), osp_r_a(1, 2, 1)),
-                       ((2, 3, 1, 2), osp_r_b(2, 3))):
+    for fermion, r in (((1, 0, 1, 1), family("osp-r-a", 1, 1, 1)),
+                       ((0, -1, 1, 1), family("osp-r-a", 1, 2, 1)),
+                       ((2, 3, 1, 2), family("osp-r-b", 2, 3))):
         moved = transform(osp_automorphism(*fermion), r)
         if cybe_status(osp, r) != cybe_status(osp, moved):
             return False, "classification changed under a witness"

@@ -235,6 +235,15 @@ class Ring:
     def kind(self, name):
         return self._kinds[name]
 
+    def namesakes(self, target):
+        """The images, for `SuperScalar.map`, of the ring map into `target`
+        that sends each variable to its namesake of the same kind."""
+        for name, kind in self._kinds.items():
+            if target._kinds.get(name) != kind:
+                what = "Grassmann variable" if kind == GRASSMANN else "variable"
+                raise RingMismatchError(f"target ring lacks {what} {name!r}")
+        return {name: target.var(name) for name in self.names}
+
     def __eq__(self, other):
         if not isinstance(other, Ring):
             return NotImplemented
@@ -617,11 +626,7 @@ class SuperScalar:
         ring map that sends each variable to its namesake."""
         if target == self.ring:
             return target._make(dict(self._terms))
-        for name, kind in self.ring._kinds.items():
-            if target._kinds.get(name) != kind:
-                what = "Grassmann variable" if kind == GRASSMANN else "variable"
-                raise RingMismatchError(f"target ring lacks {what} {name!r}")
-        return self.map(target, {n: target.var(n) for n in self.ring.names})
+        return self.map(target, self.ring.namesakes(target))
 
     # -- rendering -------------------------------------------------------
 

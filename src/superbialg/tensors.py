@@ -115,10 +115,14 @@ class GradedTensor:
             return parities.pop()
         return None
 
-    def convert(self, ring):
+    def map(self, ring, images):
+        """`SuperScalar.map(ring, images)` on every coefficient."""
         return GradedTensor(self.algebra, self.rank,
-                            {k: v.convert(ring) for k, v in self.coeffs.items()},
+                            {k: v.map(ring, images) for k, v in self.coeffs.items()},
                             ring)
+
+    def convert(self, ring):
+        return self.map(ring, self.ring.namesakes(ring))
 
     def render(self):
         if not self.coeffs:

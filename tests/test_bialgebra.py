@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from superbialg import cocycles
 from superbialg.algebra import builtin
-from superbialg.bialgebra import (Cobracket, _cojacobi_residuals, case_a,
-                                  case_b, check_cobracket, coboundary_delta,
+from superbialg.bialgebra import (Cobracket, _cojacobi_residuals,
+                                  check_cobracket, coboundary_delta,
                                   cybe_status, dual_algebra, family,
                                   family_ids, parse_cobracket_text,
                                   CYBE, MCYBE)
@@ -34,11 +34,11 @@ class TestCoboundary:
 
     def test_rii_equals_case_a_point(self, e2):
         d = coboundary_delta(e2, family("e2-r-ii"))
-        assert d == case_a(1, 0, 0)
+        assert d == family("e2-case-a", 1, 0, 0)
 
     def test_rv_equals_case_b_point(self, e2):
         d = coboundary_delta(e2, family("e2-r-v"))
-        assert d == case_b(1, 0, 0, 0)
+        assert d == family("e2-case-b", 1, 0, 0, 0)
 
     def test_pp_wedge_is_irrelevant(self, e2):
         d = coboundary_delta(e2, parse_rmatrix("1 P+^P-", e2))
@@ -60,11 +60,11 @@ class TestCobracketAxioms:
 
     @pytest.mark.parametrize("branch", [1, -1])
     def test_case_a_symbolic(self, branch, e2):
-        report = check_cobracket(e2, case_a(branch=branch))
+        report = check_cobracket(e2, family("e2-case-a", branch=branch))
         assert report.passed
 
     def test_case_b_generic_residual(self, e2):
-        report = check_cobracket(e2, case_b())
+        report = check_cobracket(e2, family("e2-case-b"))
         assert not report.passed
         assert report.failing_axioms() == ["cojacobi"]
         for res in report.residuals("cojacobi"):
@@ -73,11 +73,11 @@ class TestCobracketAxioms:
             assert res.substitute({"d": 0}).is_zero()
 
     def test_case_b_specializations_pass(self, e2):
-        assert check_cobracket(e2, case_b(c=0)).passed
-        assert check_cobracket(e2, case_b(d=0)).passed
+        assert check_cobracket(e2, family("e2-case-b", c=0)).passed
+        assert check_cobracket(e2, family("e2-case-b", d=0)).passed
 
     def test_case_b_numeric_violation(self, e2):
-        assert not check_cobracket(e2, case_b(c=1, d=1)).passed
+        assert not check_cobracket(e2, family("e2-case-b", c=1, d=1)).passed
 
 
 class TestCybeStatus:
@@ -116,11 +116,11 @@ class TestCybeStatus:
 
 class TestDuality:
     def test_case_a_dual_is_a_superalgebra(self, e2):
-        dual = dual_algebra(e2, case_a())
+        dual = dual_algebra(e2, family("e2-case-a"))
         assert dual.validate().passed
 
     def test_case_b_generic_dual_fails_jacobi_only(self, e2):
-        dual = dual_algebra(e2, case_b())
+        dual = dual_algebra(e2, family("e2-case-b"))
         report = dual.validate()
         assert report.jacobi_failures
         assert not report.antisymmetry_failures
@@ -128,10 +128,11 @@ class TestDuality:
 
     def test_duality_matches_cojacobi(self, e2):
         # dual-Jacobi passes exactly when the co-Jacobi report is clean
-        for d in (case_a(), case_b(d=0), case_b(c=0)):
+        for d in (family("e2-case-a"), family("e2-case-b", d=0),
+                  family("e2-case-b", c=0)):
             assert dual_algebra(e2, d).validate().passed
             assert not check_cobracket(e2, d).cojacobi
-        generic = case_b()
+        generic = family("e2-case-b")
         assert dual_algebra(e2, generic).validate().jacobi_failures
         assert check_cobracket(e2, generic).cojacobi
 
@@ -152,14 +153,14 @@ class TestFamilies:
 
     def test_numeric_case_a_requires_square(self):
         with pytest.raises(ValueError):
-            case_a(2, 1, 0)
-        d = case_a(4, 9, 0)
+            family("e2-case-a", 2, 1, 0)
+        d = family("e2-case-a", 4, 9, 0)
         i = d.algebra.index
         assert d.f[i["D+"]][i["P+"]][i["D-"]] == 6
 
     def test_branch_sign(self):
-        plus = case_a(1, 1, 0, branch=1)
-        minus = case_a(1, 1, 0, branch=-1)
+        plus = family("e2-case-a", 1, 1, 0, branch=1)
+        minus = family("e2-case-a", 1, 1, 0, branch=-1)
         i = plus.algebra.index
         assert plus.f[i["D+"]][i["P+"]][i["D-"]] == 1
         assert minus.f[i["D+"]][i["P+"]][i["D-"]] == -1
@@ -190,7 +191,7 @@ class TestFamilies:
 
 class TestCobracketText:
     def test_round_trip(self, e2):
-        d = case_a(1, 0, Fraction(5, 4))
+        d = family("e2-case-a", 1, 0, Fraction(5, 4))
         text = d.render()
         again = parse_cobracket_text(text, e2)
         assert again == d

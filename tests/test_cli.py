@@ -298,6 +298,12 @@ BAD_INPUTS = {
     "schouten-other-algebra-family": (
         ["schouten", "--algebra", "osp12", "--family", "e2-r-iii"],
         None, None),
+    "family-irrational-root": (
+        ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
+         "--params", "a=1,b=2"], None, None),
+    "family-bad-branch": (
+        ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
+         "--params", "branch=2"], None, None),
 }
 
 

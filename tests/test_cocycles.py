@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbialg.algebra import builtin
-from superbialg.bialgebra import (case_a, case_b, check_cobracket,
-                                  coboundary_delta)
+from superbialg.bialgebra import check_cobracket, coboundary_delta, family
 from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  build_cocycle_system, coboundary_space, cojacobi_constraints,
                                  cobracket_vector, evaluate_constraints,
@@ -130,7 +129,7 @@ class TestQuadraticConstraints:
         _, fam = e2_solution
         ring, constraints = cojacobi_constraints(fam)
         assert constraints
-        d = case_a()
+        d = family("e2-case-a")
         coeffs = in_span(fam.vectors, cobracket_vector(d, fam.unknowns))
         assert coeffs is not None
         coeffs = [d.ring.coerce(x) if not hasattr(x, "ring") else x
@@ -140,7 +139,7 @@ class TestQuadraticConstraints:
     def test_case_b_cd_point_violates(self, e2, e2_solution):
         _, fam = e2_solution
         _, constraints = cojacobi_constraints(fam)
-        d = case_b(c=1, d=1)
+        d = family("e2-case-b", c=1, d=1)
         coeffs = in_span(fam.vectors, cobracket_vector(d, fam.unknowns))
         assert coeffs is not None
         coeffs = [d.ring.coerce(x) if not hasattr(x, "ring") else x

@@ -9,9 +9,8 @@ import pytest
 from superbialg import equivalence
 from superbialg.scalars import Ring
 from superbialg.algebra import builtin
-from superbialg.bialgebra import (Cobracket, case_a, case_b,
-                                  coboundary_delta, cybe_status, family,
-                                  osp_r_a, osp_r_b)
+from superbialg.bialgebra import (Cobracket, coboundary_delta, cybe_status,
+                                  family)
 from superbialg.equivalence import (e2_automorphism,
                                     osp_automorphism, transform,
                                     verify_orbit_claims)
@@ -59,7 +58,7 @@ class TestE2Automorphisms:
     def test_flip_involution(self):
         flip = e2_automorphism("flip")
         composed = flip.compose(flip)
-        d = case_a(1, 0, 5)
+        d = family("e2-case-a", 1, 0, 5)
         assert transform(composed, d) == d
 
 
@@ -75,19 +74,19 @@ class TestTransform:
             d = (1 + b * c) / a
             phi = osp_automorphism(a, b, c, d)
             psi = osp_automorphism(1, rng.randint(-2, 2), 0, 1)
-            r = osp_r_a(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
+            r = family("osp-r-a", rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
             assert transform(phi.compose(psi), r) == transform(phi, transform(psi, r))
 
     def test_functoriality_on_cobrackets(self):
         phi = e2_automorphism("scale", Fraction(1, 2), 3)
         psi = e2_automorphism("shift", 1, -2)
-        d = case_b(4, 9, 0, 0)
+        d = family("e2-case-b", 4, 9, 0, 0)
         assert transform(phi.compose(psi), d) == transform(phi, transform(psi, d))
 
     def test_coboundary_commutes_with_transform(self, osp):
         from superbialg.bialgebra import coboundary_delta
         phi = osp_automorphism(1, 1, 0, 1)
-        r = osp_r_a(1, 2, 1)
+        r = family("osp-r-a", 1, 2, 1)
         lhs = transform(phi, coboundary_delta(osp, r))
         rhs = coboundary_delta(osp, transform(phi, r))
         assert lhs == rhs
@@ -95,16 +94,18 @@ class TestTransform:
     def test_case_a_scale_parameter_law(self):
         # a -> a alpha^2, b -> b beta^2, c -> c alpha^2 beta^2, m -> m alpha beta
         phi = e2_automorphism("scale", 2, 3)
-        moved = transform(phi, case_a(1, 1, 1, branch=1))
-        assert moved == case_a(4, 9, 36, branch=1)
+        moved = transform(phi, family("e2-case-a", 1, 1, 1, branch=1))
+        assert moved == family("e2-case-a", 4, 9, 36, branch=1)
 
     def test_case_b_flip_parameter_law(self):
         flip = e2_automorphism("flip")
-        assert transform(flip, case_b(2, 3, 5, 7)) == case_b(3, 2, 5, -7)
+        assert (transform(flip, family("e2-case-b", 2, 3, 5, 7))
+                == family("e2-case-b", 3, 2, 5, -7))
 
     def test_cybe_status_preserved(self, osp):
         phi = osp_automorphism(2, 3, 1, 2)
-        for r in (osp_r_a(1, 1, 1), osp_r_b(2, 3), family("osp-r3", t=1)):
+        for r in (family("osp-r-a", 1, 1, 1), family("osp-r-b", 2, 3),
+                  family("osp-r3", t=1)):
             assert cybe_status(osp, r) == cybe_status(osp, transform(phi, r))
 
 
@@ -155,24 +156,24 @@ def _witnesses():
     witnesses applied to the coboundaries of the r-matrices they move."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     osp = builtin("osp12")
-    sym = case_a()
+    sym = family("e2-case-a")
     pairs = [
-        (e2_automorphism("scale", half, third), case_a(4, 9, 5)),
-        (e2_automorphism("scale", half, 1), case_a(4, 0, 5)),
-        (e2_automorphism("flip"), case_a(0, 9, 5)),
-        (e2_automorphism("scale", third, 1), case_a(9, 0, 5)),
-        (e2_automorphism("scale", 1, -1), case_a(4, 9, 5)),
+        (e2_automorphism("scale", half, third), family("e2-case-a", 4, 9, 5)),
+        (e2_automorphism("scale", half, 1), family("e2-case-a", 4, 0, 5)),
+        (e2_automorphism("flip"), family("e2-case-a", 0, 9, 5)),
+        (e2_automorphism("scale", third, 1), family("e2-case-a", 9, 0, 5)),
+        (e2_automorphism("scale", 1, -1), family("e2-case-a", 4, 9, 5)),
         (e2_automorphism("scale", 1, -1, ring=sym.ring), sym),
-        (e2_automorphism("shift", 1, Fraction(3, 2)), case_b(2, 3, 0, 1)),
-        (e2_automorphism("scale", half, 1), case_b(4, 0, 7, 0)),
-        (e2_automorphism("scale", half, third), case_b(4, 9, 7, 0)),
-        (e2_automorphism("flip"), case_b(0, 4, 7, 0)),
+        (e2_automorphism("shift", 1, Fraction(3, 2)), family("e2-case-b", 2, 3, 0, 1)),
+        (e2_automorphism("scale", half, 1), family("e2-case-b", 4, 0, 7, 0)),
+        (e2_automorphism("scale", half, third), family("e2-case-b", 4, 9, 7, 0)),
+        (e2_automorphism("flip"), family("e2-case-b", 0, 4, 7, 0)),
     ]
-    for phi, r in [(osp_automorphism(1, 1, 0, 1), osp_r_a(1, 1, 1)),
-                   (osp_automorphism(1, 0, 1, 1), osp_r_a(1, 2, 1)),
-                   (osp_automorphism(half, -half, 1, 1), osp_r_a(0, 4, 1)),
-                   (osp_automorphism(2, 3, 1, 2), osp_r_b(2, 3)),
-                   (osp_automorphism(0, -1, 1, 1), osp_r_a(1, 2, 1))]:
+    for phi, r in [(osp_automorphism(1, 1, 0, 1), family("osp-r-a", 1, 1, 1)),
+                   (osp_automorphism(1, 0, 1, 1), family("osp-r-a", 1, 2, 1)),
+                   (osp_automorphism(half, -half, 1, 1), family("osp-r-a", 0, 4, 1)),
+                   (osp_automorphism(2, 3, 1, 2), family("osp-r-b", 2, 3)),
+                   (osp_automorphism(0, -1, 1, 1), family("osp-r-a", 1, 2, 1))]:
         pairs.append((phi, coboundary_delta(osp, r)))
     return pairs
 

@@ -11,7 +11,7 @@ from superbialg.algebra import builtin, bracket
 from superbialg.tensors import (GradedTensor, RMatrix, wedge, ad_action,
                                 schouten, is_ad_invariant, parse_rmatrix,
                                 render_wedge_form)
-from superbialg.bialgebra import family, osp_r_a
+from superbialg.bialgebra import family
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +129,7 @@ class TestSchouten:
     def test_schouten_obstruction_is_the_orbit_invariant(self, osp):
         # [[r_a, r_a]] vanishes exactly on the degenerate orbit x^2 = yz:
         # parameterize (x, y, z) = (p q, p^2, q^2) and check symbolically.
-        r = osp_r_a()
+        r = family("osp-r-a")
         ring = r.ring
         s = schouten(osp, r)
         bindings = {"x": ring.parse("x*y"), "y": ring.parse("x^2"),
