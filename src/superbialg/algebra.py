@@ -53,36 +53,30 @@ class SuperLieAlgebra:
     completion is filled in automatically.  Coefficients live in `ring`
     (rational constants unless an explicitly parametric algebra is built).
     Only nonzero constants are kept, in `constants` = {(i, j): ((k, c_ij^k),
-    ...)} sorted by k.
+    ...)} sorted by k; `constants_in(ring)` is that table over another ring.
     """
 
     def __init__(self, name, basis, brackets, ring=None):
         self.name = name
         self.ring = ring if ring is not None else Ring([])
-        names = []
-        grades = []
-        for bname, grade in basis:
-            if isinstance(grade, str):
-                grade = {"even": EVEN, "odd": ODD}[grade]
-            names.append(bname)
-            grades.append(grade)
-        if len(set(names)) != len(names):
+        self.basis = tuple(bname for bname, _ in basis)
+        self.grades = tuple({"even": EVEN, "odd": ODD}[g] if isinstance(g, str)
+                            else g for _, g in basis)
+        if len(set(self.basis)) != len(self.basis):
             raise ValueError("duplicate basis name")
-        self.basis = tuple(names)
-        self.grades = tuple(grades)
-        self.dim = len(names)
-        self.index = {bname: i for i, bname in enumerate(names)}
-        zero = self.ring.zero()
-        acc = {}
+        self.dim = len(self.basis)
+        self.index = {bname: i for i, bname in enumerate(self.basis)}
+        products = []
         for (iname, jname), rhs in brackets.items():
             i, j = self.index[iname], self.index[jname]
             for coeff, kname in rhs:
                 k = self.index[kname]
-                value = self.ring.coerce(coeff)
-                acc[i, j, k] = acc.get((i, j, k), zero) + value
+                value = (self.ring.coerce(coeff),)
+                products.append(((i, j, k), 1, value))
                 if i != j:
-                    acc[j, i, k] = acc.get((j, i, k), zero) - self.z(i, j) * value
-        self.constants = _sparse_constants(acc)
+                    products.append(((j, i, k), -self.z(i, j), value))
+        self.constants = _sparse_constants(tensors.accumulate(self.ring, products))
+        self._constants_in = {}
 
     @property
     def c(self):
@@ -103,6 +97,18 @@ class SuperLieAlgebra:
         """Nonzero structure constants of [g_i, g_j] as (k, coefficient)."""
         return self.constants.get((i, j), ())
 
+    def constants_in(self, ring):
+        """`constants` converted into `ring`, once per ring up to equality
+        (a ring equal to the algebra's gets `constants` itself)."""
+        if ring == self.ring:
+            return self.constants
+        converted = self._constants_in.get(ring)
+        if converted is None:
+            converted = self._constants_in[ring] = {
+                ij: tuple((k, v.convert(ring)) for k, v in entries)
+                for ij, entries in self.constants.items()}
+        return converted
+
     # -- axioms ---------------------------------------------------------
 
     def validate(self):
@@ -112,7 +118,6 @@ class SuperLieAlgebra:
         `tensors.contract`; each T entry enters its three keys with z(x,w)."""
         report = AlgebraReport()
         names = self.basis
-        zero = self.ring.zero()
         rows = [{} for _ in range(self.dim)]
         for (i, j), entries in sorted(self.constants.items()):
             for k, v in entries:
@@ -120,24 +125,22 @@ class SuperLieAlgebra:
                 if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
                     report.grading_failures.append(
                         (names[i], names[j], names[k], v.render()))
-        for i, j in sorted({(min(ij), max(ij)) for ij in self.constants}):
-            ks = {k for k, _ in self.bracket_indices(i, j) + self.bracket_indices(j, i)}
-            for k in sorted(ks):
-                res = rows[i].get((j, k), zero) + self.z(i, j) * rows[j].get((i, k), zero)
-                if not res.is_zero():
-                    report.antisymmetry_failures.append(
-                        (names[i], names[j], names[k], res.render()))
-        jacobi = {}
-        for (x, y, w, m), value in tensors.contract(rows).items():
-            if self.z(x, w) == -1:
-                value = -value
-            for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m)):
-                acc = jacobi.get(key)
-                jacobi[key] = value if acc is None else acc + value
-        for key in sorted(jacobi):
-            if not jacobi[key].is_zero():
-                report.jacobi_failures.append(
-                    (*(names[i] for i in key), jacobi[key].render()))
+        # c_ij^k + z(i,j) c_ji^k keyed i <= j: c_ij^k enters with 1 when
+        # i < j, z(i,j) when i > j and 1 + z(i,i) when i = j
+        antisymmetry = tensors.accumulate(self.ring, (
+            ((min(i, j), max(i, j), k),
+             (i <= j) + (i >= j) * self.z(i, j), (v,))
+            for (i, j), entries in self.constants.items() for k, v in entries))
+        for (i, j, k), res in sorted(antisymmetry.items()):
+            report.antisymmetry_failures.append(
+                (names[i], names[j], names[k], res.render()))
+        jacobi = tensors.accumulate(self.ring, (
+            (key, self.z(x, w), (value,))
+            for (x, y, w, m), value in tensors.contract(self.ring, rows).items()
+            for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m))))
+        for key, res in sorted(jacobi.items()):
+            report.jacobi_failures.append(
+                (*(names[i] for i in key), res.render()))
         return report
 
     # -- elements --------------------------------------------------------
@@ -152,12 +155,11 @@ class SuperLieAlgebra:
 
 
 def _sparse_constants(entries):
-    """{(i, j): ((k, value), ...)} sorted by k from {(i, j, k): value},
-    dropping zeros."""
+    """{(i, j): ((k, value), ...)} sorted by k from {(i, j, k): value}, whose
+    values are nonzero."""
     constants = {}
     for (i, j, k), v in sorted(entries.items()):
-        if not v.is_zero():
-            constants[i, j] = constants.get((i, j), ()) + ((k, v),)
+        constants[i, j] = constants.get((i, j), ()) + ((k, v),)
     return constants
 
 
@@ -171,10 +173,9 @@ def bracket(algebra, x, y):
         raise RingMismatchError("elements of a different algebra")
     if x.rank != 1 or y.rank != 1:
         raise ValueError("bracket is defined on rank-1 elements")
-    out = tensors.GradedTensor.zero(algebra, 1, x.ring)
-    for (i,), f in x.coeffs.items():
-        out = out + tensors._adjoint(algebra, i, y).scale(f)
-    return out
+    return tensors.GradedTensor(algebra, 1, tensors.accumulate(x.ring, (
+        (key, sign, (f, *factors)) for (i,), f in x.coeffs.items()
+        for key, sign, factors in tensors._adjoint(algebra, i, y))), x.ring)
 
 
 # -- built-in algebras --------------------------------------------------

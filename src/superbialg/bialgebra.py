@@ -67,14 +67,15 @@ class Cobracket:
     def from_entries(cls, algebra, ring, entries):
         """Build from ((i, k, l), value) pairs: each value is added at
         f_i^{kl} and, for k != l, at f_i^{lk} with the graded sign -z(k,l)."""
-        zero = ring.zero()
-        coeffs = [{} for _ in range(algebra.dim)]
+        products = []
         for (i, k, l), value in entries:
-            value = ring.coerce(value)
-            row = coeffs[i]
-            row[(k, l)] = row.get((k, l), zero) + value
+            value = (ring.coerce(value),)
+            products.append(((i, k, l), 1, value))
             if k != l:
-                row[(l, k)] = row.get((l, k), zero) - algebra.z(k, l) * value
+                products.append(((i, l, k), -algebra.z(k, l), value))
+        coeffs = [{} for _ in range(algebra.dim)]
+        for (i, k, l), value in tensors.accumulate(ring, products).items():
+            coeffs[i][k, l] = value
         return cls(algebra, ring,
                    [GradedTensor(algebra, 2, c, ring) for c in coeffs])
 
@@ -154,25 +155,21 @@ def coboundary_delta(algebra, r):
     """delta(g) = [g(x)1 + 1(x)g, r] = ad_g(r), as a Cobracket."""
     if r.parity() != EVEN:
         raise ValueError("coboundary needs an even r")
-    rows = {}
-    for g, name in enumerate(algebra.basis):
-        rows[name] = ad_action(algebra, g, r)
-    return Cobracket.from_rows(algebra, rows, r.ring)
+    return Cobracket(algebra, r.ring,
+                     [ad_action(algebra, g, r) for g in range(algebra.dim)])
 
 
 def _cocycle_residual(algebra, d, i, j):
     """delta([g_i,g_j]) - ad_i delta(g_j) + z(i,j) ad_j delta(g_i)."""
     ring = d.ring
-    res = GradedTensor.zero(algebra, 2, ring)
-    for k, cval in algebra.bracket_indices(i, j):
-        res = res + cval.convert(ring) * d.delta(k)
-    res = res - ad_action(algebra, i, d.delta(j))
-    adj = ad_action(algebra, j, d.delta(i))
-    if algebra.z(i, j) == -1:
-        res = res - adj
-    else:
-        res = res + adj
-    return res
+    products = [(kl, 1, (cval, v))
+                for k, cval in algebra.constants_in(ring).get((i, j), ())
+                for kl, v in d.rows[k].coeffs.items()]
+    products += [(key, -sign, factors) for key, sign, factors
+                 in tensors._adjoint(algebra, i, d.rows[j])]
+    products += [(key, algebra.z(i, j) * sign, factors) for key, sign, factors
+                 in tensors._adjoint(algebra, j, d.rows[i])]
+    return GradedTensor(algebra, 2, tensors.accumulate(ring, products), ring)
 
 
 def _cojacobi_residuals(algebra, d):
@@ -181,17 +178,13 @@ def _cojacobi_residuals(algebra, d):
     T(i,k,l,m) = sum_j f_i^{kj} f_j^{lm}, with i, k, l, m in lexicographic
     order.  T is `tensors.contract` of the rows; each of its entries enters
     the three cyclic positions of its last three indices with the same sign."""
-    residuals = {}
-    for (i, k, l, m), value in tensors.contract([row.coeffs for row in d.rows]).items():
-        if algebra.z(k, m) == -1:
-            value = -value
-        for key in ((i, k, l, m), (i, m, k, l), (i, l, m, k)):
-            acc = residuals.get(key)
-            residuals[key] = value if acc is None else acc + value
-    for key in sorted(residuals):
-        res = residuals[key]
-        if not res.is_zero():
-            yield (*key, res)
+    contracted = tensors.contract(d.ring, [row.coeffs for row in d.rows])
+    residuals = tensors.accumulate(d.ring, (
+        (key, algebra.z(k, m), (value,))
+        for (i, k, l, m), value in contracted.items()
+        for key in ((i, k, l, m), (i, m, k, l), (i, l, m, k))))
+    for key, res in sorted(residuals.items()):
+        yield (*key, res)
 
 
 def check_cobracket(algebra, d):

@@ -53,6 +53,8 @@ def _parse_params(text):
         key, _, value = piece.partition("=")
         if not _ or not key.strip():
             raise UsageError(f"bad parameter binding {piece!r}")
+        if key.strip() in params:
+            raise UsageError(f"parameter {key.strip()!r} is bound twice")
         try:
             params[key.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

@@ -17,15 +17,15 @@ from fractions import Fraction
 
 from .scalars import Ring
 from .algebra import builtin, bracket
-from .tensors import GradedTensor, RMatrix
+from .tensors import GradedTensor, RMatrix, accumulate
 from .bialgebra import Cobracket, cybe_status, family
 
 
-def _matmul(left, right, zero):
-    """The product of two square matrices of scalars."""
+def _matmul(left, right, ring):
+    """The product of two square matrices of scalars over `ring`."""
     n = len(left)
-    return [[sum((left[i][k] * right[k][j] for k in range(n)
-                  if not left[i][k].is_zero()), zero)
+    return [[ring.sum_of_products((1, (left[i][k], right[k][j]))
+                                  for k in range(n) if not left[i][k].is_zero())
              for j in range(n)] for i in range(n)]
 
 
@@ -48,7 +48,7 @@ class Automorphism:
                and not self.matrix[i][j].is_zero()
                for i in range(n) for j in range(n)):
             raise ValueError("automorphism mixes the grading blocks")
-        product = _matmul(self.matrix, self.inverse, self.ring.zero())
+        product = _matmul(self.matrix, self.inverse, self.ring)
         if any(product[i][j] != int(i == j) for i in range(n) for j in range(n)):
             raise ValueError("inverse matrix does not invert the map")
 
@@ -64,16 +64,17 @@ class Automorphism:
 
     def structure_residuals(self):
         algebra = self.algebra
+        constants = algebra.constants_in(self.ring)
         n = algebra.dim
         bad = []
         for i in range(n):
             for j in range(n):
                 lhs = bracket(algebra, self.apply_index(i), self.apply_index(j))
-                rhs = GradedTensor.zero(algebra, 1, self.ring)
-                for k, cval in algebra.bracket_indices(i, j):
-                    rhs = rhs + cval.convert(self.ring) * self.apply_index(k)
-                diff = lhs - rhs
-                for (k,), v in diff.coeffs.items():
+                rhs = GradedTensor(algebra, 1, accumulate(self.ring, (
+                    ((m,), 1, (cval, v))
+                    for k, cval in constants.get((i, j), ())
+                    for m, v in enumerate(self.matrix[k]))), self.ring)
+                for (k,), v in (lhs - rhs).coeffs.items():
                     bad.append((algebra.basis[i], algebra.basis[j],
                                 algebra.basis[k], v))
         return bad
@@ -82,10 +83,9 @@ class Automorphism:
         """phi o psi: apply `other` first, then this map."""
         if other.algebra is not self.algebra or other.ring != self.ring:
             raise ValueError("incompatible automorphisms")
-        zero = self.ring.zero()
         return Automorphism(self.algebra,
-                            _matmul(other.matrix, self.matrix, zero),
-                            _matmul(self.inverse, other.inverse, zero),
+                            _matmul(other.matrix, self.matrix, self.ring),
+                            _matmul(self.inverse, other.inverse, self.ring),
                             self.ring, name=f"{self.name}*{other.name}")
 
     def __repr__(self):
@@ -180,27 +180,16 @@ def transform(phi, x):
     n = algebra.dim
     if isinstance(x, Cobracket):
         moved = [transform(phi, row) for row in x.rows]
-        rows = []
-        for i in range(n):
-            row = GradedTensor.zero(algebra, 2, ring)
-            for p, image in enumerate(moved):
-                if not phi.inverse[i][p].is_zero():
-                    row = row + phi.inverse[i][p] * image
-            rows.append(row)
-        return Cobracket(algebra, ring, rows)
+        return Cobracket(algebra, ring, [GradedTensor(algebra, 2, accumulate(
+            ring, ((kl, 1, (inv, v)) for inv, image in zip(phi.inverse[i], moved)
+                   if not inv.is_zero() for kl, v in image.coeffs.items())),
+            ring) for i in range(n)])
     if isinstance(x, GradedTensor) and x.rank == 2:
         src = x.convert(ring) if x.ring != ring else x
-        out = {}
-        for (k, l), v in src.coeffs.items():
-            for kk, mk in enumerate(phi.matrix[k]):
-                if mk.is_zero():
-                    continue
-                for ll, ml in enumerate(phi.matrix[l]):
-                    if ml.is_zero():
-                        continue
-                    term = v * mk * ml
-                    acc = out.get((kk, ll))
-                    out[(kk, ll)] = term if acc is None else acc + term
+        out = accumulate(ring, (
+            ((kk, ll), 1, (v, mk, ml)) for (k, l), v in src.coeffs.items()
+            for kk, mk in enumerate(phi.matrix[k]) if not mk.is_zero()
+            for ll, ml in enumerate(phi.matrix[l]) if not ml.is_zero()))
         if isinstance(x, RMatrix):
             return RMatrix(algebra, out, ring)
         return GradedTensor(algebra, 2, out, ring)

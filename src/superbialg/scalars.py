@@ -114,7 +114,10 @@ class Ring:
     coefficient 1, and the leading monomial must divide no other monomial of
     the relation.  No two leading monomials may share a variable: then no
     two rules overlap, and by Buchberger's first criterion the normal form
-    does not depend on which rule fires first.
+    does not depend on which rule fires first.  The other monomials of a
+    relation have nonnegative exponents and lie below its leading monomial in
+    the degree-lexicographic order on the even exponents that ranks the
+    leading variables first: rewriting lowers monomials in it, so it ends.
     """
 
     def __init__(self, variables=(), relations=()):
@@ -150,6 +153,22 @@ class Ring:
                         f"leading monomials {other_text!r} and {lead_text!r}"
                         " share a variable")
             rules.append(rule)
+        ranked = sorted(range(len(evens)), key=lambda p: not any(
+            lead[p] for lead, _ in rules)) if rules else ()
+
+        def weight(exps):
+            return sum(exps), [exps[p] for p in ranked]
+
+        for (lead, replacement), (rel_text, lead_text) in zip(
+                rules, self._relation_spec):
+            for exps, _ in replacement:
+                if min(exps, default=0) < 0:
+                    raise ReductionError(
+                        f"relation {rel_text!r} has a negative exponent")
+                if weight(exps) >= weight(lead):
+                    raise ReductionError(
+                        f"relation {rel_text!r} has a monomial not below"
+                        f" its leading monomial {lead_text!r}")
         self._relations = tuple(rules)
 
     def _compile_relation(self, relation, leading):
@@ -273,10 +292,12 @@ class Ring:
         reduced products."""
         checked = []
         for q, factors in products:
+            terms = []
             for x in factors:
                 if x.ring is not self and x.ring != self:
                     raise RingMismatchError("factor belongs to a different ring")
-            checked.append((_coefficient(q), [x._terms for x in factors]))
+                terms.append(x._terms)
+            checked.append((q if type(q) is int else _coefficient(q), terms))
         return self._make(self._reduce_terms(
             _sum_of_products(checked, (self._zero_exps, ()))))
 
@@ -602,24 +623,10 @@ class SuperScalar:
 
     def map(self, target, images):
         """The ring homomorphism into `target` that sends each variable to
-        `images[name]`, an element of `target`: the multiplicative extension
-        over the terms, taking the Grassmann factors in their stored order.
-        A negative Laurent power inverts its image.  The products are formed
-        unreduced and their sum is reduced once."""
-        ring = self.ring
-        evens = [images[name] for name in ring._evens]
-        odds = [images[name] for name in ring._odds]
-        for image in evens + odds:
-            if image.ring is not target and image.ring != target:
-                raise RingMismatchError("image belongs to a different ring")
-        products = []
-        for (exps, odd_idx), coeff in self._terms.items():
-            factors = [(evens[pos] if k == 1 else evens[pos] ** k)._terms
-                       for pos, k in enumerate(exps) if k]
-            factors.extend(odds[oi]._terms for oi in odd_idx)
-            products.append((coeff, factors))
-        return target._make(target._reduce_terms(
-            _sum_of_products(products, (target._zero_exps, ()))))
+        `images[name]`, an element of `target` (see `map_products`).  The
+        products are formed unreduced and their sum is reduced once."""
+        return target.sum_of_products(
+            map_products(self.ring, target, images)(self))
 
     def convert(self, target):
         """Re-express in `target`, matching variables by name and kind: the
@@ -665,14 +672,34 @@ class SuperScalar:
         return f"<{self.render()}>"
 
 
+def map_products(source, target, images):
+    """The ring map from `source` into `target` sending each variable to
+    `images[name]`, an element of `target`, as a function from an element of
+    `source` to the (coefficient, factors) pairs whose `sum_of_products` in
+    `target` is its image (Grassmann factors in their stored order, a
+    negative Laurent power inverted), the images checked once for all."""
+    evens = [images[name] for name in source._evens]
+    odds = [images[name] for name in source._odds]
+    for image in evens + odds:
+        if image.ring is not target and image.ring != target:
+            raise RingMismatchError("image belongs to a different ring")
+
+    def products(x):
+        return [(coeff, [evens[pos] if k == 1 else evens[pos] ** k
+                         for pos, k in enumerate(exps) if k]
+                 + [odds[i] for i in odd_idx])
+                for (exps, odd_idx), coeff in x._terms.items()]
+    return products
+
+
 def reduce_mod_relation(x, relation, leading_monomial):
     """Rewrite every occurrence of `leading_monomial` using `relation`.
 
     `relation` is understood as ``relation == 0``; the leading monomial must
-    occur in it with coefficient 1 and divide no other monomial of it, which
-    makes single-relation rewriting confluent and terminating (every other
-    monomial is smaller in the degree-lexicographic order that ranks the
-    leading variable highest).
+    occur in it with coefficient 1 and divide no other monomial of it.
+    Unlike a `Ring`'s relations it is not checked to terminate: with
+    ``a*d - a^2 - d^2`` and leading monomial ``a*d``, rewriting ``a^2*d^2``
+    comes back to ``a^2*d^2`` and raises ReductionError.
     """
     ring = x.ring
     if isinstance(leading_monomial, str):

@@ -1,6 +1,6 @@
-"""Graded tensor powers of a superalgebra: wedges, the adjoint action on
-rank-2 and rank-3 tensors, the Schouten bracket [[r,r]], and the sparse
-contraction shared by the Jacobi and co-Jacobi checks.
+"""Graded tensor powers of a superalgebra: wedges, the adjoint action, the
+Schouten bracket [[r,r]], the sparse contraction shared by the Jacobi and
+co-Jacobi checks, and `accumulate`, which forms each of their coefficients.
 
 Sign conventions (frozen here, used everywhere):
 
@@ -25,9 +25,10 @@ Sign conventions (frozen here, used everywhere):
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 
-from .scalars import EVEN, RingMismatchError, ScalarParseError
+from .scalars import EVEN, RingMismatchError, ScalarParseError, map_products
 
 
 class GradedTensor:
@@ -54,21 +55,13 @@ class GradedTensor:
     def is_zero(self):
         return not self.coeffs
 
-    def _compatible(self, other):
+    def __add__(self, other):
         if (other.algebra is not self.algebra or other.rank != self.rank
                 or other.ring != self.ring):
             raise RingMismatchError("incompatible tensors")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc = out.get(k, self.ring.zero()) + v
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return GradedTensor(self.algebra, self.rank, out, self.ring)
+        return GradedTensor(self.algebra, self.rank, accumulate(self.ring, (
+            (k, 1, (v,)) for t in (self, other) for k, v in t.coeffs.items())),
+            self.ring)
 
     def __neg__(self):
         return GradedTensor(self.algebra, self.rank,
@@ -98,9 +91,6 @@ class GradedTensor:
 
     __hash__ = None
 
-    def basis_parity(self, idx):
-        return sum(self.algebra.grades[i] for i in idx) % 2
-
     def parity(self):
         """Total parity (coefficient + slots), or None if inhomogeneous."""
         parities = set()
@@ -108,7 +98,7 @@ class GradedTensor:
             cp = coeff.parity()
             if cp is None:
                 return None
-            parities.add((cp + self.basis_parity(idx)) % 2)
+            parities.add((cp + sum(self.algebra.grades[i] for i in idx)) % 2)
         if not parities:
             return EVEN
         if len(parities) == 1:
@@ -116,10 +106,12 @@ class GradedTensor:
         return None
 
     def map(self, ring, images):
-        """`SuperScalar.map(ring, images)` on every coefficient."""
-        return GradedTensor(self.algebra, self.rank,
-                            {k: v.map(ring, images) for k, v in self.coeffs.items()},
-                            ring)
+        """`SuperScalar.map(ring, images)` on every coefficient, with the
+        images checked once and each coefficient summed by `accumulate`."""
+        products = map_products(self.ring, ring, images)
+        return GradedTensor(self.algebra, self.rank, accumulate(
+            ring, ((k, q, factors) for k, v in self.coeffs.items()
+                   for q, factors in products(v))), ring)
 
     def convert(self, ring):
         return self.map(ring, self.ring.namesakes(ring))
@@ -138,24 +130,37 @@ class GradedTensor:
         return f"<rank-{self.rank} {self.render()}>"
 
 
+def accumulate(ring, products):
+    """{key: sum of q * f1 * ... * fn} over the (key, q, (f1, ..., fn))
+    triples in `products` (q rational, each f in `ring`): each key's sum is
+    one `Ring.sum_of_products`, reduced once, and zero sums are dropped."""
+    groups = defaultdict(list)
+    for key, q, factors in products:
+        groups[key].append((q, factors))
+    out = {}
+    for key, group in groups.items():
+        value = ring.sum_of_products(group)
+        if value._terms:
+            out[key] = value
+    return out
+
+
 def wedge(algebra, x, y, ring=None, coeff=1):
     """x ^ y = x(x)y - z(x,y) y(x)x on basis elements (names or indices)."""
     return _wedge_sum(algebra, [(coeff, x, y)], ring)
 
 
 def _wedge_sum(algebra, entries, ring=None):
-    """The sum of coeff * (x ^ y) over (coeff, x, y) terms, filled into one
-    coefficient dict."""
+    """The sum of coeff * (x ^ y) over (coeff, x, y) terms, accumulated
+    into one coefficient dict."""
     ring = ring if ring is not None else algebra.ring
-    out = {}
+    products = []
     for coeff, x, y in entries:
         i = algebra.index[x] if isinstance(x, str) else x
         j = algebra.index[y] if isinstance(y, str) else y
-        coeff = ring.coerce(coeff)
-        for key, value in (((i, j), coeff), ((j, i), -algebra.z(i, j) * coeff)):
-            acc = out.get(key)
-            out[key] = value if acc is None else acc + value
-    return GradedTensor(algebra, 2, out, ring)
+        coeff = (ring.coerce(coeff),)
+        products += [((i, j), 1, coeff), ((j, i), -algebra.z(i, j), coeff)]
+    return GradedTensor(algebra, 2, accumulate(ring, products), ring)
 
 
 def ad_action(algebra, g, t):
@@ -164,48 +169,42 @@ def ad_action(algebra, g, t):
         raise RingMismatchError("tensor of a different algebra")
     if t.rank == 1:
         raise ValueError("ad_action expects rank 2 or 3")
-    return _adjoint(algebra, algebra.index[g] if isinstance(g, str) else g, t)
+    gi = algebra.index[g] if isinstance(g, str) else g
+    return GradedTensor(algebra, t.rank,
+                        accumulate(t.ring, _adjoint(algebra, gi, t)), t.ring)
 
 
 def _adjoint(algebra, gi, t):
-    """ad_{g_i}(t) for a tensor of any rank: the bracket enters each slot in
-    turn, after the Koszul signs of the scalar and the slots it passes."""
+    """The (index, sign, (scalar, structure constant)) triples whose
+    `accumulate` is ad_{g_i}(t), for any rank: the bracket enters each slot in
+    turn after the Koszul signs of the scalar's parity parts and prior slots."""
     ggrade = algebra.grades[gi]
-    ring = t.ring
-    out = {}
+    constants = algebra.constants_in(t.ring)
     for idx, coeff in t.coeffs.items():
-        for cpart in coeff.homogeneous_parts():
+        for cpart in coeff.homogeneous_parts() if ggrade else (coeff,):
             if cpart.is_zero():
                 continue
             # move g past the scalar coefficient, then past each slot
             sign = -1 if (ggrade and cpart.parity()) else 1
             for slot, target in enumerate(idx):
-                for k, cval in algebra.bracket_indices(gi, target):
-                    new_idx = idx[:slot] + (k,) + idx[slot + 1:]
-                    value = sign * (cpart * cval.convert(ring))
-                    acc = out.get(new_idx)
-                    out[new_idx] = value if acc is None else acc + value
+                for k, cval in constants.get((gi, target), ()):
+                    yield idx[:slot] + (k,) + idx[slot + 1:], sign, (cpart, cval)
                 if ggrade and algebra.grades[target]:
                     sign = -sign
-    return GradedTensor(algebra, t.rank, out, ring)
 
 
-def contract(rows):
-    """T(a,b,c,d) = sum_j rows[a][(b,j)] rows[j][(c,d)] over stored entries.
+def contract(ring, rows):
+    """T(a,b,c,d) = sum_j rows[a][(b,j)] rows[j][(c,d)] over stored entries,
+    each stored product formed once, accumulated over `ring`.
 
     `rows` is a list of {(b, j): scalar} dicts.  With rows[i][(k,l)] = f_i^{kl}
     this is the co-Jacobi contraction of a cobracket; with rows[i][(j,k)] =
     c_ij^k it is [[g_a,g_b],g_c]_d, the Jacobi term of an algebra.
     """
-    out = {}
-    for a, row in enumerate(rows):
-        for (b, j), left in row.items():
-            for (c, d), right in rows[j].items():
-                key = (a, b, c, d)
-                prod = left * right
-                acc = out.get(key)
-                out[key] = prod if acc is None else acc + prod
-    return out
+    return accumulate(ring, (
+        ((a, b, c, d), 1, (left, right))
+        for a, row in enumerate(rows) for (b, j), left in row.items()
+        for (c, d), right in rows[j].items()))
 
 
 class RMatrix(GradedTensor):
@@ -324,29 +323,18 @@ def schouten(algebra, r):
     if r.parity() != EVEN:
         raise ValueError("schouten expects an even homogeneous r")
     ring = r.ring
-    out = {}
-
-    def add(idx, value):
-        if value.is_zero():
-            return
-        acc = out.get(idx, ring.zero()) + value
-        if acc.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = acc
-
-    items = list(r.coeffs.items())
-    for (k, l), r1 in items:
-        for (m, n), r2 in items:
+    constants = algebra.constants_in(ring)
+    products = []
+    for (k, l), r1 in r.coeffs.items():
+        for (m, n), r2 in r.coeffs.items():
             zlm = algebra.z(l, m)
-            coeff = r1 * r2
-            for p, cval in algebra.bracket_indices(k, m):
-                add((p, l, n), zlm * (coeff * cval.convert(ring)))
-            for p, cval in algebra.bracket_indices(l, m):
-                add((k, p, n), coeff * cval.convert(ring))
-            for p, cval in algebra.bracket_indices(l, n):
-                add((k, m, p), zlm * (coeff * cval.convert(ring)))
-    return GradedTensor(algebra, 3, out, ring)
+            products += [((p, l, n), zlm, (r1, r2, cval))
+                         for p, cval in constants.get((k, m), ())]
+            products += [((k, p, n), 1, (r1, r2, cval))
+                         for p, cval in constants.get((l, m), ())]
+            products += [((k, m, p), zlm, (r1, r2, cval))
+                         for p, cval in constants.get((l, n), ())]
+    return GradedTensor(algebra, 3, accumulate(ring, products), ring)
 
 
 def is_ad_invariant(algebra, t):

@@ -304,6 +304,9 @@ BAD_INPUTS = {
     "family-bad-branch": (
         ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-a",
          "--params", "branch=2"], None, None),
+    "params-repeated-name": (
+        ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-b",
+         "--params", "c=1,c=0"], None, None),
 }
 
 

@@ -16,6 +16,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superbialg.bialgebra import family
 from superbialg.cocycles import _rref, in_span, nullspace
 from superbialg.poisson import group, named_structure
 from superbialg.scalars import (
@@ -301,15 +302,48 @@ def test_square_bracket_equals_frozen():
 # -- the relation rewriter: cycles and depth -------------------------------------
 
 def test_cycle_raises_through_ring_arithmetic():
-    # a*d -> a^2 + d^2 passes every relation check, yet a^2*d^2 comes back
-    # while its own normal form is being computed
-    ring = Ring([("a", "commuting"), ("d", "commuting")],
-                relations=[("a*d-a^2-d^2", "a*d")])
-    with pytest.raises(ReductionError, match="did not terminate"):
-        ring.parse("a^2*d^2")
-    with pytest.raises(ReductionError, match="did not terminate"):
-        ring.monomial((2, 2), ())
-    assert ring.parse("a*d") == ring.parse("a^2+d^2")
+    # a*d -> a^2 + d^2 rewrites a^2*d^2 back to itself: a^2 lies above a*d
+    # in the degree-lexicographic order, so the ring is refused when built
+    with pytest.raises(ReductionError, match="not below its leading monomial"):
+        Ring([("a", "commuting"), ("d", "commuting")],
+             relations=[("a*d-a^2-d^2", "a*d")])
+
+
+@pytest.mark.parametrize("relations, message", [
+    # a^2 has the degree of a*d and a larger exponent of a
+    ([("a*d-a^2-d^2", "a*d")], "not below its leading monomial 'a\\*d'"),
+    ([("a-d^2", "a")], "not below its leading monomial 'a'"),
+    # b -> a -> b: with both leading variables ranked, one rule must rise
+    ([("b-a", "b"), ("a-b", "a")], "not below its leading monomial 'b'"),
+    ([("a^2-E^-1", "a^2")], "negative exponent"),
+])
+def test_relations_must_lower_their_leading_monomial(relations, message):
+    variables = [(n, "commuting") for n in "abd"] + [("E", "laurent")]
+    with pytest.raises(ReductionError, match=message):
+        Ring(variables, relations=relations)
+
+
+@pytest.mark.parametrize("relations", [
+    [("a*d-b*c+alpha*delta-1", "a*d")],  # OSp
+    [("a*d-b*c-1", "a*d")], [("a*d-b*c-2", "a*d")],
+    [("m^2-a*b", "m^2")], [("m^2-3*b", "m^2")],  # family roots
+    [("b-a", "b")],  # equal degree: the leading variable ranks first
+    [("a*d-c", "a*d"), ("b*c-1", "b*c")],
+])
+def test_terminating_relations_are_accepted(relations):
+    variables = [(n, "commuting") for n in "abcdm"] + [
+        ("alpha", "grassmann"), ("delta", "grassmann")]
+    Ring(variables, relations=relations)
+
+
+def test_every_relation_ring_in_use_is_accepted():
+    # the OSp ring, its tensor square and the symbolic root family rings
+    rings = [OSP.ring, SQUARE.ring, family("e2-r-a").ring,
+             family("e2-case-a", a=2).ring, family("e2-case-a", b=3).ring]
+    for ring in rings:
+        rebuilt = Ring([(n, ring.kind(n)) for n in ring.names],
+                       ring._relation_spec)
+        assert rebuilt == ring and ring._relation_spec
 
 
 def test_cycle_raises_through_reduce_mod_relation():

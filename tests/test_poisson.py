@@ -261,6 +261,20 @@ class TestCoproduct:
             dg = osp.coproduct(osp.var(gname))
             assert dg.substitute(ident2) == osp.embed(osp.var(gname), 1)
 
+    def test_osp_coproduct_is_the_supermatrix_product(self, osp):
+        # T = [[a, b, alpha], [c, d, delta], [gamma, beta, e]] with the derived
+        # letters gamma = c alpha - a delta, beta = d alpha - b delta and
+        # e = 1 + alpha delta: Delta(T_ij) = sum_k T_ik (x) T_kj for all nine
+        # entries, the six generator rules and Delta multiplicative on the rest
+        T = [[osp.parse(text) for text in row] for row in (
+            ("a", "b", "alpha"), ("c", "d", "delta"),
+            ("c*alpha-a*delta", "d*alpha-b*delta", "1+alpha*delta"))]
+        for i in range(3):
+            for j in range(3):
+                product = sum((osp.embed(T[i][k], 1) * osp.embed(T[k][j], 2)
+                               for k in range(3)), osp.square().ring.zero())
+                assert osp.coproduct(T[i][j]) == product, (i, j)
+
     @pytest.mark.parametrize("gname", ["super-e2", "osp"])
     def test_counit_both_slots(self, gname):
         grp = group(gname)
