@@ -76,7 +76,7 @@ class SuperLieAlgebra:
                 if i != j:
                     products.append(((j, i, k), -self.z(i, j), value))
         self.constants = _sparse_constants(tensors.accumulate(self.ring, products))
-        self._constants_in = {}
+        self._constants_in = (self.ring, self.constants)  # the latest pair
 
     @property
     def c(self):
@@ -98,15 +98,15 @@ class SuperLieAlgebra:
         return self.constants.get((i, j), ())
 
     def constants_in(self, ring):
-        """`constants` converted into `ring`, once per ring up to equality
-        (a ring equal to the algebra's gets `constants` itself)."""
+        """`constants` converted into `ring`, of which only the latest (ring,
+        table) pair is kept (a ring equal to the algebra's gets `constants`)."""
         if ring == self.ring:
             return self.constants
-        converted = self._constants_in.get(ring)
-        if converted is None:
-            converted = self._constants_in[ring] = {
-                ij: tuple((k, v.convert(ring)) for k, v in entries)
-                for ij, entries in self.constants.items()}
+        last, converted = self._constants_in
+        if ring != last:
+            converted = {ij: tuple((k, v.convert(ring)) for k, v in entries)
+                         for ij, entries in self.constants.items()}
+            self._constants_in = (ring, converted)
         return converted
 
     # -- axioms ---------------------------------------------------------
@@ -183,16 +183,13 @@ def bracket(algebra, x, y):
 _BUILTIN_CACHE = {}
 
 
-def builtin(name, fresh=False):
+def builtin(name):
     """The two built-in algebras, with basis orders (H,P+,P-,D+,D-) and
     (H,X+,X-,V+,V-).  Cached: repeated calls return the same object, so
     tensors built anywhere in the package share one algebra instance."""
-    if not fresh and name in _BUILTIN_CACHE:
-        return _BUILTIN_CACHE[name]
-    algebra = _build_builtin(name)
-    if not fresh:
-        _BUILTIN_CACHE[name] = algebra
-    return algebra
+    if name not in _BUILTIN_CACHE:
+        _BUILTIN_CACHE[name] = _build_builtin(name)
+    return _BUILTIN_CACHE[name]
 
 
 def _build_builtin(name):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EVEN, Ring, rational_sqrt
+from .scalars import EVEN, Ring, map_products, rational_sqrt
 from .algebra import SuperLieAlgebra, _sparse_constants, builtin
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action
@@ -99,9 +99,10 @@ class Cobracket:
                          [a - b for a, b in zip(self.rows, other.rows)])
 
     def map(self, ring, images):
-        """Every row through `GradedTensor.map(ring, images)`."""
+        """Every row through `GradedTensor.map`, the images checked once."""
+        products = map_products(self.ring, ring, images)
         return Cobracket(self.algebra, ring,
-                         [row.map(ring, images) for row in self.rows])
+                         [row._map(ring, products) for row in self.rows])
 
     def convert(self, ring):
         return self.map(ring, self.ring.namesakes(ring))

@@ -6,9 +6,14 @@ Coordinate rings:
   group-like Laurent variable E standing for exp(s/2) (so e^s = E^2).  The
   super-E(2) ring also carries the family parameter c of the bracket tables.
 * OSp(1|2): even a, b, c, d; odd alpha, delta; subject to
-  a*d - b*c + alpha*delta = 1 (reduced with leading monomial a*d).  The
-  derived letters e = 1 + alpha*delta, gamma = c*alpha - a*delta and
-  beta = d*alpha - b*delta are expansion macros, not generators.
+  a*d - b*c + alpha*delta = 1 (reduced with leading monomial a*d).
+
+Each group is defined by its supermatrix T (`matrix`): on OSp(1|2) T =
+[[a, b, alpha], [c, d, delta], [gamma, beta, e]] with gamma = c*alpha -
+a*delta, beta = d*alpha - b*delta and e = 1 + alpha*delta; on super-E(2)
+three upper triangular blocks in s, (xi, a, E^-1) and (eta, b, E).  The
+coproduct Delta(T_ij) = sum_k T_ik (x) T_kj and the identity T(e) = 1 are
+derived from T; the parameter c maps to itself.
 
 Every bracket has one shape, a Sklyanin term of the classical r-matrix plus
 a group-valued cocycle term Phi (the c*s P+^P- term of the non-coboundary
@@ -65,6 +70,7 @@ structure's display scale.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 from .scalars import EVEN, ODD, Ring
@@ -106,16 +112,24 @@ class VectorField:
 
 
 class CoordinateRing:
-    """A supergroup coordinate ring with coproduct and invariant fields."""
+    """A supergroup coordinate ring with coproduct and invariant fields.
+    `matrix` holds the blocks of T as entry texts; every variable but a
+    parameter is one entry T_ij, with identity value delta_ij."""
 
-    def __init__(self, name, ring, coordinates, identity, tangents,
-                 coproduct_rules, laurent_rules, display,
-                 algebra_name, params=()):
+    def __init__(self, name, ring, coordinates, matrix, tangents,
+                 laurent_rules, display, algebra_name, params=()):
         self.name = name
         self.ring = ring
         self.coordinates = tuple(coordinates)
         self.params = tuple(params)
-        self.identity = dict(identity)
+        self.matrix = tuple(matrix)
+        names = ring.names
+        entries = [(text, int(i == j)) for block in self.matrix
+                   for i, row in enumerate(block)
+                   for j, text in enumerate(row) if text in names]
+        if sorted(x for x, _ in entries) != sorted(set(names) - set(params)):
+            raise ValueError(f"{name}: every coordinate must be one entry of T")
+        self.identity = dict(entries)
         self.laurent_rules = dict(laurent_rules)
         self.display = list(display)
         self.algebra = builtin(algebra_name)
@@ -123,7 +137,6 @@ class CoordinateRing:
         self._fields = None
         self._square = None
         self.lifted_fields = {}  # (field, slot) -> field on the square
-        self._coproduct_rules = coproduct_rules
         self._delta = None
 
     # -- basic ring helpers ------------------------------------------------
@@ -238,14 +251,17 @@ class CoordinateRing:
         Variable layout: shared parameters first, then slot-1 evens, slot-2
         evens, slot-1 odds, slot-2 odds.  The Laurent rules are retagged per
         slot (E1 <- s1, E2 <- s2), so a field of the square acts on either
-        slot by the same Leibniz rule as on G.
+        slot by the same Leibniz rule as on G, and its supermatrix is
+        diag(T1, T2), the blocks of T retagged per slot.
         """
         if self._square is not None:
             return self._square
-        ring, params = self.ring, self.params
+        ring, params, identity = self.ring, self.params, self.identity
 
-        def tag(name, slot):
-            return name if name in params else f"{name}{slot}"
+        def tag(text, slot):
+            # each coordinate (a key of `identity`) in `text` gets the slot
+            return re.sub(r"[A-Za-z_]\w*", lambda m: f"{m[0]}{slot}"
+                          if m[0] in identity else m[0], text)
 
         slots = (1, 2)
         variables = [(p, ring.kind(p)) for p in params]
@@ -253,17 +269,16 @@ class CoordinateRing:
             for slot in slots:
                 variables += [(tag(n, slot), ring.kind(n))
                               for n in names if n not in params]
-        relations = [(_retag(text, ring, params, slot),
-                      _retag(lead, ring, params, slot))
+        relations = [(tag(text, slot), tag(lead, slot))
                      for text, lead in ring._relation_spec for slot in slots]
         tring = Ring(variables, relations)
         self._square = CoordinateRing(
             f"{self.name}^2", tring,
             coordinates=[tag(n, slot) for slot in slots
                          for n in self.coordinates],
-            identity={tag(n, slot): v for slot in slots
-                      for n, v in self.identity.items()},
-            tangents={}, coproduct_rules={},
+            matrix=[[[tag(x, slot) for x in row] for row in block]
+                    for slot in slots for block in self.matrix],
+            tangents={},
             laurent_rules={tag(n, slot): (tag(src, slot), q) for slot in slots
                            for n, (src, q) in self.laurent_rules.items()},
             display=(), algebra_name=self.algebra.name, params=params)
@@ -272,7 +287,7 @@ class CoordinateRing:
                                    for n in ring.names} for slot in slots}
         self._restrictions = {slot: {
             tag(n, s): ring.var(n) if s == slot or n in params
-            else ring.scalar(self.identity[n])
+            else ring.scalar(identity[n])
             for n in ring.names for s in slots} for slot in slots}
         return self._square
 
@@ -294,11 +309,20 @@ class CoordinateRing:
                            field.parity, table, field.side)
 
     def _generator_coproducts(self):
-        """Delta of every ring variable, parsed once into the tensor square."""
+        """Delta of every ring variable, derived once: Delta(T_ij) =
+        sum_k T_ik (x) T_kj over the entries embedded once per slot."""
         if self._delta is None:
             tring = self.square().ring
-            self._delta = {name: tring.parse(rule)
-                           for name, rule in self._coproduct_rules.items()}
+            delta = {p: tring.var(p) for p in self.params}
+            for block in self.matrix:
+                entries = [[self.parse(x) for x in row] for row in block]
+                t1, t2 = ([[self.embed(x, slot) for x in row] for row in entries]
+                          for slot in (1, 2))
+                delta.update((x, tring.sum_of_products(
+                    (1, (t1[i][k], t2[k][j])) for k in range(len(block))))
+                    for i, row in enumerate(block)
+                    for j, x in enumerate(row) if x in self.identity)
+            self._delta = delta
         return self._delta
 
     def coproduct(self, f):
@@ -307,19 +331,6 @@ class CoordinateRing:
 
     def __repr__(self):
         return f"<CoordinateRing {self.name}>"
-
-
-def _retag(text, ring, params, slot):
-    """Suffix every non-parameter variable in a relation text with the slot."""
-    import re
-
-    def rename(match):
-        name = match.group(0)
-        if name in params or name not in ring._kinds:
-            return name
-        return f"{name}{slot}"
-
-    return re.sub(r"[A-Za-z_][A-Za-z_0-9]*", rename, text)
 
 
 # -- the two groups -----------------------------------------------------------
@@ -333,23 +344,18 @@ def super_e2_group():
     ])
     tangents = {"H": {"s": 1}, "P+": {"a": 1}, "P-": {"b": 1},
                 "D+": {"xi": 1}, "D-": {"eta": 1}}
-    coproduct_rules = {
-        "c": "c",
-        "s": "s1+s2",
-        "a": "a2+a1*E2^-2+1/2*xi1*xi2*E2^-1",
-        "b": "b2+b1*E2^2+1/2*eta1*eta2*E2",
-        "E": "E1*E2",
-        "xi": "xi2+xi1*E2^-1",
-        "eta": "eta2+eta1*E2",
-    }
+    matrix = [
+        [["1", "s"], ["0", "1"]],
+        [["1", "xi", "a"], ["0", "E^-1", "1/2*xi*E^-1"], ["0", "0", "E^-2"]],
+        [["1", "eta", "b"], ["0", "E", "1/2*eta*E"], ["0", "0", "E^2"]],
+    ]
     display = [("a", "a"), ("b", "b"), ("es", "E^2"),
                ("xi", "xi"), ("eta", "eta")]
     return CoordinateRing(
         "super-e2", ring,
         coordinates=("s", "a", "b", "xi", "eta"),
-        identity={"s": 0, "a": 0, "b": 0, "xi": 0, "eta": 0, "E": 1},
+        matrix=matrix,
         tangents=tangents,
-        coproduct_rules=coproduct_rules,
         laurent_rules={"E": ("s", HALF)},
         display=display,
         algebra_name="super_e2",
@@ -365,24 +371,16 @@ def osp_group():
     )
     tangents = {"H": {"a": HALF, "d": -HALF}, "X+": {"b": 1}, "X-": {"c": 1},
                 "V+": {"alpha": HALF}, "V-": {"delta": HALF}}
-    # coproducts follow from 3x3 supermatrix multiplication, with the
-    # derived letters expanded
-    coproduct_rules = {
-        "a": "a1*a2+alpha1*c2*alpha2-alpha1*a2*delta2+b1*c2",
-        "alpha": "a1*alpha2+alpha1+alpha1*alpha2*delta2+b1*delta2",
-        "b": "a1*b2+alpha1*d2*alpha2-alpha1*b2*delta2+b1*d2",
-        "c": "c1*a2+delta1*c2*alpha2-delta1*a2*delta2+d1*c2",
-        "delta": "c1*alpha2+delta1+delta1*alpha2*delta2+d1*delta2",
-        "d": "c1*b2+delta1*d2*alpha2-delta1*b2*delta2+d1*d2",
-    }
+    # the last row is gamma, beta, e
+    matrix = [[["a", "b", "alpha"], ["c", "d", "delta"],
+               ["c*alpha-a*delta", "d*alpha-b*delta", "1+alpha*delta"]]]
     display = [("a", "a"), ("b", "b"), ("c", "c"), ("d", "d"),
                ("alpha", "alpha"), ("delta", "delta")]
     return CoordinateRing(
         "osp", ring,
         coordinates=("a", "b", "c", "d", "alpha", "delta"),
-        identity={"a": 1, "b": 0, "c": 0, "d": 1, "alpha": 0, "delta": 0},
+        matrix=matrix,
         tangents=tangents,
-        coproduct_rules=coproduct_rules,
         laurent_rules={},
         display=display,
         algebra_name="osp12",

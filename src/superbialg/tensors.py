@@ -107,11 +107,14 @@ class GradedTensor:
 
     def map(self, ring, images):
         """`SuperScalar.map(ring, images)` on every coefficient, with the
-        images checked once and each coefficient summed by `accumulate`."""
-        products = map_products(self.ring, ring, images)
-        return GradedTensor(self.algebra, self.rank, accumulate(
-            ring, ((k, q, factors) for k, v in self.coeffs.items()
-                   for q, factors in products(v))), ring)
+        images checked once."""
+        return self._map(ring, map_products(self.ring, ring, images))
+
+    def _map(self, ring, products):
+        # one source coefficient per key, so one `sum_of_products` each
+        return GradedTensor(self.algebra, self.rank, {
+            k: ring.sum_of_products(products(v)) for k, v in self.coeffs.items()},
+            ring)
 
     def convert(self, ring):
         return self.map(ring, self.ring.namesakes(ring))

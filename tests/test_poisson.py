@@ -11,7 +11,7 @@ from superbialg.poisson import (group, named_structure, check_axioms,
                                 render_table, table_cell, format_table,
                                 PoissonStructure, AxiomReport,
                                 coboundary_structure, structure_ids,
-                                super_e2_group, osp_group)
+                                super_e2_group, osp_group, CoordinateRing)
 from superbialg.bialgebra import family
 from superbialg.claims import run_claims
 from superbialg.scalars import EVEN, ODD
@@ -70,6 +70,46 @@ OSP_FIELD_TABLES = {
     ("V-", "X", "l"): (ODD, {"c": "1/2*c*alpha-1/2*a*delta",
                              "delta": "1/2+1/2*alpha*delta",
                              "d": "1/2*d*alpha-1/2*b*delta"}),
+}
+
+
+# The coproduct strings and identity tables that the supermatrix derivation
+# replaced, kept verbatim as reference data.
+FROZEN_COPRODUCT_RULES = {
+    "super-e2": {
+        "c": "c",
+        "s": "s1+s2",
+        "a": "a2+a1*E2^-2+1/2*xi1*xi2*E2^-1",
+        "b": "b2+b1*E2^2+1/2*eta1*eta2*E2",
+        "E": "E1*E2",
+        "xi": "xi2+xi1*E2^-1",
+        "eta": "eta2+eta1*E2",
+    },
+    "osp": {
+        "a": "a1*a2+alpha1*c2*alpha2-alpha1*a2*delta2+b1*c2",
+        "alpha": "a1*alpha2+alpha1+alpha1*alpha2*delta2+b1*delta2",
+        "b": "a1*b2+alpha1*d2*alpha2-alpha1*b2*delta2+b1*d2",
+        "c": "c1*a2+delta1*c2*alpha2-delta1*a2*delta2+d1*c2",
+        "delta": "c1*alpha2+delta1+delta1*alpha2*delta2+d1*delta2",
+        "d": "c1*b2+delta1*d2*alpha2-delta1*b2*delta2+d1*d2",
+    },
+}
+FROZEN_IDENTITY = {
+    "super-e2": {"s": 0, "a": 0, "b": 0, "xi": 0, "eta": 0, "E": 1},
+    "osp": {"a": 1, "b": 0, "c": 0, "d": 1, "alpha": 0, "delta": 0},
+}
+
+# The defining supermatrices, written out apart from `poisson`.  Derived
+# entries: gamma, beta, e on OSp; E^-1, E, E^-2, E^2, 1/2 xi E^-1 and
+# 1/2 eta E on super-E(2).
+SUPERMATRICES = {
+    "osp": [(("a", "b", "alpha"), ("c", "d", "delta"),
+             ("c*alpha-a*delta", "d*alpha-b*delta", "1+alpha*delta"))],
+    "super-e2": [
+        (("1", "s"), ("0", "1")),
+        (("1", "xi", "a"), ("0", "E^-1", "1/2*xi*E^-1"), ("0", "0", "E^-2")),
+        (("1", "eta", "b"), ("0", "E", "1/2*eta*E"), ("0", "0", "E^2")),
+    ],
 }
 
 
@@ -261,19 +301,51 @@ class TestCoproduct:
             dg = osp.coproduct(osp.var(gname))
             assert dg.substitute(ident2) == osp.embed(osp.var(gname), 1)
 
+    @staticmethod
+    def _assert_supermatrix_product(grp, blocks):
+        # Delta(T_ij) = sum_k T_ik (x) T_kj and T_ij(e) = delta_ij for every
+        # entry: on a coordinate this is the derived rule, on a derived
+        # entry the ring map Delta is multiplicative on it
+        for b, block in enumerate(blocks):
+            T = [[grp.parse(text) for text in row] for row in block]
+            n = len(T)
+            for i in range(n):
+                for j in range(n):
+                    product = sum((grp.embed(T[i][k], 1) * grp.embed(T[k][j], 2)
+                                   for k in range(n)), grp.square().ring.zero())
+                    assert grp.coproduct(T[i][j]) == product, (b, i, j)
+                    assert grp.at_identity(T[i][j]) == \
+                        grp.ring.scalar(int(i == j)), (b, i, j)
+
     def test_osp_coproduct_is_the_supermatrix_product(self, osp):
-        # T = [[a, b, alpha], [c, d, delta], [gamma, beta, e]] with the derived
-        # letters gamma = c alpha - a delta, beta = d alpha - b delta and
-        # e = 1 + alpha delta: Delta(T_ij) = sum_k T_ik (x) T_kj for all nine
-        # entries, the six generator rules and Delta multiplicative on the rest
-        T = [[osp.parse(text) for text in row] for row in (
-            ("a", "b", "alpha"), ("c", "d", "delta"),
-            ("c*alpha-a*delta", "d*alpha-b*delta", "1+alpha*delta"))]
-        for i in range(3):
-            for j in range(3):
-                product = sum((osp.embed(T[i][k], 1) * osp.embed(T[k][j], 2)
-                               for k in range(3)), osp.square().ring.zero())
-                assert osp.coproduct(T[i][j]) == product, (i, j)
+        self._assert_supermatrix_product(osp, SUPERMATRICES["osp"])
+
+    def test_super_e2_coproduct_is_the_supermatrix_product(self, e2):
+        self._assert_supermatrix_product(e2, SUPERMATRICES["super-e2"])
+
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_derived_coproduct_and_identity_equal_frozen(self, gname):
+        grp = FRESH_GROUPS[gname]()
+        assert [list(map(list, block)) for block in grp.matrix] == \
+            [list(map(list, block)) for block in SUPERMATRICES[gname]]
+        tring = grp.square().ring
+        assert grp._generator_coproducts() == {
+            name: tring.parse(rule)
+            for name, rule in FROZEN_COPRODUCT_RULES[gname].items()}
+        assert grp.identity == FROZEN_IDENTITY[gname]
+        # the square's supermatrix diag(T1, T2) gives its identity per slot
+        assert grp.square().identity == {
+            f"{name}{slot}": v for slot in (1, 2)
+            for name, v in FROZEN_IDENTITY[gname].items()}
+
+    def test_matrix_names_every_coordinate_once(self, osp):
+        (block,) = SUPERMATRICES["osp"]
+        missing = [block[:1] + (("c", "1", "delta"),) + block[2:]]
+        twice = [block, (("a",),)]
+        for matrix in (missing, twice):
+            with pytest.raises(ValueError, match="one entry of T"):
+                CoordinateRing("bad", osp.ring, osp.coordinates, matrix,
+                               osp.tangents, {}, (), "osp12")
 
     @pytest.mark.parametrize("gname", ["super-e2", "osp"])
     def test_counit_both_slots(self, gname):

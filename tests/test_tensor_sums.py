@@ -11,6 +11,8 @@ so odd and mixed-parity coefficients), the OSp ring with its relation, and
 the symbolic `e2-r-a` family ring with m^2 = ab.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -433,6 +435,21 @@ def test_constants_are_converted_once_per_ring():
              OSP_RING._relation_spec))
     assert converted == {ij: tuple((k, v.convert(OSP_RING)) for k, v in entries)
                          for ij, entries in algebra.constants.items()}
+
+
+def test_constants_keep_only_the_latest_ring():
+    # 200 distinct rings, as 200 numeric `e2-r-a` relation rings would be:
+    # the algebra keeps one converted table, so only the last ring survives
+    algebra = builtin("super_e2")
+    refs = []
+    for k in range(1, 201):
+        ring = Ring([("m", "commuting")], relations=[(f"m^2-{k}", "m^2")])
+        refs.append(weakref.ref(ring))
+        algebra.constants_in(ring)
+    del ring
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True] * 199 + [False]
+    assert algebra.constants_in(refs[-1]()) is algebra.constants_in(refs[-1]())
 
 
 @pytest.mark.parametrize("fid", ["e2-r-a", "e2-case-a", "e2-case-b", "osp-r-a"])
