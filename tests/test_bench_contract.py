@@ -5,11 +5,13 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from superbialg import equivalence, scalars
+from superbialg import equivalence, poisson, scalars
+from superbialg.bialgebra import family
 from superbialg.equivalence import verify_orbit_claims
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -56,3 +58,22 @@ def test_probe_operands_build():
     operands = _load("probes").operands()
     assert sorted(operands) == ["const", "e2", "osp", "tensor"]
     assert all(operands.values())
+
+
+def test_tables_reach_apply_field(monkeypatch):
+    # the traced tables workload must reach poisson.field, the span on
+    # CoordinateRing.apply_field: a coboundary table rendered on a fresh
+    # group calls it while the group derives its fields
+    calls = []
+    apply_field = poisson.CoordinateRing.apply_field
+
+    def counted(self, field, f):
+        calls.append(field)
+        return apply_field(self, field, f)
+
+    monkeypatch.setattr(poisson.CoordinateRing, "apply_field", counted)
+    r = family("osp-r-a", x=1, y=Fraction(-2, 3), z=5)
+    text = poisson.format_table(poisson.coboundary_structure(
+        poisson.osp_group(), r, display_scale=2))
+    assert text.count("\n") == 16
+    assert calls

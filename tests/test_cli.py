@@ -324,6 +324,26 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# unknown names exit 2 with the KeyError's message as written, unquoted
+UNKNOWN_NAMES = {
+    "group": (["poisson", "--group", "nope", "--structure", "1"],
+              "error: unknown group 'nope'"),
+    "structure": (["poisson", "--group", "osp", "--structure", "9"],
+                  "error: unknown OSp structure '9' (1|2|3)"),
+    "family": (["cobracket-check", "--algebra", "super_e2", "--family", "nope"],
+               "error: unknown family 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAMES))
+def test_unknown_name_error_line(case, capsys):
+    argv, line = UNKNOWN_NAMES[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == line + "\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("row", ["delta H = 1/0 P+^P-", "delta H = 1 Q^P+",
                                  "delta H = 1 P+ P-", "delta P+ = 1 H^P+",
                                  "delta H =", "delta H = 1 P+^P- -"],

@@ -1,6 +1,7 @@
 """Tests for coordinate rings, fields, coproducts, and Poisson brackets."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from superbialg.poisson import (group, named_structure, check_axioms,
                                 super_e2_group, osp_group, CoordinateRing)
 from superbialg.bialgebra import family
 from superbialg.claims import run_claims
-from superbialg.scalars import EVEN, ODD
+from superbialg.scalars import EVEN, ODD, SuperScalar
 from superbialg.tensors import (GradedTensor, parse_rmatrix, parse_wedge_sum,
                                 render_wedge_form)
 
@@ -497,6 +498,21 @@ class TestRendering:
         st = named_structure("osp", "2")
         assert st.display_scale == 2
 
+    @pytest.mark.parametrize("scale", [0.1, 2.0, Decimal("0.1")],
+                             ids=["float", "integral-float", "decimal"])
+    def test_inexact_display_scale_is_refused(self, scale):
+        r = family("osp-r-a", x=1, y=2, z=3)
+        with pytest.raises(TypeError, match="exact rationals"):
+            coboundary_structure(group("osp"), r, display_scale=scale)
+
+    def test_rational_display_scales(self):
+        r = family("osp-r-a", x=1, y=2, z=3)
+        for scale, want in ((2, 2), (Fraction(3, 2), Fraction(3, 2)),
+                            ("1/2", Fraction(1, 2)), ("4/2", 2)):
+            st = coboundary_structure(group("osp"), r, display_scale=scale)
+            assert st.display_scale == want
+            assert type(st.display_scale) is type(want)
+
 
 class TestPublishedTables:
     def test_every_cell(self):
@@ -842,3 +858,182 @@ class TestOneStructurePath:
         counts = {axiom: len(getattr(want, axiom)) for axiom in REPORT_LISTS
                   if getattr(want, axiom)}
         assert counts == FAILING.get(name, {})
+
+
+# The bracket loop before two single terms got their own path, kept verbatim
+# as the reference: every (left field, coefficient, right field) triple, the
+# images of f and g computed once per call, a zero image skipped and the
+# products summed and reduced once.
+
+def _frozen_triples(structure):
+    field = structure.group.field
+    triples = []
+    for k, j, coeff in structure.r_entries:
+        triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
+        triples.append((field(k, "X", "r"), -coeff, field(j, "X", "l")))
+    for (j, k), value in structure.phi.items():
+        triples.append((field(j, "X", "r"), value, field(k, "X", "l")))
+    return triples
+
+
+def _frozen_loop_bracket(structure, f, g):
+    left = {}
+    right = {}
+    products = []
+    for lfield, coeff, rfield in _frozen_triples(structure):
+        lf = left.get(lfield)
+        if lf is None:
+            lf = left[lfield] = lfield(f)
+        if lf.is_zero():
+            continue
+        rg = right.get(rfield)
+        if rg is None:
+            rg = right[rfield] = rfield(g)
+        if rg.is_zero():
+            continue
+        products.append((coeff, (lf, rg)) if isinstance(coeff, Fraction)
+                        else (1, (lf, coeff, rg)))
+    return structure.group.ring.sum_of_products(products)
+
+
+def _rational(nonzero=False):
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return q.filter(bool) if nonzero else q
+
+
+# a coboundary family as (id, group name, parameter strategy): e2-r-a with
+# a*b the square of a rational, as its root needs
+_COBOUNDARY_FAMILIES = {
+    "osp-r-a": ("osp", st.fixed_dictionaries(
+        {"x": _rational(), "y": _rational(), "z": _rational()})),
+    "e2-r-a": ("super-e2", st.tuples(
+        _rational(nonzero=True), _rational(), _rational(), _rational(),
+        st.sampled_from([1, -1])).map(lambda t: {
+            "a": t[0] * t[1] ** 2, "b": t[0] * t[2] ** 2, "f": t[3],
+            "branch": t[4]})),
+    "e2-r-b": ("super-e2", st.fixed_dictionaries(
+        {"a": _rational(), "b": _rational(), "f": _rational()})),
+}
+
+
+def _single_term(grp):
+    """c times a monomial of the group ring, c a rational other than 1 (on
+    OSp a monomial divisible by a*d reduces to a polynomial)."""
+    ring = grp.ring
+    exps = st.tuples(*[
+        st.integers(-2 if ring.kind(name) == "laurent" else 0, 2)
+        for name in ring.even_names])
+    odds = st.sampled_from([(), (0,), (1,), (0, 1)])
+    coeff = _rational(nonzero=True).filter(lambda q: q != 1)
+    return st.builds(ring.monomial, exps, odds, coeff)
+
+
+def _arguments(grp):
+    """Two single terms, zero and a polynomial: every pair of them is a
+    bracket to check."""
+    return st.tuples(_single_term(grp), _single_term(grp),
+                     st.sampled_from([EVEN, ODD]).flatmap(
+                         lambda p: _homogeneous(grp, p)),
+                     _single_term(grp)).map(
+        lambda t: [t[0], t[1], grp.ring.zero(), t[2] + t[3]])
+
+
+def _display_and_generators(grp):
+    display = [grp.parse(text) for _, text in grp.display]
+    return display + [grp.var(name) for name in grp.coordinates]
+
+
+class TestTermProducts:
+    @pytest.mark.parametrize("key", list(FROZEN_NAMED), ids=_case_id)
+    def test_named_brackets_equal_frozen_loop(self, key):
+        structure = named_structure(*key)
+        elements = _display_and_generators(structure.group)
+        for f, g in itertools.product(elements, repeat=2):
+            assert structure.bracket(f, g) == \
+                _frozen_loop_bracket(structure, f, g), (f, g)
+
+    @pytest.mark.parametrize("fid", sorted(_COBOUNDARY_FAMILIES))
+    def test_coboundary_brackets_equal_frozen_loop(self, fid):
+        gname, params = _COBOUNDARY_FAMILIES[fid]
+        warm = group(gname)
+
+        @settings(max_examples=30, deadline=None)
+        @given(params, _arguments(warm), st.booleans())
+        def check(values, arguments, fresh_first):
+            r = family(fid, **values)
+            structures = [coboundary_structure(FRESH_GROUPS[gname](), r),
+                          coboundary_structure(warm, r)]
+            if not fresh_first:
+                structures.reverse()
+            for f, g in itertools.product(arguments, repeat=2):
+                want = _frozen_loop_bracket(structures[0], f, g)
+                for structure in structures:
+                    assert structure.bracket(f, g) == want, (f, g)
+
+        check()
+
+    @pytest.mark.parametrize("fresh_first", [True, False],
+                             ids=["fresh-first", "warm-first"])
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_named_brackets_agree_on_warm_and_fresh_groups(self, gname,
+                                                          fresh_first):
+        fresh = FRESH_GROUPS[gname]()
+        for sid in structure_ids(gname):
+            family_id, params, phi_text = poisson._STRUCTURES[gname][sid]
+            r = family(family_id, **params) if family_id else None
+            phi = parse_wedge_sum(phi_text, fresh.algebra, fresh.ring) \
+                if phi_text else None
+            structures = [PoissonStructure(fresh, sid, r, phi),
+                          named_structure(gname, sid)]
+            if not fresh_first:
+                structures.reverse()
+            elements = _display_and_generators(fresh)
+            for f, g in itertools.product(elements, repeat=2):
+                want = _frozen_loop_bracket(structures[0], f, g)
+                for structure in structures:
+                    assert structure.bracket(f, g) == want, (sid, f, g)
+
+    def test_memo_keeps_nonzero_term_products_only(self):
+        grp = osp_group()
+        structure = coboundary_structure(grp, family("osp-r-a", x=1, y=2, z=3))
+        memo = grp.term_products
+        elements = _display_and_generators(grp)
+        polynomials = [grp.ring.zero(), grp.parse("a*b+alpha*delta"),
+                       grp.parse("b-3*c"), grp.parse("a*d")]
+        assert all(len(p._terms) != 1 for p in polynomials)
+        for f, g in itertools.product(polynomials, elements):
+            structure.bracket(f, g)
+            structure.bracket(g, f)
+        assert memo == {}
+        for f, g in itertools.product(elements, repeat=2):
+            structure.bracket(Fraction(-3, 2) * f, g)
+        pairs = {(left, right) for left, _, right in structure._bracket_triples()}
+        assert memo and all(key[:2] in pairs for key in memo)
+        assert not any(product.is_zero() for product in memo.values())
+        kept = dict(memo)
+        for f, g in itertools.product(polynomials, elements):
+            structure.bracket(f, g)
+        assert memo == kept
+
+    def test_repeated_term_bracket_forms_only_zero_products(self, monkeypatch):
+        # every nonzero L(m) R(n) is read from the memo the second time
+        grp = super_e2_group()
+        structure = coboundary_structure(
+            grp, family("e2-r-b", a=2, b=Fraction(1, 3), f=-1))
+        elements = _display_and_generators(grp)
+        first = [structure.bracket(f, g)
+                 for f, g in itertools.product(elements, repeat=2)]
+        formed = []
+        mul = SuperScalar.__mul__
+
+        def counted(self, other):
+            product = mul(self, other)
+            if isinstance(other, SuperScalar):
+                formed.append(product)
+            return product
+
+        monkeypatch.setattr(SuperScalar, "__mul__", counted)
+        again = [structure.bracket(f, g)
+                 for f, g in itertools.product(elements, repeat=2)]
+        assert again == first
+        assert formed and all(product.is_zero() for product in formed)
