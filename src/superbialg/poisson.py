@@ -27,8 +27,8 @@ table (`_STRUCTURES`) of r-matrix families and Phi texts.  `bracket` runs
 one loop over (left field, coefficient, right field) triples, applies each
 field to f and to g at most once per call and skips a triple with a zero
 image.  Products are taken in the written order; the supercommutative ring
-supplies every Koszul sign.  `check_axioms` computes the generator brackets
-pi[f, g] = {x_f, x_g} once and reads them in every axiom that needs them.
+supplies every Koszul sign.  `check_axioms` computes the bracket of each
+pair of monomials once per call, in a local memo that every axiom on G reads.
 
 The tensor square A (x) A is a coordinate ring of its own
 (`CoordinateRing.square`): slot-tagged variables x1, x2, shared parameters,
@@ -63,11 +63,12 @@ structure on their group (`lifted_fields`).  The bracket of two single
 terms c*m and d*n is c*d times a rational combination of the products
 L(m) * R(n), which the group keeps in `term_products`, keyed by (left
 field, right field, m, n) and shared by every structure on the group; a
-zero product is not kept, and a polynomial argument takes the general loop
-and keys nothing.  After a full verify-paper run the image memos hold 2022
-images (610 on the 40 fields of the two groups, 1412 on 80 lifted fields)
-and `term_products` 908 products (640 on OSp, 268 on super-E(2)), in
-about 0.74 MB and 0.54 MB of objects.
+zero product is kept as the group's one `zero`, and a polynomial argument
+takes the general loop and keys nothing.  After a full verify-paper run the
+image memos hold 2022 images (610 on the 40 fields of the two groups, 1412
+on 80 lifted fields) in about 0.74 MB of objects, and `term_products` 1000
+products (692 on OSp, 308 on super-E(2)), 84 of them zero, in about 0.19 MB
+more.
 
 OSp bracket values are conventionally displayed after multiplication by 2,
 which is how the published table is normalized; `render_table` applies the
@@ -109,7 +110,7 @@ class VectorField:
 
     def on_generator(self, name):
         value = self.table.get(name)
-        return value if value is not None else self.group.ring.zero()
+        return value if value is not None else self.group.zero
 
     def __call__(self, f):
         return self.group.apply_field(self, f)
@@ -144,9 +145,11 @@ class CoordinateRing:
         self._fields = None
         self._square = None
         self.lifted_fields = {}  # (field, slot) -> field on the square
-        # (left field, right field, monomial m, monomial n) -> the nonzero
-        # reduced product L(m) * R(n), filled by `PoissonStructure.bracket`
+        # (left field, right field, monomial m, monomial n) -> the reduced
+        # product L(m) * R(n), filled by `PoissonStructure.bracket`; every
+        # zero product is the one `zero`
         self.term_products = {}
+        self.zero = ring.zero()
         self._delta = None
 
     # -- basic ring helpers ------------------------------------------------
@@ -531,9 +534,8 @@ class PoissonStructure:
                 phi.append((1, (lm, coeff, rn)))
                 continue
             product = lm * rn
-            if not product.is_zero():
-                memo[lfield, rfield, m, n] = product
-                pairs.append((coeff, product))
+            memo[lfield, rfield, m, n] = product if product._terms else grp.zero
+            pairs.append((coeff, product))
         ring = grp.ring
         if phi:
             pairs.append((1, ring.sum_of_products(phi)))
@@ -629,15 +631,31 @@ def check_axioms(structure, leibniz_triples=None):
     """Graded antisymmetry, Leibniz, graded Jacobi, and the coproduct
     morphism property, all on the group generators (exact, symbolic).
 
-    The generator brackets pi[f, g] = {x_f, x_g} are computed once and read
-    by every axiom that needs them; the right side of the coproduct
-    morphism is the product bracket of the structure's square."""
+    Each bracket {m, n} of two monomials is computed once per call, in a
+    local memo read by pi[f, g] = {x_f, x_g}, the Leibniz left sides,
+    Jacobi and the display brackets; the Leibniz right side is formed from
+    pi, the coproduct morphism from the product bracket of the square."""
     grp = structure.group
     gens = list(grp.coordinates)
     par = {g: grp.parity_of(g) for g in gens}
     val = {g: grp.var(g) for g in gens}
     report = AxiomReport()
-    pi = {(f, g): structure.bracket(val[f], val[g]) for f in gens for g in gens}
+    ring = grp.ring
+    memo = {}  # (monomial m, monomial n) -> {m, n}, freed on return
+
+    def bracket(x, y):
+        # {x, y} = sum of c*d*{m, n} over the terms c*m of x and d*n of y
+        pairs = []
+        for m, c in x._terms.items():
+            for n, d in y._terms.items():
+                value = memo.get((m, n))
+                if value is None:
+                    value = memo[m, n] = structure.bracket(
+                        ring._make({m: 1}), ring._make({n: 1}))
+                pairs.append((c * d, value))
+        return ring.linear_combination(pairs)
+
+    pi = {(f, g): bracket(val[f], val[g]) for f in gens for g in gens}
 
     def z(p, q):
         return -1 if (p and q) else 1
@@ -651,15 +669,15 @@ def check_axioms(structure, leibniz_triples=None):
     if triples is None:
         triples = list(itertools.product(gens, repeat=3))
     for f, g, h in triples:
-        lhs = structure.bracket(val[f], val[g] * val[h])
+        lhs = bracket(val[f], val[g] * val[h])
         rhs = pi[f, g] * val[h] + z(par[f], par[g]) * (val[g] * pi[f, h])
         if lhs != rhs:
             report.leibniz.append((f"{{{f},{g}*{h}}}", (lhs - rhs).render()))
 
     for f, g, h in itertools.combinations_with_replacement(gens, 3):
-        total = z(par[f], par[h]) * structure.bracket(val[f], pi[g, h]) \
-            + z(par[g], par[f]) * structure.bracket(val[g], pi[h, f]) \
-            + z(par[h], par[g]) * structure.bracket(val[h], pi[f, g])
+        total = z(par[f], par[h]) * bracket(val[f], pi[g, h]) \
+            + z(par[g], par[f]) * bracket(val[g], pi[h, f]) \
+            + z(par[h], par[g]) * bracket(val[h], pi[f, g])
         if not total.is_zero():
             report.jacobi.append((f"({f},{g},{h})", total.render()))
 
@@ -674,7 +692,7 @@ def check_axioms(structure, leibniz_triples=None):
 
     for label_f, text_f in grp.display:
         for label_g, text_g in grp.display:
-            value = structure.bracket(grp.parse(text_f), grp.parse(text_g))
+            value = bracket(grp.parse(text_f), grp.parse(text_g))
             if not grp.vanishes_at_identity(value):
                 report.vanishing.append(
                     (f"{{{label_f},{label_g}}} at identity", value.render()))

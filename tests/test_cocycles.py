@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superbialg import algebra, claims, cocycles
 from superbialg.algebra import builtin
 from superbialg.bialgebra import check_cobracket, coboundary_delta, family
+from superbialg.claims import run_claims
 from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  build_cocycle_system, coboundary_space, cojacobi_constraints,
                                  cobracket_vector, evaluate_constraints,
@@ -151,6 +153,35 @@ class TestQuadraticConstraints:
         ring, constraints = cojacobi_constraints(fam)
         zero_point = [Fraction(0)] * fam.nullity
         assert evaluate_constraints(constraints, zero_point, ring) == []
+
+    def test_claims_solve_each_space_once(self, monkeypatch):
+        # the cocycle-spaces claims and both quadratic-point claims share
+        # the latest solved space; a replaced builtin is solved afresh
+        solved, expanded = [], []
+        solve = cocycles.solve_cocycle_space
+        expand = cocycles.cojacobi_constraints
+
+        def counted_solve(alg):
+            solved.append(alg)
+            return solve(alg)
+
+        def counted_expand(fam):
+            expanded.append(fam)
+            return expand(fam)
+
+        monkeypatch.setattr(cocycles, "solve_cocycle_space", counted_solve)
+        monkeypatch.setattr(cocycles, "cojacobi_constraints", counted_expand)
+        monkeypatch.setattr(claims, "_latest_space", [None, None, None])
+        results = run_claims(prefix="spaces.") + run_claims(prefix="quadratic.")
+        assert [r.status for r in results] == ["pass"] * 4
+        assert [a.name for a in solved] == ["osp12", "super_e2"]
+        assert len(expanded) == 1
+        copy = algebra.parse_algebra_text(
+            algebra.render_algebra_text(builtin("super_e2")))
+        monkeypatch.setitem(algebra._BUILTIN_CACHE, "super_e2", copy)
+        assert [r.status for r in run_claims(prefix="quadratic.")] == ["pass"] * 2
+        assert len(solved) == 3 and solved[2] is copy
+        assert len(expanded) == 2
 
 
 def _frozen_evaluate_constraints(constraints, point, ring):

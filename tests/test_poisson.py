@@ -860,6 +860,47 @@ class TestOneStructurePath:
         assert counts == FAILING.get(name, {})
 
 
+class _LeibnizDefect(PoissonStructure):
+    """The zero bracket on super-E(2) except {a, b*s} = 1, which is no
+    derivation in its second argument."""
+
+    def bracket(self, f, g):
+        value = super().bracket(f, g)
+        if f == self.group.var("a") and g == self.group.parse("b*s"):
+            return value + 1
+        return value
+
+
+class TestAxiomSweepMemo:
+    @pytest.mark.parametrize("name", ALL_CASES, ids=_case_id)
+    def test_each_monomial_pair_is_bracketed_once(self, name, monkeypatch):
+        new, _ = _case(name)
+        square = new.square()
+        pairs = {}
+        polynomial = []
+        bracket = PoissonStructure.bracket
+
+        def counted(self, f, g):
+            if len(f._terms) == 1 and len(g._terms) == 1:
+                key = (self, *f._terms, *g._terms)
+                pairs[key] = pairs.get(key, 0) + 1
+            else:
+                polynomial.append(self)
+            return bracket(self, f, g)
+
+        monkeypatch.setattr(PoissonStructure, "bracket", counted)
+        check_axioms(new)
+        assert pairs and set(pairs.values()) == {1}
+        assert {key[0] for key in pairs} == {new}
+        assert polynomial == [square] * {"osp": 21, "super-e2": 15}[new.group.name]
+
+    def test_leibniz_right_side_is_formed_from_pi(self, e2):
+        report = check_axioms(_LeibnizDefect(e2, "defect"))
+        assert report.leibniz == [("{a,s*b}", "1"), ("{a,b*s}", "1")]
+        assert not (report.antisymmetry or report.jacobi
+                    or report.coproduct_morphism or report.vanishing)
+
+
 # The bracket loop before two single terms got their own path, kept verbatim
 # as the reference: every (left field, coefficient, right field) triple, the
 # images of f and g computed once per call, a zero image skipped and the
@@ -993,7 +1034,7 @@ class TestTermProducts:
                 for structure in structures:
                     assert structure.bracket(f, g) == want, (sid, f, g)
 
-    def test_memo_keeps_nonzero_term_products_only(self):
+    def test_memo_keeps_zero_products_as_one_shared_value(self):
         grp = osp_group()
         structure = coboundary_structure(grp, family("osp-r-a", x=1, y=2, z=3))
         memo = grp.term_products
@@ -1009,14 +1050,17 @@ class TestTermProducts:
             structure.bracket(Fraction(-3, 2) * f, g)
         pairs = {(left, right) for left, _, right in structure._bracket_triples()}
         assert memo and all(key[:2] in pairs for key in memo)
-        assert not any(product.is_zero() for product in memo.values())
+        zeros = [product for product in memo.values() if product.is_zero()]
+        assert zeros and all(product is grp.zero for product in zeros)
+        for (left, right, m, n), product in memo.items():
+            assert product == grp.image(left, m) * grp.image(right, n)
         kept = dict(memo)
         for f, g in itertools.product(polynomials, elements):
             structure.bracket(f, g)
         assert memo == kept
 
-    def test_repeated_term_bracket_forms_only_zero_products(self, monkeypatch):
-        # every nonzero L(m) R(n) is read from the memo the second time
+    def test_repeated_term_bracket_forms_no_product(self, monkeypatch):
+        # every L(m) R(n), zero or not, is read from the memo the second time
         grp = super_e2_group()
         structure = coboundary_structure(
             grp, family("e2-r-b", a=2, b=Fraction(1, 3), f=-1))
@@ -1036,4 +1080,4 @@ class TestTermProducts:
         again = [structure.bracket(f, g)
                  for f, g in itertools.product(elements, repeat=2)]
         assert again == first
-        assert formed and all(product.is_zero() for product in formed)
+        assert formed == []

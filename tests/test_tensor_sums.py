@@ -11,6 +11,7 @@ so odd and mixed-parity coefficients), the OSp ring with its relation, and
 the symbolic `e2-r-a` family ring with m^2 = ab.
 """
 
+import functools
 import gc
 import weakref
 from fractions import Fraction
@@ -229,11 +230,12 @@ _COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from(
     [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]))
 
 
+@functools.lru_cache(maxsize=None)
 def _scalars(ring, parity=None, max_size=3):
     """Elements of `ring` with at most `max_size` terms: exponents 0..1
     (-1..1 for a Laurent variable), any Grassmann set, or only those of the
     given parity.  A ring without Grassmann variables has no odd element
-    but 0."""
+    but 0.  Each strategy is built once and reused by every draw."""
     exps = st.tuples(*[st.integers(-1 if ring.kind(n) == "laurent" else 0, 1)
                        for n in ring.even_names])
     odds = st.sets(st.sampled_from(range(len(ring.odd_names))) if
