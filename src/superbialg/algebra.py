@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EVEN, ODD, Ring, RingMismatchError
+from .scalars import EVEN, ODD, Ring, RingMismatchError, parse_rational
 from . import tensors
 
 
@@ -298,7 +298,7 @@ def parse_algebra_text(text, validate=True):
             rhs_pairs = []
             for pos in range(0, len(tokens), 2):
                 try:
-                    coeff = Fraction(tokens[pos])
+                    coeff = parse_rational(tokens[pos])
                 except (ValueError, ZeroDivisionError):
                     raise ValueError(
                         f"line {lineno}: bad rational {tokens[pos]!r}") from None

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import builtin, parse_algebra_file, AlgebraError
 from .bialgebra import (Cobracket, check_cobracket, coboundary_delta,
@@ -23,6 +22,7 @@ from . import cocycles
 from .equivalence import verify_orbit_claims
 from .poisson import named_structure, check_axioms, format_table
 from .claims import run_claims, summarize
+from .scalars import parse_rational
 
 
 class UsageError(Exception):
@@ -56,7 +56,7 @@ def _parse_params(text):
         if key.strip() in params:
             raise UsageError(f"parameter {key.strip()!r} is bound twice")
         try:
-            params[key.strip()] = Fraction(value.strip())
+            params[key.strip()] = parse_rational(value)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad rational in {piece!r}") from None
     return params

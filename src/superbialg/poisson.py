@@ -81,7 +81,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .scalars import EVEN, ODD, Ring, _coefficient
+from .scalars import EVEN, ODD, Ring, _rational
 from .algebra import builtin
 from .bialgebra import family as bialgebra_family
 from .tensors import parse_wedge_sum
@@ -201,10 +201,11 @@ class CoordinateRing:
     # -- derivations ---------------------------------------------------------
 
     def apply_field(self, field, f):
-        # A field is linear, so field(f) = sum of coeff * field(monomial).
-        image = self.image
-        return self.ring.linear_combination(
-            [(coeff, image(field, key)) for key, coeff in f._terms.items()])
+        # A field is linear, so field(f) = sum of coeff * field(monomial),
+        # each numerator over the one denominator of f.
+        image, den = self.image, f._den
+        return self.ring._combination(
+            [(c, den, image(field, key)) for key, c in f._terms.items()])
 
     def image(self, field, key):
         """The image under `field` of the coefficient-1 monomial `key`,
@@ -433,7 +434,8 @@ class PoissonStructure:
                  display_scale=1):
         self.group = grp
         self.structure_id = structure_id
-        self.display_scale = _coefficient(display_scale)
+        n, d = _rational(display_scale)
+        self.display_scale = n if d == 1 else Fraction(n, d)
         self.r_entries = [] if r is None else [
             (r.algebra.basis[k], r.algebra.basis[j], v.as_fraction())
             for (k, j), v in sorted(r.coeffs.items())]
@@ -508,21 +510,24 @@ class PoissonStructure:
         return self.group.ring.sum_of_products(products)
 
     def _term_bracket(self, f, g):
-        # {c m, d n} = c d {m, n} for rational c and d.  A rational triple
-        # reads L(m) R(n) from the group's product memo, so the bracket of
-        # m and n is a rational combination of normal forms; a Phi triple
-        # is the product L(m) Phi R(n), reduced with the others.
+        # {c m, d n} = c d {m, n} for rational c and d, read as numerators
+        # over the denominators of f and g.  A rational triple reads L(m)
+        # R(n) from the group's product memo, so the bracket of m and n is
+        # a rational combination of normal forms; a Phi triple is the
+        # product L(m) Phi R(n), reduced with the others.
         grp = self.group
         ((m, c),), ((n, d),) = f._terms.items(), g._terms.items()
+        scale, den = c * d, f._den * g._den
         image, memo = grp.image, grp.term_products
-        pairs = []
+        triples = []
         phi = []
         for lfield, coeff, rfield in self._bracket_triples():
             rational = isinstance(coeff, Fraction)
             if rational:
                 product = memo.get((lfield, rfield, m, n))
                 if product is not None:
-                    pairs.append((coeff, product))
+                    triples.append((coeff.numerator * scale,
+                                    coeff.denominator * den, product))
                     continue
             lm = image(lfield, m)
             if lm.is_zero():
@@ -535,11 +540,12 @@ class PoissonStructure:
                 continue
             product = lm * rn
             memo[lfield, rfield, m, n] = product if product._terms else grp.zero
-            pairs.append((coeff, product))
+            triples.append((coeff.numerator * scale, coeff.denominator * den,
+                            product))
         ring = grp.ring
         if phi:
-            pairs.append((1, ring.sum_of_products(phi)))
-        return ring.linear_combination(pairs) * (c * d)
+            triples.append((scale, den, ring.sum_of_products(phi)))
+        return ring._combination(triples)
 
     def __repr__(self):
         return f"<PoissonStructure {self.group.name}:{self.structure_id}>"
@@ -644,16 +650,18 @@ def check_axioms(structure, leibniz_triples=None):
     memo = {}  # (monomial m, monomial n) -> {m, n}, freed on return
 
     def bracket(x, y):
-        # {x, y} = sum of c*d*{m, n} over the terms c*m of x and d*n of y
-        pairs = []
+        # {x, y} = sum of c*d*{m, n} over the terms c*m of x and d*n of y,
+        # the numerators c*d over the one denominator of x times that of y
+        den = x._den * y._den
+        triples = []
         for m, c in x._terms.items():
             for n, d in y._terms.items():
                 value = memo.get((m, n))
                 if value is None:
                     value = memo[m, n] = structure.bracket(
                         ring._make({m: 1}), ring._make({n: 1}))
-                pairs.append((c * d, value))
-        return ring.linear_combination(pairs)
+                triples.append((c * d, den, value))
+        return ring._combination(triples)
 
     pi = {(f, g): bracket(val[f], val[g]) for f in gens for g in gens}
 

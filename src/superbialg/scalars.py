@@ -9,10 +9,12 @@ a strictly increasing product of Grassmann generators.  Signs come from
 bubble-sorting Grassmann factors into that fixed order; a repeated generator
 annihilates the term.
 
-A stored coefficient is an ``int`` when it is integral and a non-integral
-``Fraction`` otherwise, so most arithmetic stays on Python integers;
-``terms()`` and ``as_fraction()`` hand out ``Fraction``s.  A float or a
-Decimal is refused with ``TypeError`` wherever a rational enters.
+An element is stored as integer numerators over one positive common
+denominator, in lowest terms (the gcd of the denominator and every
+numerator is 1; zero has denominator 1), so it has one stored form and all
+arithmetic is on Python integers.  A rational enters through one reader,
+which refuses a float or a Decimal with ``TypeError``; ``terms()`` and
+``as_fraction()`` hand out ``Fraction``s.
 
 Rings may carry rewrite relations (e.g. ``a*d - b*c + alpha*delta - 1`` with
 leading monomial ``a*d``), in which case every arithmetic result is reduced
@@ -26,6 +28,7 @@ pure functions.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from numbers import Rational
@@ -57,24 +60,50 @@ class ScalarParseError(ValueError):
     """Text does not conform to the scalar grammar."""
 
 
-def _coefficient(q):
-    """The stored form of a rational: an int when integral, otherwise a
-    Fraction.  Ints, Fractions and rational strings are accepted; anything
-    inexact, such as a float or a Decimal, raises TypeError."""
+_NUMBER = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def parse_rational(text):
+    """The rational spelt by `text` in the number form of the scalar
+    grammar, ``[+-]?\\d+(/\\d+)?`` between optional blanks: ValueError for
+    any other text, exponents and decimal points included, and
+    ZeroDivisionError for a zero denominator."""
+    if _NUMBER.fullmatch(text.strip()) is None:
+        raise ValueError(f"not an integer or p/q: {text!r}")
+    return Fraction(text)
+
+
+def _rational(q):
+    """(numerator, positive denominator) in lowest terms of a rational: an
+    int, a Fraction or another exact Rational, or text read by
+    `parse_rational`.  Anything inexact, such as a float or a Decimal,
+    raises TypeError."""
     if type(q) is int:
-        return q
+        return q, 1
     if type(q) is not Fraction:
-        if not isinstance(q, (Rational, str)):
+        if isinstance(q, str):
+            q = parse_rational(q)
+        elif isinstance(q, Rational):
+            q = Fraction(q)
+        else:
             raise TypeError(
                 f"coefficients are exact rationals, not {type(q).__name__}")
-        q = Fraction(q)
-    return q.numerator if q.denominator == 1 else q
+    return q.numerator, q.denominator
 
 
-def _normalized(terms):
-    """`terms` without its zero coefficients, the others in stored form."""
-    return {key: c if type(c) is int else _coefficient(c)
-            for key, c in terms.items() if c}
+def _cancel(terms, den):
+    """The zero-free numerators `terms` over `den` in lowest terms."""
+    if den == 1 or not terms:
+        return terms, 1
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {key: c // g for key, c in terms.items()}, den // g
+
+
+def _lowest(terms, den):
+    """The numerators `terms` over `den` without the zeros, in lowest terms."""
+    return _cancel({key: c for key, c in terms.items() if c}, den)
 
 
 def _merge_grassmann(left, right):
@@ -159,7 +188,7 @@ class Ring:
         def weight(exps):
             return sum(exps), [exps[p] for p in ranked]
 
-        for (lead, replacement), (rel_text, lead_text) in zip(
+        for (lead, (replacement, _)), (rel_text, lead_text) in zip(
                 rules, self._relation_spec):
             for exps, _ in replacement:
                 if min(exps, default=0) < 0:
@@ -172,7 +201,8 @@ class Ring:
         self._relations = tuple(rules)
 
     def _compile_relation(self, relation, leading):
-        """The rule (leading exponents, replacement terms) of one relation."""
+        """The rule (leading exponents, (replacement numerators,
+        denominator)) of one relation."""
         if len(leading._terms) != 1:
             raise ReductionError("leading monomial must be a single term")
         (lead_key, lead_coeff), = leading._terms.items()
@@ -181,11 +211,11 @@ class Ring:
             raise ReductionError("leading monomial must be purely even")
         if any(k < 0 for k in lead_exps):
             raise ReductionError("leading monomial exponents must be nonnegative")
-        if lead_coeff != 1:
+        if lead_coeff != 1 or leading._den != 1:
             raise ReductionError("leading monomial must have coefficient 1")
         if relation.parity() not in (EVEN, None) or not relation.is_homogeneous():
             raise ReductionError("relation must be homogeneous even")
-        if relation._terms.get(lead_key) != 1:
+        if relation._terms.get(lead_key) != relation._den:
             raise ReductionError("leading monomial must occur in the relation with coefficient 1")
         for (exps, odds) in relation._terms:
             if (exps, odds) == lead_key:
@@ -194,12 +224,12 @@ class Ring:
                 raise ReductionError("leading monomial divides another monomial of the relation")
         # lead == lead - relation modulo the relation
         replacement = self._make({lead_key: 1}) - relation
-        return (lead_exps, replacement._terms)
+        return (lead_exps, (replacement._terms, replacement._den))
 
     # -- constructors -------------------------------------------------
 
-    def _make(self, terms):
-        return SuperScalar(self, terms)
+    def _make(self, terms, den=1):
+        return SuperScalar(self, terms, den)
 
     def zero(self):
         return self._make({})
@@ -208,10 +238,10 @@ class Ring:
         return self.scalar(1)
 
     def scalar(self, q):
-        q = _coefficient(q)
-        if not q:
+        n, d = _rational(q)
+        if not n:
             return self.zero()
-        return self._make({(self._zero_exps, ()): q})
+        return self._make({(self._zero_exps, ()): n}, d)
 
     def var(self, name):
         kind = self._kinds.get(name)
@@ -225,10 +255,10 @@ class Ring:
 
     def monomial(self, exps, odds, coeff=1):
         """coeff * the monomial, in normal form modulo the relations."""
-        coeff = _coefficient(coeff)
-        if not coeff:
+        n, d = _rational(coeff)
+        if not n:
             return self.zero()
-        return self._make(self._reduce_terms({(tuple(exps), tuple(odds)): coeff}))
+        return self._reduced({(tuple(exps), tuple(odds)): n}, d)
 
     def coerce(self, value):
         if isinstance(value, SuperScalar):
@@ -279,10 +309,13 @@ class Ring:
 
     # -- normal form ---------------------------------------------------
 
-    def _reduce_terms(self, terms):
+    def _reduced(self, terms, den):
+        """The element with numerators `terms` over `den`, zeros allowed,
+        in normal form and lowest terms."""
         if not self._relations:
-            return terms
-        return _rewrite(terms, self._relations, self._normal_forms)
+            return self._make(*_lowest(terms, den))
+        return self._make(*_rewrite(terms, den, self._relations,
+                                    self._normal_forms))
 
     def sum_of_products(self, products):
         """The normal form of the sum of q * x1 * ... * xn over the (q,
@@ -292,31 +325,37 @@ class Ring:
         reduced products."""
         checked = []
         for q, factors in products:
+            n, d = (q, 1) if type(q) is int else _rational(q)
             terms = []
             for x in factors:
                 if x.ring is not self and x.ring != self:
                     raise RingMismatchError("factor belongs to a different ring")
                 terms.append(x._terms)
-            checked.append((q if type(q) is int else _coefficient(q), terms))
-        return self._make(self._reduce_terms(
-            _sum_of_products(checked, (self._zero_exps, ()))))
+                d *= x._den
+            checked.append((n, d, terms))
+        return self._reduced(*_sum_of_products(checked, (self._zero_exps, ())))
 
     def linear_combination(self, pairs):
-        """The sum of q * x over (rational q, element x) pairs.  A rational
+        """The sum of q * x over (rational q, element x) pairs."""
+        return self._combination([(*_rational(q), x) for q, x in pairs])
+
+    def _combination(self, triples):
+        """The sum of n/d * x over (int n, positive int d, element x)
+        triples, over the lcm of the d * (denominator of x).  A rational
         combination of normal forms is a normal form, so nothing is
         reduced."""
+        den = math.lcm(*[d * x._den for _, d, x in triples])
         out = {}
         get = out.get
-        for q, x in pairs:
+        for n, d, x in triples:
             if x.ring is not self and x.ring != self:
                 raise RingMismatchError("element belongs to a different ring")
-            if type(q) is not int:
-                q = _coefficient(q)
+            n *= den // (d * x._den)
             for key, c in x._terms.items():
-                c = c * q
+                c *= n
                 acc = get(key)
                 out[key] = c if acc is None else acc + c
-        return self._make(_normalized(out))
+        return self._make(*_lowest(out, den))
 
     # -- parsing / rendering -------------------------------------------
 
@@ -332,9 +371,9 @@ def _divides(lead_exps, exps):
 
 
 def _multiply(left, right, out):
-    """The product kernel: add every term product of the term dicts `left`
-    and `right` into `out` and return it.  Nothing is reduced, and a sum
-    that cancels stays in `out` as a zero until `_normalized`."""
+    """The product kernel: add every term product of the numerator dicts
+    `left` and `right` into `out` and return it.  Nothing is reduced, and a
+    sum that cancels stays in `out` as a zero until `_lowest`."""
     get = out.get
     right = list(right.items())
     for (e1, o1), c1 in left.items():
@@ -353,13 +392,16 @@ def _multiply(left, right, out):
 
 
 def _sum_of_products(products, unit):
-    """Sum of q * f1 * ... * fn over the (q, (f1, ..., fn)) pairs in
-    `products`, with q in stored form and each f a term dict: unreduced,
-    zero-free, in stored form.  `unit` is the key of the constant monomial,
-    the empty product.  The last factor multiplies straight into the sum."""
+    """(numerators, denominator) of the sum of n/d * f1 * ... * fn over the
+    (n, d, (f1, ..., fn)) triples in `products`, each f a numerator dict and
+    d the product of the denominators: unreduced, zeros not dropped, over
+    the lcm of the d.  `unit` is the key of the constant monomial, the
+    empty product.  The last factor multiplies straight into the sum."""
+    den = math.lcm(*[d for _, d, _ in products])
     out = {}
     get = out.get
-    for coeff, factors in products:
+    for coeff, d, factors in products:
+        coeff *= den // d
         left = factors[0] if factors else {unit: 1}
         if coeff != 1:
             left = {key: c * coeff for key, c in left.items()}
@@ -371,7 +413,7 @@ def _sum_of_products(products, unit):
         for right in factors[1:-1]:
             left = _multiply(left, right, {})
         _multiply(left, factors[-1], out)
-    return _normalized(out)
+    return out, den
 
 
 def _rule_for(exps, rules):
@@ -381,41 +423,49 @@ def _rule_for(exps, rules):
     return None
 
 
-def _rewrite(terms, rules, memo):
-    """Normal form of a term dict under compiled (lead_exps, replacement)
-    rules, in one linear pass: a term that no leading monomial divides is
-    kept, any other is replaced by its monomial's normal form, which
-    `_normal_form` computes once and keeps in `memo`.  The input dict is
-    left unchanged."""
+def _rewrite(terms, den, rules, memo):
+    """Normal form, in lowest terms, of the numerators `terms` over `den`
+    under compiled (lead_exps, (numerators, denominator)) rules, in one
+    linear pass: a term that no leading monomial divides is kept, any other
+    is replaced by its monomial's normal form, which `_normal_form` computes
+    once and keeps in `memo`.  The sum is taken over the lcm of the normal
+    forms' denominators.  The input dict is left unchanged."""
     for exps, _ in terms:
         if _rule_for(exps, rules) is not None:
             break
     else:
-        return terms
-    out = {}
-    get = out.get
+        return _lowest(terms, den)
+    forms = []
     for key, c in terms.items():
         form = memo.get(key)
-        if form is None:
-            if _rule_for(key[0], rules) is None:
-                acc = get(key)
-                out[key] = c if acc is None else acc + c
-                continue
+        if form is None and _rule_for(key[0], rules) is not None:
             form = _normal_form(key, rules, memo)
+        forms.append((key, c, form))
+    lcm = math.lcm(*[form[1] for _, _, form in forms if form is not None])
+    out = {}
+    get = out.get
+    for key, c, form in forms:
+        if form is None:
+            c *= lcm
+            acc = get(key)
+            out[key] = c if acc is None else acc + c
+            continue
+        form, fden = form
+        c *= lcm // fden
         for k, f in form.items():
-            f = c * f
+            f *= c
             acc = get(k)
             out[k] = f if acc is None else acc + f
-    return _normalized(out)
+    return _lowest(out, den * lcm)
 
 
 def _normal_form(key, rules, memo):
-    """The normal form of the reducible monomial `key`, kept in `memo`
-    with that of every reducible monomial met on the way.  One rewrite step
-    turns a monomial into quotient * replacement; the monomials of that
-    expansion are settled first, depth first on an explicit stack.  A
-    monomial that reappears while its own normal form is being computed
-    means the rules do not terminate."""
+    """The normal form (numerators, denominator) of the reducible monomial
+    `key`, kept in `memo` with that of every reducible monomial met on the
+    way.  One rewrite step turns a monomial into quotient * replacement; the
+    monomials of that expansion are settled first, depth first on an
+    explicit stack.  A monomial that reappears while its own normal form is
+    being computed means the rules do not terminate."""
     expansions = {}  # monomials on the stack -> their one-step expansions
     stack = [key]
     while stack:
@@ -423,11 +473,11 @@ def _normal_form(key, rules, memo):
         expansion = expansions.get(top)
         if expansion is None:
             exps, odds = top
-            lead_exps, replacement = _rule_for(exps, rules)
+            lead_exps, (replacement, den) = _rule_for(exps, rules)
             quotient = {(tuple(e - l for e, l in zip(exps, lead_exps)), odds): 1}
-            expansion = expansions[top] = _normalized(
-                _multiply(quotient, replacement, {}))
-        for k in expansion:
+            expansion = expansions[top] = (
+                _multiply(quotient, replacement, {}), den)
+        for k in expansion[0]:
             if k not in memo and _rule_for(k[0], rules) is not None:
                 if k in expansions:
                     raise ReductionError("relation rewriting did not terminate")
@@ -436,23 +486,26 @@ def _normal_form(key, rules, memo):
         else:
             stack.pop()
             del expansions[top]
-            memo[top] = _rewrite(expansion, rules, memo)
+            memo[top] = _rewrite(*expansion, rules, memo)
     return memo[key]
 
 
 class SuperScalar:
     """Canonical element of a supercommutative ring.
 
-    Stored as a map from (even exponent vector, increasing Grassmann index
-    tuple) to a nonzero coefficient: an int when integral, otherwise a
-    Fraction.  Do not mutate; all operations return new values.
+    Stored as `_terms`, a map from (even exponent vector, increasing
+    Grassmann index tuple) to a nonzero int numerator, and `_den`, one
+    positive int denominator, in lowest terms: the coefficient of a term is
+    its numerator over `_den`.  Do not mutate; all operations return new
+    values.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_den")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, terms, den=1):
         self.ring = ring
         self._terms = terms
+        self._den = den
 
     # -- inspection ----------------------------------------------------
 
@@ -461,8 +514,9 @@ class SuperScalar:
 
     def terms(self):
         """Iterate (even_exps, odd_indices, coefficient as a Fraction)."""
+        den = self._den
         for (exps, odds), coeff in self._terms.items():
-            yield exps, odds, Fraction(coeff)
+            yield exps, odds, Fraction(coeff, den)
 
     def parity(self):
         """0, 1, or None for a mixed-parity (inhomogeneous) element."""
@@ -482,7 +536,8 @@ class SuperScalar:
         odd = {}
         for key, coeff in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = coeff
-        return self.ring._make(even), self.ring._make(odd)
+        ring, den = self.ring, self._den
+        return ring._make(*_cancel(even, den)), ring._make(*_cancel(odd, den))
 
     def as_fraction(self):
         """The rational value of a constant element; error otherwise."""
@@ -491,7 +546,7 @@ class SuperScalar:
         if len(self._terms) == 1:
             (key, coeff), = self._terms.items()
             if key == (self.ring._zero_exps, ()):
-                return Fraction(coeff)
+                return Fraction(coeff, self._den)
         raise ValueError(f"not a constant: {self}")
 
     # -- ring operations -------------------------------------------------
@@ -511,23 +566,32 @@ class SuperScalar:
             return other
         if not other._terms:
             return self
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
+        den = self._den
+        if other._den == den:
+            terms, other_terms = dict(self._terms), other._terms
+        else:
+            den = math.lcm(den, other._den)
+            scale, other_scale = den // self._den, den // other._den
+            terms = {key: c * scale for key, c in self._terms.items()}
+            other_terms = {key: c * other_scale
+                           for key, c in other._terms.items()}
+        for key, coeff in other_terms.items():
             acc = terms.get(key)
             if acc is None:
                 terms[key] = coeff
                 continue
             acc += coeff
             if acc:
-                terms[key] = acc if type(acc) is int else _coefficient(acc)
+                terms[key] = acc
             else:
                 del terms[key]
-        return self.ring._make(terms)
+        return self.ring._make(*_cancel(terms, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring._make({k: -c for k, c in self._terms.items()})
+        return self.ring._make({k: -c for k, c in self._terms.items()},
+                               self._den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -539,18 +603,18 @@ class SuperScalar:
         ring = self.ring
         if isinstance(other, (int, Fraction)):
             # a rational multiple of a normal form is a normal form
-            other = _coefficient(other)
-            if other == 1:
+            n, d = _rational(other)
+            if n == d:
                 return self
-            if not other:
+            if not n:
                 return ring.zero()
-            return ring._make(_normalized(
-                {key: c * other for key, c in self._terms.items()}))
+            return ring._make(*_cancel(
+                {key: c * n for key, c in self._terms.items()}, self._den * d))
         if not isinstance(other, SuperScalar):
             return NotImplemented
         self._check(other)
-        return ring._make(ring._reduce_terms(
-            _normalized(_multiply(self._terms, other._terms, {}))))
+        return ring._reduced(_multiply(self._terms, other._terms, {}),
+                             self._den * other._den)
 
     def __rmul__(self, other):
         # other is int/Fraction: even, commutes freely
@@ -583,7 +647,8 @@ class SuperScalar:
         for pos, e in enumerate(exps):
             if e and self.ring.kind(self.ring._evens[pos]) != LAURENT:
                 raise ValueError("only monomials in Laurent variables are invertible")
-        return self.ring.monomial(tuple(-e for e in exps), (), Fraction(1) / coeff)
+        return self.ring.monomial(tuple(-e for e in exps), (),
+                                  Fraction(self._den, coeff))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -592,7 +657,7 @@ class SuperScalar:
             return NotImplemented
         if other.ring != self.ring:
             return False
-        return self._terms == other._terms
+        return self._terms == other._terms and self._den == other._den
 
     __hash__ = None
 
@@ -632,7 +697,7 @@ class SuperScalar:
         """Re-express in `target`, matching variables by name and kind: the
         ring map that sends each variable to its namesake."""
         if target == self.ring:
-            return target._make(dict(self._terms))
+            return target._make(dict(self._terms), self._den)
         return self.map(target, self.ring.namesakes(target))
 
     # -- rendering -------------------------------------------------------
@@ -641,9 +706,12 @@ class SuperScalar:
         if not self._terms:
             return "0"
         pieces = []
+        den = self._den
         for key in sorted(self._terms, reverse=True):
             exps, odds = key
             coeff = self._terms[key]
+            if den != 1:
+                coeff = Fraction(coeff, den)
             factors = []
             for pos, e in enumerate(exps):
                 if not e:
@@ -677,7 +745,8 @@ def map_products(source, target, images):
     `images[name]`, an element of `target`, as a function from an element of
     `source` to the (coefficient, factors) pairs whose `sum_of_products` in
     `target` is its image (Grassmann factors in their stored order, a
-    negative Laurent power inverted), the images checked once for all."""
+    negative Laurent power inverted), the images checked once for all.  A
+    coefficient is an int when integral, otherwise a Fraction."""
     evens = [images[name] for name in source._evens]
     odds = [images[name] for name in source._odds]
     for image in evens + odds:
@@ -685,8 +754,10 @@ def map_products(source, target, images):
             raise RingMismatchError("image belongs to a different ring")
 
     def products(x):
-        return [(coeff, [evens[pos] if k == 1 else evens[pos] ** k
-                         for pos, k in enumerate(exps) if k]
+        den = x._den
+        return [(coeff if den == 1 else Fraction(coeff, den),
+                 [evens[pos] if k == 1 else evens[pos] ** k
+                  for pos, k in enumerate(exps) if k]
                  + [odds[i] for i in odd_idx])
                 for (exps, odd_idx), coeff in x._terms.items()]
     return products
@@ -708,7 +779,7 @@ def reduce_mod_relation(x, relation, leading_monomial):
         relation = ring.parse(relation)
     rule = ring._compile_relation(relation, leading_monomial)
     # the rule is not the ring's, so its normal forms are kept apart
-    return ring._make(_rewrite(x._terms, (rule,), {}))
+    return ring._make(*_rewrite(x._terms, x._den, (rule,), {}))
 
 
 # -- text grammar -----------------------------------------------------------

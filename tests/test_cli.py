@@ -324,6 +324,38 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# a number outside the grammar's integers and p/q, read from --params or an
+# .alg file: exponent notation, which Fraction would expand digit by digit
+# for minutes, and a decimal point, exit 2 at once with the bad-rational line
+NOT_RATIONAL = {
+    "params-exponent": (
+        ["schouten", "--algebra", "osp12", "--family", "osp-r-a",
+         "--params", "x=1e-99999999"], None, None,
+        "error: bad rational in 'x=1e-99999999'"),
+    "params-decimal": (
+        ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-b",
+         "--params", "c=1.5"], None, None, "error: bad rational in 'c=1.5'"),
+    "alg-file-exponent": (
+        ["validate", "--file"], "bad.alg",
+        "[algebra] name = bad\nbasis = H:even X+:even\n"
+        "[brackets]\nH X+ = 1e-99999999 X+\n",
+        "error: line 4: bad rational '1e-99999999'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_RATIONAL))
+def test_non_rational_number_exits_2_at_once(case, tmp_path):
+    argv, name, text, line = NOT_RATIONAL[case]
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(text)
+        argv = argv + [str(path)]
+    proc = subprocess.run([sys.executable, "-m", "superbialg.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [line]
+
+
 # unknown names exit 2 with the KeyError's message as written, unquoted
 UNKNOWN_NAMES = {
     "group": (["poisson", "--group", "nope", "--structure", "1"],

@@ -1,11 +1,15 @@
-"""The integer-first exact kernel against the kernels it replaced.
+"""The fraction-free exact kernel against the kernels it replaced.
 
-`SuperScalar.__mul__`, the relation rewriter, `SuperScalar.map`,
-`PoissonStructure.bracket` and `cocycles._rref` now store integral
-coefficients as ints, form products unreduced and reduce once, memoize
-normal forms per ring and update only the live columns of a pivot row.
-The previous bodies are kept below as references, working on term dicts
-with Fraction coefficients, and must give equal results.
+A scalar is stored as int numerators over one positive denominator, in
+lowest terms, and `SuperScalar.__mul__`, the relation rewriter,
+`SuperScalar.map` and `PoissonStructure.bracket` do integer arithmetic
+only: they form products unreduced and reduce once, memoize normal forms
+per ring, and cancel one gcd per result.  `cocycles._rref` updates only the
+live columns of a pivot row.  The previous bodies are kept below as
+references, working on term dicts with Fraction coefficients; the kernel's
+results, read as such dicts by `_values`, must equal theirs, and every
+result must be in lowest terms (`_stored`).  Since `==` compares stored
+forms, equal values reached by different routes must be stored alike.
 """
 
 import math
@@ -24,6 +28,7 @@ from superbialg.scalars import (
     Ring,
     _divides,
     _merge_grassmann,
+    parse_rational,
     reduce_mod_relation,
 )
 
@@ -42,8 +47,8 @@ def _frozen_rules(ring):
     rules = []
     for rel_text, lead_text in ring._relation_spec:
         (lead_key, _), = free.parse(lead_text)._terms.items()
-        replacement = free._make({lead_key: Fraction(1)}) - free.parse(rel_text)
-        rules.append((lead_key[0], dict(replacement._terms)))
+        replacement = free.monomial(*lead_key) - free.parse(rel_text)
+        rules.append((lead_key[0], _values(replacement)))
     return tuple(rules)
 
 
@@ -110,10 +115,10 @@ def _frozen_map(x, target, images):
     # the previous SuperScalar.map: reduce after every factor
     rules = _frozen_rules(target)
     ring = x.ring
-    evens = [images[name]._terms for name in ring._evens]
-    odds = [images[name]._terms for name in ring._odds]
+    evens = [_values(images[name]) for name in ring._evens]
+    odds = [_values(images[name]) for name in ring._odds]
     out = {}
-    for (exps, odd_idx), coeff in x._terms.items():
+    for (exps, odd_idx), coeff in _values(x).items():
         acc = {(target._zero_exps, ()): Fraction(coeff)}
         for pos, k in enumerate(exps):
             if k:
@@ -190,10 +195,26 @@ def _elements(ring, max_exp=2, max_size=4):
 RINGS = [E2.ring, OSP.ring, SQUARE.ring, CONSTANTS]
 
 
+def _values(x):
+    """The exact coefficients of `x`, {key: Fraction}, for comparison with
+    the references."""
+    return {key: Fraction(c, x._den) for key, c in x._terms.items()}
+
+
+def _element(ring, values):
+    """The element of `ring` whose coefficients are `values`, a term dict
+    with rational coefficients, in normal form."""
+    den = math.lcm(*[Fraction(c).denominator for c in values.values()])
+    return ring._reduced({key: int(c * den) for key, c in values.items()}, den)
+
+
 def _stored(x):
-    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
-    return all(type(c) is int and c or type(c) is Fraction and c.denominator != 1
-               for c in x._terms.values())
+    """The stored form is in lowest terms: nonzero int numerators over a
+    positive int denominator whose gcd with all of them is 1, so zero has
+    denominator 1."""
+    nums = list(x._terms.values())
+    return (all(type(c) is int and c for c in nums) and type(x._den) is int
+            and x._den >= 1 and math.gcd(x._den, *nums) == 1)
 
 
 # -- products and the rewriter -------------------------------------------------
@@ -206,7 +227,7 @@ def test_product_equals_frozen(pair):
     x, y = pair
     rules = _frozen_rules(x.ring)
     product = x * y
-    assert product._terms == _frozen_mul(x._terms, y._terms, rules)
+    assert _values(product) == _frozen_mul(_values(x), _values(y), rules)
     for value in (product, x + y, x - y, -x, x * Fraction(3, 2), Fraction(2, 3) * y,
                   x * Fraction(4, 2), x * 2):
         assert _stored(value)
@@ -218,14 +239,11 @@ def test_product_equals_frozen(pair):
 def test_rewrite_equals_frozen(drawn):
     ring, terms = drawn
     want = _frozen_rewrite(terms, _frozen_rules(ring))
-    # the rewriter takes its input in stored form
-    terms = {key: c.numerator if c.denominator == 1 else c
-             for key, c in terms.items()}
     # in a fresh ring, so the memo starts empty, and in the shared one
     fresh = Ring([(n, ring.kind(n)) for n in ring.names], ring._relation_spec)
     for r in (fresh, ring):
-        got = r._make(r._reduce_terms(dict(terms)))
-        assert got._terms == want and _stored(got)
+        got = _element(r, terms)
+        assert _values(got) == want and _stored(got)
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,7 +254,7 @@ def test_reduce_mod_relation_equals_frozen(terms):
     for (exps, odds), c in terms.items():
         x = x + free.monomial(exps, odds, c)
     got = reduce_mod_relation(x, "a*d-b*c+alpha*delta-1", "a*d")
-    assert got._terms == _frozen_rewrite(dict(x._terms), _frozen_rules(OSP.ring))
+    assert _values(got) == _frozen_rewrite(_values(x), _frozen_rules(OSP.ring))
     assert _stored(got)
 
 
@@ -251,7 +269,7 @@ def test_coproduct_and_embeddings_equal_frozen(drawn):
     for got, images in ((grp.coproduct(x), grp._generator_coproducts()),
                         (grp.embed(x, 1), grp._embeddings[1]),
                         (grp.embed(x, 2), grp._embeddings[2])):
-        assert got._terms == _frozen_map(x, square, images)
+        assert _values(got) == _frozen_map(x, square, images)
         assert _stored(got)
 
 
@@ -268,8 +286,40 @@ def test_substitute_equals_frozen(drawn):
     images = {n: ring.var(n) for n in ring.names}
     images.update({n: ring.coerce(value) for n, value in bindings.items()})
     got = x.substitute(bindings)
-    assert got._terms == _frozen_map(x, ring, images)
+    assert _values(got) == _frozen_map(x, ring, images)
     assert _stored(got)
+
+
+# -- one stored form per value -------------------------------------------------
+
+def _same(*values):
+    # equal, and stored alike: `==` compares the stored forms
+    first = values[0]
+    for other in values:
+        assert _stored(other)
+        assert other == first
+        assert (other._terms, other._den) == (first._terms, first._den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(lambda ring: st.tuples(*[
+    _elements(ring, 1 if ring is SQUARE.ring else 2, 3) for _ in range(3)])),
+    _COEFFS, _COEFFS)
+def test_equal_values_by_different_routes_are_stored_alike(drawn, q, r):
+    x, y, z = drawn
+    ring = x.ring
+    _same(x * Fraction(1, 3) * 3, x)
+    _same(x * Fraction(1, 3) + x * Fraction(1, 6), x * Fraction(1, 2))
+    _same(ring.sum_of_products([(q, (x, y, z)), (r, (y, z))]),
+          q * x * y * z + r * y * z, (q * x + r) * y * z)
+    even, odd = x.homogeneous_parts()
+    _same(even + odd, odd + even, x)
+    # an even value for the first non-Laurent even variable
+    bindings = {n: y.homogeneous_parts()[0] * Fraction(2, 3) for n in
+                [n for n in ring.even_names if ring.kind(n) != "laurent"][:1]}
+    images = {n: ring.var(n) for n in ring.names}
+    images.update(bindings)
+    _same(x.map(ring, images), x.substitute(bindings))
 
 
 # -- fields and brackets -------------------------------------------------------
@@ -379,15 +429,30 @@ def test_inexact_values_are_refused(inexact):
     for enter in (ring.scalar, ring.coerce,
                   lambda q: ring.monomial((0, 1, 0, 0, 0), (), q),
                   lambda q: x.substitute({"b": q}),
-                  lambda q: ring.sum_of_products([(q, (x,))])):
+                  lambda q: ring.sum_of_products([(q, (x,))]),
+                  lambda q: ring.linear_combination([(1, x), (q, x)]),
+                  lambda q: x * q, lambda q: q * x, lambda q: x + q):
         with pytest.raises(TypeError):
             enter(inexact)
+
+
+@pytest.mark.parametrize("text", ["1e-99999999", "1E5", "1.5", "1/2/3", "0x10",
+                                  "1_000", " ", ""])
+def test_text_outside_the_number_grammar_is_refused(text):
+    # at once: Fraction would expand an exponent digit by digit
+    ring = E2.ring
+    for enter in (ring.scalar, ring.coerce, parse_rational,
+                  lambda q: ring.linear_combination([(q, ring.one())])):
+        with pytest.raises(ValueError):
+            enter(text)
+    with pytest.raises(ZeroDivisionError):
+        ring.scalar("1/0")
 
 
 def test_exact_values_are_accepted():
     ring = E2.ring
     half = Fraction(1, 2)
-    for q in (half, "1/2", "3/6"):
+    for q in (half, "1/2", "3/6", " +2/4 "):
         assert ring.scalar(q) == half
         assert ring.monomial((0, 0, 1, 0, 0), (), q) == half * ring.var("a")
         assert ring.coerce(q) == half

@@ -19,6 +19,7 @@ from superbialg.scalars import (
     reduce_mod_relation,
     rational_sqrt,
 )
+from test_exact_kernel import _element, _values
 
 
 @pytest.fixture
@@ -174,7 +175,7 @@ class TestReduction:
 
     def test_idempotent(self, osp_ring):
         x = osp_ring.parse("a^2*d^2+a*b*c*d+alpha*delta")
-        again = osp_ring._make(osp_ring._reduce_terms(dict(x._terms)))
+        again = osp_ring._reduced(dict(x._terms), x._den)
         assert again == x
 
     def test_standalone_reduce(self):
@@ -436,12 +437,13 @@ class TestSubstituteIsTheRingMap:
 
 # -- convert against the remapping loop it replaced -----------------------------
 #
-# The previous SuperScalar.convert body, kept verbatim as the reference for
-# `convert`, which now goes through `SuperScalar.map`.
+# The previous SuperScalar.convert body, kept as the reference for `convert`,
+# which now goes through `SuperScalar.map`.  It reads and builds exact
+# coefficient dicts through the helpers of test_exact_kernel.
 
 def _frozen_convert(x, target):
     if target == x.ring:
-        return target._make(dict(x._terms))
+        return _element(target, _values(x))
     even_map = []
     for name in x.ring._evens:
         if name not in target._even_pos or target.kind(name) != x.ring.kind(name):
@@ -454,7 +456,7 @@ def _frozen_convert(x, target):
         odd_map.append(target._odd_pos[name])
     out = {}
     zero = (0,) * len(target._evens)
-    for (exps, odds), coeff in x._terms.items():
+    for (exps, odds), coeff in _values(x).items():
         new_exps = list(zero)
         for pos, e in enumerate(exps):
             if e:
@@ -474,8 +476,7 @@ def _frozen_convert(x, target):
             out[key] = acc
         else:
             out.pop(key, None)
-    out = target._reduce_terms(out)
-    return target._make(out)
+    return _element(target, out)
 
 
 def _ring_elements(ring):
