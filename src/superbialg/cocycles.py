@@ -107,9 +107,11 @@ def _rref(rows, ncols, rhs=None):
     are zero.  `rhs` (rationals or SuperScalars, one per row) rides along as
     an extra column, so it follows the same row operations.  A row update
     touches only the columns where the pivot row is nonzero; the rhs column
-    is always among them.
+    is always among them.  Every matrix entry must be an int or a Fraction.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
+    if not all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        raise TypeError("a matrix entry is not an int or a Fraction")
     if rhs is not None:
         for row, value in zip(m, rhs):
             row.append(value)
@@ -124,7 +126,7 @@ def _rref(rows, ncols, rhs=None):
         m[r], m[pivot_row] = m[pivot_row], m[r]
         # entries left of col are zero in rows r.., so updates start at col
         pivot = m[r]
-        inv = 1 / pivot[col]
+        inv = Fraction(1) / pivot[col]
         live = [c for c in range(col, ncols) if pivot[c]]
         if rhs is not None:
             live.append(ncols)

@@ -23,12 +23,12 @@ super-E(2) families, or the whole bracket of family iv):
              + (X_j^(r) f) Phi^{jk} (X_k^(l) g)
 
 Both r and Phi are rank-2 wedge sums; the nine published structures are one
-table (`_STRUCTURES`) of r-matrix families and Phi texts.  `bracket` runs
-one loop over (left field, coefficient, right field) triples, applies each
-field to f and to g at most once per call and skips a triple with a zero
-image.  Products are taken in the written order; the supercommutative ring
-supplies every Koszul sign.  `check_axioms` computes the bracket of each
-pair of monomials once per call, in a local memo that every axiom on G reads.
+table (`_STRUCTURES`) of r-matrix families and Phi texts.  `bracket` is the
+one bracket: {f, g} is the sum of c*d*{m, n} over the terms c*m of f and
+d*n of g, and the bracket {m, n} of two monomials is formed once per
+structure from the (left field, coefficient, right field) triples.  Products
+are taken in the written order; the supercommutative ring supplies every
+Koszul sign.
 
 The tensor square A (x) A is a coordinate ring of its own
 (`CoordinateRing.square`): slot-tagged variables x1, x2, shared parameters,
@@ -37,10 +37,12 @@ A (x) A is the one ring-map kernel `SuperScalar.map`: the coproduct sends x
 to Delta(x), embed_s sends x to x_s, and restrict_s keeps slot s and sends
 the other slot to the identity.  A field lifted to slot s (`lift`) is the
 same derivation with its generator table embedded in that slot, so the
-Leibniz rule of the square supplies every Koszul sign.  The product bracket
-on G x G (`PoissonStructure.square`) is the same bracket loop over every
-triple lifted to slot 1 and to slot 2, and `check_axioms` reads the
-coproduct morphism as Delta{x_f, x_g} = {Delta x_f, Delta x_g} in it.
+Leibniz rule of the square supplies every Koszul sign.  The bracket is
+Poisson-Lie when Delta is a Poisson map into the product structure on
+G x G.  `check_axioms` reads that structure off Delta x = sum u (x) v over
+the nonzero entries u, v of T (`entries`, `coproduct_pairs`):
+
+    {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
 
 The invariant fields are derived from the coproduct and a tangent vector
 xi_k at the identity: Y_k = restrict_1 o xi_k(slot 2) o Delta and
@@ -58,17 +60,16 @@ rule field(E) = 1/2 field(s) E on the group-like variable.
 Each field keeps the image of every monomial it has been applied to
 (`VectorField.images`, read through `CoordinateRing.image`), and
 `apply_field` sums coeff * image per term; the memo lives as long as its
-group, i.e. the process for `group()`.  Lifted fields are shared by every
-structure on their group (`lifted_fields`).  The bracket of two single
-terms c*m and d*n is c*d times a rational combination of the products
-L(m) * R(n), which the group keeps in `term_products`, keyed by (left
-field, right field, m, n) and shared by every structure on the group; a
-zero product is kept as the group's one `zero`, and a polynomial argument
-takes the general loop and keys nothing.  After a full verify-paper run the
-image memos hold 2022 images (610 on the 40 fields of the two groups, 1412
-on 80 lifted fields) in about 0.74 MB of objects, and `term_products` 1000
-products (692 on OSp, 308 on super-E(2)), 84 of them zero, in about 0.19 MB
-more.
+group, i.e. the process for `group()`.  The bracket {m, n} is a rational
+combination of the products L(m) * R(n), which the group keeps in
+`term_products`, keyed by (left field, right field, m, n) and shared by
+every structure on the group, plus the Phi products L(m) Phi R(n); a zero
+product or bracket is kept as the group's one `zero`.  After a full
+verify-paper run the image memos hold 770 images on the 40 fields of the two
+groups (about 0.27 MB of objects), `term_products` 1308 products (950 on
+OSp, 358 on super-E(2)), 132 of them zero (about 0.68 MB more), and the
+nine structures 1684 monomial brackets, 771 of them zero (about 0.50 MB
+more).
 
 OSp bracket values are conventionally displayed after multiplication by 2,
 which is how the published table is normalized; `render_table` applies the
@@ -138,13 +139,34 @@ class CoordinateRing:
         if sorted(x for x, _ in entries) != sorted(set(names) - set(params)):
             raise ValueError(f"{name}: every coordinate must be one entry of T")
         self.identity = dict(entries)
+        # T's distinct nonzero entries, and for each coordinate x = T_ij the
+        # (p, q) indices into `entries` of Delta(x) = sum_k T_ik (x) T_kj;
+        # the product bracket's sign needs every entry homogeneous
+        index = {}
+        self.entries = []
+        for text in dict.fromkeys(t for block in self.matrix
+                                  for row in block for t in row):
+            x = ring.parse(text)
+            if x.is_zero():
+                continue
+            if x.parity() is None:
+                raise ValueError(f"{name}: entry {text} of T is not homogeneous")
+            index[text] = len(self.entries)
+            self.entries.append(x)
+        self.coproduct_pairs = {
+            x: tuple((index[row[k]], index[block[k][j]])
+                     for k in range(len(block))
+                     if row[k] in index and block[k][j] in index)
+            for block in self.matrix for row in block
+            for j, x in enumerate(row) if x in self.identity}
         self.laurent_rules = dict(laurent_rules)
         self.display = list(display)
+        self.display_elements = {label: ring.parse(text)
+                                 for label, text in self.display}
         self.algebra = builtin(algebra_name)
         self.tangents = dict(tangents)  # generator -> {coordinate: rational}
         self._fields = None
         self._square = None
-        self.lifted_fields = {}  # (field, slot) -> field on the square
         # (left field, right field, monomial m, monomial n) -> the reduced
         # product L(m) * R(n), filled by `PoissonStructure.bracket`; every
         # zero product is the one `zero`
@@ -268,7 +290,8 @@ class CoordinateRing:
         evens, slot-1 odds, slot-2 odds.  The Laurent rules are retagged per
         slot (E1 <- s1, E2 <- s2), so a field of the square acts on either
         slot by the same Leibniz rule as on G, and its supermatrix is
-        diag(T1, T2), the blocks of T retagged per slot.
+        diag(T1, T2), the blocks of T retagged per slot.  `embedded_entries`
+        holds `entries` in slot 1 and in slot 2.
         """
         if self._square is not None:
             return self._square
@@ -305,6 +328,8 @@ class CoordinateRing:
             tag(n, s): ring.var(n) if s == slot or n in params
             else ring.scalar(identity[n])
             for n in ring.names for s in slots} for slot in slots}
+        self.embedded_entries = tuple(
+            [self.embed(x, slot) for x in self.entries] for slot in slots)
         return self._square
 
     def embed(self, x, slot):
@@ -326,18 +351,14 @@ class CoordinateRing:
 
     def _generator_coproducts(self):
         """Delta of every ring variable, derived once: Delta(T_ij) =
-        sum_k T_ik (x) T_kj over the entries embedded once per slot."""
+        sum_k T_ik (x) T_kj over its `coproduct_pairs`."""
         if self._delta is None:
             tring = self.square().ring
+            one, two = self.embedded_entries
             delta = {p: tring.var(p) for p in self.params}
-            for block in self.matrix:
-                entries = [[self.parse(x) for x in row] for row in block]
-                t1, t2 = ([[self.embed(x, slot) for x in row] for row in entries]
-                          for slot in (1, 2))
-                delta.update((x, tring.sum_of_products(
-                    (1, (t1[i][k], t2[k][j])) for k in range(len(block))))
-                    for i, row in enumerate(block)
-                    for j, x in enumerate(row) if x in self.identity)
+            delta.update((x, tring.sum_of_products(
+                (1, (one[p], two[q])) for p, q in pairs))
+                for x, pairs in self.coproduct_pairs.items())
             self._delta = delta
         return self._delta
 
@@ -448,7 +469,7 @@ class PoissonStructure:
                     f"Phi^({j},{k}) = {value.render()} does not vanish at the"
                     " group identity")
         self._triples = None
-        self._square = None
+        self._pairs = {}  # (monomial m, monomial n) -> {m, n}
 
     def _bracket_triples(self):
         # (left field, coefficient, right field) for every term of the
@@ -464,60 +485,31 @@ class PoissonStructure:
             self._triples = triples
         return self._triples
 
-    def square(self):
-        """The product structure on G x G, built once: every triple lifted to
-        slot 1 and to slot 2, a Phi coefficient embedded in its slot."""
-        if self._square is None:
-            grp = self.group
-            lifted = grp.lifted_fields  # shared by the structures on grp
-
-            def lift(field, slot):
-                if (field, slot) not in lifted:
-                    lifted[field, slot] = grp.lift(field, slot)
-                return lifted[field, slot]
-
-            square = PoissonStructure(grp.square(), self.structure_id)
-            square.r_entries, square.phi = self.r_entries, self.phi
-            square._triples = [
-                (lift(left, slot), coeff if isinstance(coeff, Fraction)
-                 else grp.embed(coeff, slot), lift(right, slot))
-                for slot in (1, 2) for left, coeff, right in self._bracket_triples()]
-            self._square = square
-        return self._square
-
     def bracket(self, f, g):
-        """Sum of L(f) c R(g) over the triples, reduced once; each image of
-        f and of g is computed once, and a triple with a zero image is
-        skipped.  Two single terms go through `_term_bracket`."""
-        if len(f._terms) == 1 and len(g._terms) == 1:
-            return self._term_bracket(f, g)
-        left = {}
-        right = {}
-        products = []
-        for lfield, coeff, rfield in self._bracket_triples():
-            lf = left.get(lfield)
-            if lf is None:
-                lf = left[lfield] = lfield(f)
-            if lf.is_zero():
-                continue
-            rg = right.get(rfield)
-            if rg is None:
-                rg = right[rfield] = rfield(g)
-            if rg.is_zero():
-                continue
-            products.append((coeff, (lf, rg)) if isinstance(coeff, Fraction)
-                            else (1, (lf, coeff, rg)))
-        return self.group.ring.sum_of_products(products)
+        """{f, g} = sum of c*d*{m, n} over the terms c*m of f and d*n of g,
+        the numerators c*d over the denominator of f times that of g.  Each
+        {m, n} is formed once per structure and kept in `_pairs`."""
+        den = f._den * g._den
+        pairs = self._pairs
+        triples = []
+        for m, c in f._terms.items():
+            for n, d in g._terms.items():
+                value = pairs.get((m, n))
+                if value is None:
+                    value = pairs[m, n] = self._monomial_bracket(m, n)
+                if value._terms:
+                    triples.append((c * d, den, value))
+        if len(triples) == 1 and triples[0][0] == den:
+            return triples[0][2]  # 1 * {m, n}: nothing new to form
+        return self.group.ring._combination(triples)
 
-    def _term_bracket(self, f, g):
-        # {c m, d n} = c d {m, n} for rational c and d, read as numerators
-        # over the denominators of f and g.  A rational triple reads L(m)
-        # R(n) from the group's product memo, so the bracket of m and n is
-        # a rational combination of normal forms; a Phi triple is the
-        # product L(m) Phi R(n), reduced with the others.
+    def _monomial_bracket(self, m, n):
+        # {m, n} of two coefficient-1 monomials.  A rational triple reads
+        # L(m) R(n) from the group's product memo, so the bracket is a
+        # rational combination of normal forms; a Phi triple is the product
+        # L(m) Phi R(n), reduced with the others.  A zero bracket is the
+        # group's one `zero`.
         grp = self.group
-        ((m, c),), ((n, d),) = f._terms.items(), g._terms.items()
-        scale, den = c * d, f._den * g._den
         image, memo = grp.image, grp.term_products
         triples = []
         phi = []
@@ -526,8 +518,7 @@ class PoissonStructure:
             if rational:
                 product = memo.get((lfield, rfield, m, n))
                 if product is not None:
-                    triples.append((coeff.numerator * scale,
-                                    coeff.denominator * den, product))
+                    triples.append((coeff.numerator, coeff.denominator, product))
                     continue
             lm = image(lfield, m)
             if lm.is_zero():
@@ -540,12 +531,12 @@ class PoissonStructure:
                 continue
             product = lm * rn
             memo[lfield, rfield, m, n] = product if product._terms else grp.zero
-            triples.append((coeff.numerator * scale, coeff.denominator * den,
-                            product))
+            triples.append((coeff.numerator, coeff.denominator, product))
         ring = grp.ring
         if phi:
-            triples.append((scale, den, ring.sum_of_products(phi)))
-        return ring._combination(triples)
+            triples.append((1, 1, ring.sum_of_products(phi)))
+        value = ring._combination(triples)
+        return value if value._terms else grp.zero
 
     def __repr__(self):
         return f"<PoissonStructure {self.group.name}:{self.structure_id}>"
@@ -637,31 +628,19 @@ def check_axioms(structure, leibniz_triples=None):
     """Graded antisymmetry, Leibniz, graded Jacobi, and the coproduct
     morphism property, all on the group generators (exact, symbolic).
 
-    Each bracket {m, n} of two monomials is computed once per call, in a
-    local memo read by pi[f, g] = {x_f, x_g}, the Leibniz left sides,
-    Jacobi and the display brackets; the Leibniz right side is formed from
-    pi, the coproduct morphism from the product bracket of the square."""
+    pi[f, g] = {x_f, x_g} is computed once; the Leibniz right side is formed
+    from it.  The coproduct morphism compares Delta{x_f, x_g} with the
+    product bracket on G x G of Delta x_f = sum u (x) v and Delta x_g =
+    sum w (x) y over entries of T:
+
+        {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
+    """
     grp = structure.group
     gens = list(grp.coordinates)
     par = {g: grp.parity_of(g) for g in gens}
     val = {g: grp.var(g) for g in gens}
     report = AxiomReport()
-    ring = grp.ring
-    memo = {}  # (monomial m, monomial n) -> {m, n}, freed on return
-
-    def bracket(x, y):
-        # {x, y} = sum of c*d*{m, n} over the terms c*m of x and d*n of y,
-        # the numerators c*d over the one denominator of x times that of y
-        den = x._den * y._den
-        triples = []
-        for m, c in x._terms.items():
-            for n, d in y._terms.items():
-                value = memo.get((m, n))
-                if value is None:
-                    value = memo[m, n] = structure.bracket(
-                        ring._make({m: 1}), ring._make({n: 1}))
-                triples.append((c * d, den, value))
-        return ring._combination(triples)
+    bracket = structure.bracket
 
     pi = {(f, g): bracket(val[f], val[g]) for f in gens for g in gens}
 
@@ -689,18 +668,36 @@ def check_axioms(structure, leibniz_triples=None):
         if not total.is_zero():
             report.jacobi.append((f"({f},{g},{h})", total.render()))
 
-    square = structure.square()
-    delta = {g: grp.coproduct(val[g]) for g in gens}
+    entries, pairs = grp.entries, grp.coproduct_pairs
+    parity = [x.parity() for x in entries]
+    tring = grp.square().ring
+    one, two = grp.embedded_entries
+    embedded = {}  # (slot, p, r) -> {entry p, entry r} in that slot
+
+    def entry_bracket(slot, p, r):
+        value = embedded.get((slot, p, r))
+        if value is None:
+            value = embedded[slot, p, r] = grp.embed(
+                bracket(entries[p], entries[r]), slot)
+        return value
+
     for f, g in itertools.combinations_with_replacement(gens, 2):
+        products = []
+        for p, q in pairs[f]:
+            for r, s in pairs[g]:
+                sign = z(parity[q], parity[r])
+                products.append((sign, (entry_bracket(1, p, r), two[q], two[s])))
+                products.append((sign, (one[p], one[r], entry_bracket(2, q, s))))
         lhs = grp.coproduct(pi[f, g])
-        rhs = square.bracket(delta[f], delta[g])
+        rhs = tring.sum_of_products(products)
         if lhs != rhs:
             report.coproduct_morphism.append(
                 (f"Delta{{{f},{g}}}", (lhs - rhs).render()))
 
-    for label_f, text_f in grp.display:
-        for label_g, text_g in grp.display:
-            value = bracket(grp.parse(text_f), grp.parse(text_g))
+    elements = grp.display_elements
+    for label_f, f in elements.items():
+        for label_g, g in elements.items():
+            value = bracket(f, g)
             if not grp.vanishes_at_identity(value):
                 report.vanishing.append(
                     (f"{{{label_f},{label_g}}} at identity", value.render()))
@@ -714,8 +711,7 @@ def render_table(structure):
     display scale applied.  The odd-odd diagonal is included; even diagonal
     rows are omitted (identically zero by antisymmetry).
     """
-    grp = structure.group
-    elements = [(label, grp.parse(text)) for label, text in grp.display]
+    elements = list(structure.group.display_elements.items())
     rows = []
     for i, (lf, f) in enumerate(elements):
         for lg, g in elements[i:]:
@@ -745,7 +741,6 @@ def format_table(structure, fmt="machine"):
 
 
 def table_cell(structure, label_f, label_g):
-    grp = structure.group
-    texts = dict(grp.display)
-    value = structure.bracket(grp.parse(texts[label_f]), grp.parse(texts[label_g]))
-    return structure.display_scale * value
+    elements = structure.group.display_elements
+    return structure.display_scale * structure.bracket(elements[label_f],
+                                                       elements[label_g])

@@ -341,14 +341,6 @@ def test_bracket_equals_frozen(drawn):
     assert _stored(field(f)) and _stored(field(f * Fraction(2, 3)))
 
 
-def test_square_bracket_equals_frozen():
-    structure = named_structure("osp", "3").square()
-    ring = structure.group.ring
-    f, g = ring.parse("a1*b2+1/2*c1^2"), ring.parse("d2*alpha1 - 3*b1*delta2")
-    got = structure.bracket(f, g)
-    assert got == _frozen_bracket(structure, f, g) and _stored(got)
-
-
 # -- the relation rewriter: cycles and depth -------------------------------------
 
 def test_cycle_raises_through_ring_arithmetic():
@@ -434,6 +426,16 @@ def test_inexact_values_are_refused(inexact):
                   lambda q: x * q, lambda q: q * x, lambda q: x + q):
         with pytest.raises(TypeError):
             enter(inexact)
+
+
+@pytest.mark.parametrize("inexact", [0.5, 2.0, Decimal("0.5")],
+                         ids=["float", "integral-float", "decimal"])
+def test_inexact_matrix_entries_are_refused(inexact):
+    # exact elimination takes int and Fraction entries only
+    for solve in (lambda rows: nullspace(rows), lambda rows: _rref(rows, 2),
+                  lambda rows: in_span(rows, [1, 2])):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            solve([[inexact, 1], [1, Fraction(1, 3)]])
 
 
 @pytest.mark.parametrize("text", ["1e-99999999", "1E5", "1.5", "1/2/3", "0x10",
