@@ -22,6 +22,10 @@ to its normal form automatically.  A product is formed unreduced and reduced
 once; reduction is one linear pass over the terms, and the normal form of
 each reducible monomial is computed once per ring and kept.
 
+A ring without variables is Q (a relation needs a leading monomial other
+than 1), and ``Ring.sum_of_products`` there is integer arithmetic on one
+numerator and one denominator, chosen by that property of the ring alone.
+
 No floating point anywhere; all values are immutable and all operations are
 pure functions.
 """
@@ -140,13 +144,14 @@ class Ring:
     "commuting", "laurent", "grassmann".  `relations` is an iterable of
     (relation_text, leading_monomial_text) pairs in the scalar grammar; each
     relation must be homogeneous even, carry its leading monomial with
-    coefficient 1, and the leading monomial must divide no other monomial of
-    the relation.  No two leading monomials may share a variable: then no
-    two rules overlap, and by Buchberger's first criterion the normal form
-    does not depend on which rule fires first.  The other monomials of a
-    relation have nonnegative exponents and lie below its leading monomial in
-    the degree-lexicographic order on the even exponents that ranks the
-    leading variables first: rewriting lowers monomials in it, so it ends.
+    coefficient 1, and the leading monomial must not be 1 (which would make
+    the ring zero) and must divide no other monomial of the relation.  No
+    two leading monomials may share a variable: then no two rules overlap,
+    and by Buchberger's first criterion the normal form does not depend on
+    which rule fires first.  The other monomials of a relation have
+    nonnegative exponents and lie below its leading monomial in the
+    degree-lexicographic order on the even exponents that ranks the leading
+    variables first: rewriting lowers monomials in it, so it ends.
     """
 
     def __init__(self, variables=(), relations=()):
@@ -166,6 +171,7 @@ class Ring:
         self._evens = tuple(evens)
         self._odds = tuple(odds)
         self._kinds = kinds
+        self._is_q = not kinds  # no variables, so no relations: Q
         self._even_pos = {n: i for i, n in enumerate(self._evens)}
         self._odd_pos = {n: i for i, n in enumerate(self._odds)}
         self._zero_exps = (0,) * len(self._evens)
@@ -211,6 +217,8 @@ class Ring:
             raise ReductionError("leading monomial must be purely even")
         if any(k < 0 for k in lead_exps):
             raise ReductionError("leading monomial exponents must be nonnegative")
+        if not any(lead_exps):
+            raise ReductionError("leading monomial must not be 1")
         if lead_coeff != 1 or leading._den != 1:
             raise ReductionError("leading monomial must have coefficient 1")
         if relation.parity() not in (EVEN, None) or not relation.is_homogeneous():
@@ -322,7 +330,25 @@ class Ring:
         (x1, ..., xn)) pairs in `products`: q rational, each x an element of
         this ring, n >= 0.  Every product is formed unreduced and the sum is
         reduced once; reduction is linear, so this equals the sum of the
-        reduced products."""
+        reduced products.  A ring without variables is Q: there the sum is
+        one lcm, one integer sum and one gcd."""
+        if self._is_q:
+            unit = self._zero_exps, ()
+            parts = []
+            for q, factors in products:
+                n, d = (q, 1) if type(q) is int else _rational(q)
+                for x in factors:
+                    if x.ring is not self and x.ring != self:
+                        raise RingMismatchError("factor belongs to a different ring")
+                    n *= x._terms.get(unit, 0)
+                    d *= x._den
+                parts.append((n, d))
+            den = math.lcm(*[d for _, d in parts])
+            num = sum([n * (den // d) for n, d in parts])
+            if not num:
+                return self._make({})
+            g = math.gcd(num, den)
+            return self._make({unit: num // g}, den // g)
         checked = []
         for q, factors in products:
             n, d = (q, 1) if type(q) is int else _rational(q)
@@ -866,13 +892,13 @@ def _parse_scalar(ring, text):
 
 
 def rational_sqrt(q):
-    """Exact square root of a nonnegative rational, or None."""
-    q = Fraction(q)
-    if q < 0:
+    """Exact square root of a nonnegative rational, or None; a float or a
+    Decimal raises TypeError."""
+    n, d = _rational(q)
+    if n < 0:
         return None
-    import math
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
+    rn = math.isqrt(n)
+    rd = math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
         return None
     return Fraction(rn, rd)

@@ -183,12 +183,14 @@ def _adjoint(algebra, gi, t):
     turn after the Koszul signs of the scalar's parity parts and prior slots."""
     ggrade = algebra.grades[gi]
     constants = algebra.constants_in(t.ring)
+    # without Grassmann generators every scalar is even: nothing to split
+    split = ggrade and t.ring.odd_names
     for idx, coeff in t.coeffs.items():
-        for cpart in coeff.homogeneous_parts() if ggrade else (coeff,):
+        for cpart in coeff.homogeneous_parts() if split else (coeff,):
             if cpart.is_zero():
                 continue
             # move g past the scalar coefficient, then past each slot
-            sign = -1 if (ggrade and cpart.parity()) else 1
+            sign = -1 if (split and cpart.parity()) else 1
             for slot, target in enumerate(idx):
                 for k, cval in constants.get((gi, target), ()):
                     yield idx[:slot] + (k,) + idx[slot + 1:], sign, (cpart, cval)

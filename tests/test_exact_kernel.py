@@ -10,6 +10,8 @@ references, working on term dicts with Fraction coefficients; the kernel's
 results, read as such dicts by `_values`, must equal theirs, and every
 result must be in lowest terms (`_stored`).  Since `==` compares stored
 forms, equal values reached by different routes must be stored alike.
+`Ring.sum_of_products` over a ring without variables, which is Q, is
+checked against the `Fraction` sum and against the generic kernel.
 """
 
 import math
@@ -26,8 +28,10 @@ from superbialg.poisson import group, named_structure
 from superbialg.scalars import (
     ReductionError,
     Ring,
+    RingMismatchError,
     _divides,
     _merge_grassmann,
+    _sum_of_products,
     parse_rational,
     reduce_mod_relation,
 )
@@ -258,6 +262,66 @@ def test_reduce_mod_relation_equals_frozen(terms):
     assert _stored(got)
 
 
+# -- sums of products over Q ----------------------------------------------------
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_Q_PRODUCTS = st.lists(st.tuples(
+    st.one_of(st.integers(-3, 3), _RATIONALS),
+    st.lists(st.one_of(st.just(0), _RATIONALS).map(CONSTANTS.scalar),
+             max_size=3).map(tuple)), max_size=5)
+
+
+def _generic_sum_of_products(ring, products):
+    # the kernel every ring with variables takes, on the same products
+    checked = []
+    for q, factors in products:
+        q = Fraction(q)
+        checked.append((q.numerator,
+                        q.denominator * math.prod(x._den for x in factors),
+                        [x._terms for x in factors]))
+    return ring._reduced(*_sum_of_products(checked, (ring._zero_exps, ())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_Q_PRODUCTS)
+def test_sum_over_q_equals_the_fraction_sum_and_the_generic_kernel(products):
+    got = CONSTANTS.sum_of_products(products)
+    assert got.as_fraction() == sum(
+        (Fraction(q) * math.prod(x.as_fraction() for x in factors)
+         for q, factors in products), Fraction(0))
+    # stored as the generic kernel stores it: int numerators, lowest terms
+    want = _generic_sum_of_products(CONSTANTS, products)
+    assert got._terms == want._terms and got._den == want._den
+    assert _stored(got)
+
+
+def test_sum_over_q_edge_cases():
+    half, unit = CONSTANTS.scalar(Fraction(1, 2)), ((), ())
+    assert CONSTANTS._is_q and not E2.ring._is_q and not Ring(
+        [("p", "commuting")])._is_q
+    # so a ring without variables has no relations
+    with pytest.raises(ReductionError, match="must not be 1"):
+        Ring([], relations=[("1", "1")])
+    for products in ([], [(3, (half, CONSTANTS.zero()))],
+                     [(1, (half,)), (-1, (half,))],
+                     [(Fraction(2, 3), (half, half)), (Fraction(-1, 6), ())]):
+        got = CONSTANTS.sum_of_products(products)
+        assert (got._terms, got._den) == ({}, 1)
+    for q, stored in ((Fraction(-3, 4), ({unit: -3}, 4)), (5, ({unit: 5}, 1))):
+        got = CONSTANTS.sum_of_products([(q, ())])
+        assert (got._terms, got._den) == stored
+    got = CONSTANTS.sum_of_products([(Fraction(4, 3), (half, half, half))])
+    assert (got._terms, got._den) == ({unit: 1}, 6)
+    # an equal ring built apart is the same ring
+    assert Ring([]).sum_of_products([(2, (half,))]) == 1
+    for inexact in (0.5, 2.0, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            CONSTANTS.sum_of_products([(inexact, (half,))])
+    for stranger in (E2.ring.one(), Ring([("p", "commuting")]).scalar(2)):
+        with pytest.raises(RingMismatchError):
+            CONSTANTS.sum_of_products([(1, (half, stranger))])
+
+
 # -- the ring map --------------------------------------------------------------
 
 @settings(max_examples=20, deadline=None)
@@ -358,6 +422,8 @@ def test_cycle_raises_through_ring_arithmetic():
     # b -> a -> b: with both leading variables ranked, one rule must rise
     ([("b-a", "b"), ("a-b", "a")], "not below its leading monomial 'b'"),
     ([("a^2-E^-1", "a^2")], "negative exponent"),
+    # 1 = 0 would make every element zero
+    ([("1", "1")], "must not be 1"),
 ])
 def test_relations_must_lower_their_leading_monomial(relations, message):
     variables = [(n, "commuting") for n in "abd"] + [("E", "laurent")]

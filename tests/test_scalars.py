@@ -1,5 +1,6 @@
 """Tests for the supercommutative scalar ring."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,13 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
+
+
+@pytest.mark.parametrize("inexact", [0.25, 4.0, Decimal("0.25")],
+                         ids=["float", "integral-float", "decimal"])
+def test_rational_sqrt_refuses_inexact(inexact):
+    with pytest.raises(TypeError):
+        rational_sqrt(inexact)
 
 
 OSP_RING = Ring(
