@@ -11,7 +11,6 @@ authoritative).  Machine format is one line per claim:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import builtin, parse_algebra_text
@@ -22,12 +21,16 @@ from .equivalence import ORBIT_CLAIMS
 from .poisson import named_structure, check_axioms, table_cell
 
 
-@dataclass
 class ClaimResult:
-    claim_id: str
-    anchor: str
-    status: str        # pass | fail | erratum
-    detail: str
+    """One claim's outcome; `status` is pass, fail or erratum."""
+
+    __slots__ = ("claim_id", "anchor", "status", "detail")
+
+    def __init__(self, claim_id, anchor, status, detail):
+        self.claim_id = claim_id
+        self.anchor = anchor
+        self.status = status
+        self.detail = detail
 
     def machine_line(self):
         return f"{self.claim_id}\t{self.status}\t{self.detail}"

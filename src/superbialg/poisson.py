@@ -30,46 +30,38 @@ structure from the (left field, coefficient, right field) triples.  Products
 are taken in the written order; the supercommutative ring supplies every
 Koszul sign.
 
-The tensor square A (x) A is a coordinate ring of its own
-(`CoordinateRing.square`): slot-tagged variables x1, x2, shared parameters,
-the relations and Laurent rules retagged per slot.  Every map between A and
-A (x) A is the one ring-map kernel `SuperScalar.map`: the coproduct sends x
-to Delta(x), embed_s sends x to x_s, and restrict_s keeps slot s and sends
-the other slot to the identity.  A field lifted to slot s (`lift`) is the
-same derivation with its generator table embedded in that slot, so the
-Leibniz rule of the square supplies every Koszul sign.  The bracket is
-Poisson-Lie when Delta is a Poisson map into the product structure on
-G x G.  `check_axioms` reads that structure off Delta x = sum u (x) v over
-the nonzero entries u, v of T (`entries`, `coproduct_pairs`):
+The invariant fields are read off T, through Delta(T_ij) = sum_l T_il (x)
+T_lj, from tangent vectors xi_k at e (Semenov-Tian-Shansky 1985):
 
-    {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
+    Y_k(T_ij) = sum_l eps T_il xi_k(T_lj)|_e
+    X_k(T_ij) = sum_l eps xi_k(T_il)|_e T_lj
 
-The invariant fields are derived from the coproduct and a tangent vector
-xi_k at the identity: Y_k = restrict_1 o xi_k(slot 2) o Delta and
-X_k = restrict_2 o xi_k(slot 1) o Delta.  The tangent maps are
+with eps = (-1)^{|xi_k||T_il|} for a left Y, (-1)^{|xi_k||T_lj|} for a right
+X (the entry the derivative crosses), and 1 otherwise.  The tangents are
 
     super-E(2): H -> d/ds, P+ -> d/da, P- -> d/db, D+ -> d/dxi, D- -> d/deta
     OSp(1|2):   H -> 1/2 (d/da - d/dd), X+ -> d/db, X- -> d/dc,
                 V+ -> 1/2 d/dalpha, V- -> 1/2 d/ddelta
 
-An odd xi_k of either side is lifted with that side, and its Leibniz rule on
-the square gives the sign (-1)^{|kept half|} of crossing the other slot: a
-left Y crosses the slot-1 half, a right X the slot-2 half.  Field
-application is the graded Leibniz rule of the field's side, with the chain
-rule field(E) = 1/2 field(s) E on the group-like variable.
-Each field keeps the image of every monomial it has been applied to
-(`VectorField.images`, read through `CoordinateRing.image`), and
-`apply_field` sums coeff * image per term; the memo lives as long as its
-group, i.e. the process for `group()`.  The bracket {m, n} is a rational
-combination of the products L(m) * R(n), which the group keeps in
-`term_products`, keyed by (left field, right field, m, n) and shared by
-every structure on the group, plus the Phi products L(m) Phi R(n); a zero
-product or bracket is kept as the group's one `zero`.  After a full
-verify-paper run the image memos hold 770 images on the 40 fields of the two
-groups (about 0.27 MB of objects), `term_products` 1308 products (950 on
-OSp, 358 on super-E(2)), 132 of them zero (about 0.68 MB more), and the
-nine structures 1684 monomial brackets, 771 of them zero (about 0.50 MB
-more).
+Field application is the graded Leibniz rule of the field's side, with the
+chain rule field(E) = 1/2 field(s) E.  A field's image, the value at e and
+the coproduct of each monomial, and the product of two entries of T, are
+formed once per group, as is each L(m) * R(n) (`term_products`, keyed by
+left field, right field, m, n, shared by every structure): the bracket
+{m, n} is a rational combination of them plus the Phi products
+L(m) Phi R(n).  A zero product or bracket is the group's one `zero`.  After
+a full verify-paper run the memos hold 770 images on the 40 fields, 1308
+term products (132 zero), 53 values at e, 32 monomial coproducts and 172
+entry products, and the nine structures 1684 monomial brackets (771 zero).
+
+The tensor square (`CoordinateRing.square`: slot-tagged variables x1, x2,
+shared parameters) serves the coproduct check alone; `tensor(x, y)`
+concatenates keys, and the coproduct is the ring map x -> Delta(x).  The
+bracket is Poisson-Lie when Delta is a Poisson map into the product
+structure on G x G, read off Delta x = sum u (x) v over the nonzero entries
+u, v of T (`entries`, `coproduct_pairs`):
+
+    {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
 
 OSp bracket values are conventionally displayed after multiplication by 2,
 which is how the published table is normalized; `render_table` applies the
@@ -81,8 +73,9 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from operator import add
 
-from .scalars import EVEN, ODD, Ring, _rational
+from .scalars import EVEN, ODD, Ring, _lowest, _rational
 from .algebra import builtin
 from .bialgebra import family as bialgebra_family
 from .tensors import parse_wedge_sum
@@ -153,6 +146,7 @@ class CoordinateRing:
                 raise ValueError(f"{name}: entry {text} of T is not homogeneous")
             index[text] = len(self.entries)
             self.entries.append(x)
+        self.entry_index = index  # entry text -> its index in `entries`
         self.coproduct_pairs = {
             x: tuple((index[row[k]], index[block[k][j]])
                      for k in range(len(block))
@@ -173,6 +167,9 @@ class CoordinateRing:
         self.term_products = {}
         self.zero = ring.zero()
         self._delta = None
+        # monomial -> its value at e or its coproduct; (p, q) -> the product
+        # of entries p and q of T: each formed once per group
+        self._identity_values, self._coproducts, self._products = {}, {}, {}
 
     # -- basic ring helpers ------------------------------------------------
 
@@ -186,10 +183,29 @@ class CoordinateRing:
         return ODD if self.ring.kind(name) == "grassmann" else EVEN
 
     def at_identity(self, f):
-        return f.substitute(self.identity)
+        return self._per_monomial(self._identity_values, f, self.ring,
+                                  lambda _, m: m.substitute(self.identity))
 
     def vanishes_at_identity(self, f):
         return self.at_identity(f).is_zero()
+
+    def _per_monomial(self, memo, f, target, image):
+        # a linear map: the sum of c * image(key, m) over the terms c*m of f,
+        # m the monomial of `key`, each image formed once and kept in `memo`
+        f = self.ring.coerce(f)
+        den, triples = f._den, []
+        for key, c in f._terms.items():
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = image(key, self.ring._make({key: 1}))
+            triples.append((c, den, value))
+        return target._combination(triples)
+
+    def entry_product(self, p, q):
+        """entries[p] * entries[q], formed once per group."""
+        if (p, q) not in self._products:
+            self._products[p, q] = self.entries[p] * self.entries[q]
+        return self._products[p, q]
 
     def field(self, gen, chirality, side):
         """The invariant field Y or X of generator `gen`, side "l" or "r"."""
@@ -198,36 +214,36 @@ class CoordinateRing:
         return self._fields[(gen, chirality, side)]
 
     def _derive_fields(self):
-        # Y_k = restrict_1 o xi_k(slot 2) o Delta and X_k = restrict_2 o
-        # xi_k(slot 1) o Delta: the lifted tangent's Leibniz rule gives an
-        # odd xi_k its sign for crossing the other slot.  An even field is
-        # the same on both sides, so it is derived once.
-        delta = self._generator_coproducts()
+        # Y_k, X_k of the module docstring, summed over the pairs (p, q) of
+        # Delta(T_ij): entry k kept and entry m differentiated, (k, m) = (p, q)
+        # for Y and (q, p) for X.  An even field is derived once for both sides.
+        ring, entries = self.ring, self.entries
+        parity = [x.parity() for x in entries]
         fields = {}
-        for gen, parity in zip(self.algebra.basis, self.algebra.grades):
-            table = {name: self.ring.scalar(q)
-                     for name, q in self.tangents[gen].items()}
-            for side in ("l", "r") if parity else ("l",):
-                tangent = VectorField(self, f"xi_{gen}", parity, table, side)
-                for chirality, slot, kept in (("Y", 2, 1), ("X", 1, 2)):
-                    lifted = self.lift(tangent, slot)
-                    values = {name: self.restrict(lifted(delta[name]), kept)
-                              for name in self.coordinates}
-                    values = {name: v for name, v in values.items()
-                              if not v.is_zero()}
-                    for s in (side,) if parity else ("l", "r"):
+        for gen, odd in zip(self.algebra.basis, self.algebra.grades):
+            table = {n: ring.scalar(q) for n, q in self.tangents[gen].items()}
+            for side in ("l", "r") if odd else ("l",):
+                tangent = VectorField(self, f"xi_{gen}", odd, table, side)
+                at_e = [self.at_identity(tangent(x)).as_fraction() for x in entries]
+                for chirality, crossing, order in (("Y", "l", 1), ("X", "r", -1)):
+                    flip, values = odd and side == crossing, {}
+                    for name in self.coordinates:
+                        value = ring.linear_combination(
+                            (-at_e[m] if flip and parity[k] else at_e[m],
+                             entries[k]) for k, m in
+                            (pq[::order] for pq in self.coproduct_pairs[name]))
+                        if value._terms:
+                            values[name] = value
+                    for s in (side,) if odd else ("l", "r"):
                         fields[gen, chirality, s] = VectorField(
-                            self, f"{chirality}_{gen}^({s})", parity, values, s)
+                            self, f"{chirality}_{gen}^({s})", odd, values, s)
         return fields
 
     # -- derivations ---------------------------------------------------------
 
     def apply_field(self, field, f):
-        # A field is linear, so field(f) = sum of coeff * field(monomial),
-        # each numerator over the one denominator of f.
-        image, den = self.image, f._den
-        return self.ring._combination(
-            [(c, den, image(field, key)) for key, c in f._terms.items()])
+        return self._per_monomial(field.images, f, self.ring, lambda key, _:
+                                  self._monomial_image(field, key))
 
     def image(self, field, key):
         """The image under `field` of the coefficient-1 monomial `key`,
@@ -287,11 +303,11 @@ class CoordinateRing:
         """The coordinate ring of G x G, built once.
 
         Variable layout: shared parameters first, then slot-1 evens, slot-2
-        evens, slot-1 odds, slot-2 odds.  The Laurent rules are retagged per
-        slot (E1 <- s1, E2 <- s2), so a field of the square acts on either
-        slot by the same Leibniz rule as on G, and its supermatrix is
-        diag(T1, T2), the blocks of T retagged per slot.  `embedded_entries`
-        holds `entries` in slot 1 and in slot 2.
+        evens, slot-1 odds, slot-2 odds; relations, Laurent rules (E1 <- s1,
+        E2 <- s2) and T (diag(T1, T2)) are retagged per slot.  `tensor` needs
+        G's parameters to lead its evens.  Every leading monomial lies in one
+        slot: one with a parameter would be shared by the two slot copies of
+        its relation, which `Ring` refuses.
         """
         if self._square is not None:
             return self._square
@@ -311,6 +327,8 @@ class CoordinateRing:
         relations = [(tag(text, slot), tag(lead, slot))
                      for text, lead in ring._relation_spec for slot in slots]
         tring = Ring(variables, relations)
+        if ring.even_names[:len(params)] != params:
+            raise ValueError(f"{self.name}: parameters must lead the evens")
         self._square = CoordinateRing(
             f"{self.name}^2", tring,
             coordinates=[tag(n, slot) for slot in slots
@@ -321,50 +339,48 @@ class CoordinateRing:
             laurent_rules={tag(n, slot): (tag(src, slot), q) for slot in slots
                            for n, (src, q) in self.laurent_rules.items()},
             display=(), algebra_name=self.algebra.name, params=params)
-        # embed_s: x -> x_s; restrict_s: x_s -> x and the other slot -> e
-        self._embeddings = {slot: {n: tring.var(tag(n, slot))
-                                   for n in ring.names} for slot in slots}
-        self._restrictions = {slot: {
-            tag(n, s): ring.var(n) if s == slot or n in params
-            else ring.scalar(identity[n])
-            for n in ring.names for s in slots} for slot in slots}
-        self.embedded_entries = tuple(
-            [self.embed(x, slot) for x in self.entries] for slot in slots)
         return self._square
+
+    def tensor(self, x, y):
+        """x (x) y in the square: each key of x then one of y, the shared
+        parameters' exponents added; no product kernel and no rewrite, as a
+        tensor of normal forms is a normal form (see `square`)."""
+        ring, tring = self.ring, self.square().ring
+        x, y = ring.coerce(x), ring.coerce(y)
+        n, shift = len(self.params), len(ring.odd_names)
+        right = [(e[:n], e[n:], tuple(i + shift for i in o), c)
+                 for (e, o), c in y._terms.items()]
+        out = {}
+        for (e1, o1), c1 in x._terms.items():
+            head1, tail1 = e1[:n], e1[n:]
+            for head2, tail2, o2, c2 in right:
+                key = (tuple(map(add, head1, head2)) + tail1 + tail2, o1 + o2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return tring._make(*_lowest(out, x._den * y._den))
 
     def embed(self, x, slot):
         """x in slot 1 or 2 of the square; parameters stay shared."""
-        return x.map(self.square().ring, self._embeddings[slot])
-
-    def restrict(self, x, slot):
-        """Keep slot 1 or 2 of the square and send the other to the identity."""
-        self.square()
-        return x.map(self.ring, self._restrictions[slot])
-
-    def lift(self, field, slot):
-        """`field` acting on one slot of the square: the same derivation,
-        parity and side, its generator table embedded in that slot."""
-        table = {f"{name}{slot}": self.embed(value, slot)
-                 for name, value in field.table.items()}
-        return VectorField(self.square(), f"{field.label}_{slot}",
-                           field.parity, table, field.side)
+        return self.tensor(x, 1) if slot == 1 else self.tensor(1, x)
 
     def _generator_coproducts(self):
         """Delta of every ring variable, derived once: Delta(T_ij) =
         sum_k T_ik (x) T_kj over its `coproduct_pairs`."""
         if self._delta is None:
             tring = self.square().ring
-            one, two = self.embedded_entries
+            tensor, entries = self.tensor, self.entries
             delta = {p: tring.var(p) for p in self.params}
-            delta.update((x, tring.sum_of_products(
-                (1, (one[p], two[q])) for p, q in pairs))
+            delta.update((x, tring._combination(
+                [(1, 1, tensor(entries[p], entries[q])) for p, q in pairs]))
                 for x, pairs in self.coproduct_pairs.items())
             self._delta = delta
         return self._delta
 
     def coproduct(self, f):
-        """The ring map sending each variable to its generator coproduct."""
-        return f.map(self.square().ring, self._generator_coproducts())
+        """The ring map sending each variable to its generator coproduct,
+        formed once per monomial of the group."""
+        tring = self.square().ring
+        return self._per_monomial(self._coproducts, f, tring, lambda _, m: m.map(
+            tring, self._generator_coproducts()))
 
     def __repr__(self):
         return f"<CoordinateRing {self.name}>"
@@ -636,11 +652,12 @@ def check_axioms(structure, leibniz_triples=None):
         {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
     """
     grp = structure.group
+    ring, entries, at = grp.ring, grp.entries, grp.entry_index
     gens = list(grp.coordinates)
     par = {g: grp.parity_of(g) for g in gens}
-    val = {g: grp.var(g) for g in gens}
+    val = {g: entries[at[g]] for g in gens}
     report = AxiomReport()
-    bracket = structure.bracket
+    bracket, product = structure.bracket, grp.entry_product
 
     pi = {(f, g): bracket(val[f], val[g]) for f in gens for g in gens}
 
@@ -648,7 +665,8 @@ def check_axioms(structure, leibniz_triples=None):
         return -1 if (p and q) else 1
 
     for f, g in itertools.combinations_with_replacement(gens, 2):
-        res = pi[f, g] + z(par[f], par[g]) * pi[g, f]
+        res = ring._combination([(1, 1, pi[f, g]),
+                                 (z(par[f], par[g]), 1, pi[g, f])])
         if not res.is_zero():
             report.antisymmetry.append((f"{{{f},{g}}}", res.render()))
 
@@ -656,40 +674,39 @@ def check_axioms(structure, leibniz_triples=None):
     if triples is None:
         triples = list(itertools.product(gens, repeat=3))
     for f, g, h in triples:
-        lhs = bracket(val[f], val[g] * val[h])
-        rhs = pi[f, g] * val[h] + z(par[f], par[g]) * (val[g] * pi[f, h])
+        lhs = bracket(val[f], product(at[g], at[h]))
+        rhs = ring.sum_of_products([(1, (pi[f, g], val[h])),
+                                    (z(par[f], par[g]), (val[g], pi[f, h]))])
         if lhs != rhs:
             report.leibniz.append((f"{{{f},{g}*{h}}}", (lhs - rhs).render()))
 
     for f, g, h in itertools.combinations_with_replacement(gens, 3):
-        total = z(par[f], par[h]) * bracket(val[f], pi[g, h]) \
-            + z(par[g], par[f]) * bracket(val[g], pi[h, f]) \
-            + z(par[h], par[g]) * bracket(val[h], pi[f, g])
+        total = ring._combination([
+            (z(par[f], par[h]), 1, bracket(val[f], pi[g, h])),
+            (z(par[g], par[f]), 1, bracket(val[g], pi[h, f])),
+            (z(par[h], par[g]), 1, bracket(val[h], pi[f, g]))])
         if not total.is_zero():
             report.jacobi.append((f"({f},{g},{h})", total.render()))
 
-    entries, pairs = grp.entries, grp.coproduct_pairs
+    pairs, tensor = grp.coproduct_pairs, grp.tensor
     parity = [x.parity() for x in entries]
     tring = grp.square().ring
-    one, two = grp.embedded_entries
-    embedded = {}  # (slot, p, r) -> {entry p, entry r} in that slot
+    brackets = {}  # (p, r) -> {entry p, entry r}
 
-    def entry_bracket(slot, p, r):
-        value = embedded.get((slot, p, r))
-        if value is None:
-            value = embedded[slot, p, r] = grp.embed(
-                bracket(entries[p], entries[r]), slot)
-        return value
+    def entry_bracket(p, r):
+        if (p, r) not in brackets:
+            brackets[p, r] = bracket(entries[p], entries[r])
+        return brackets[p, r]
 
     for f, g in itertools.combinations_with_replacement(gens, 2):
-        products = []
+        terms = []
         for p, q in pairs[f]:
             for r, s in pairs[g]:
                 sign = z(parity[q], parity[r])
-                products.append((sign, (entry_bracket(1, p, r), two[q], two[s])))
-                products.append((sign, (one[p], one[r], entry_bracket(2, q, s))))
+                terms += [(sign, 1, tensor(entry_bracket(p, r), product(q, s))),
+                          (sign, 1, tensor(product(p, r), entry_bracket(q, s)))]
         lhs = grp.coproduct(pi[f, g])
-        rhs = tring.sum_of_products(products)
+        rhs = tring._combination(terms)
         if lhs != rhs:
             report.coproduct_morphism.append(
                 (f"Delta{{{f},{g}}}", (lhs - rhs).render()))

@@ -256,10 +256,15 @@ class Ring:
         if kind is None:
             raise KeyError(f"no variable {name!r} in ring")
         if kind == GRASSMANN:
-            return self._make({(self._zero_exps, (self._odd_pos[name],)): 1})
-        exps = list(self._zero_exps)
-        exps[self._even_pos[name]] = 1
-        return self._make({(tuple(exps), ()): 1})
+            key = (self._zero_exps, (self._odd_pos[name],))
+        else:
+            exps = list(self._zero_exps)
+            exps[self._even_pos[name]] = 1
+            key = (tuple(exps), ())
+        # a variable may be a leading monomial: return its normal form
+        if self._relations:
+            return self._reduced({key: 1}, 1)
+        return self._make({key: 1})
 
     def monomial(self, exps, odds, coeff=1):
         """coeff * the monomial, in normal form modulo the relations."""

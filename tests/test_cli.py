@@ -254,6 +254,15 @@ class TestUsage:
         assert proc.returncode == 141
         assert proc.stderr == b""
 
+    def test_import_loads_no_introspection_modules(self):
+        # dataclasses would pull in inspect, ast, dis and tokenize at set-up
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, superbialg; print(sorted("
+             "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_python_dash_m_package(self):
         proc = subprocess.run(
             [sys.executable, "-m", "superbialg", "validate",

@@ -11,7 +11,9 @@ results, read as such dicts by `_values`, must equal theirs, and every
 result must be in lowest terms (`_stored`).  Since `==` compares stored
 forms, equal values reached by different routes must be stored alike.
 `Ring.sum_of_products` over a ring without variables, which is Q, is
-checked against the `Fraction` sum and against the generic kernel.
+checked against the `Fraction` sum and against the generic kernel, and
+`CoordinateRing.tensor` against the product of the previous slot
+embeddings.
 """
 
 import math
@@ -324,6 +326,14 @@ def test_sum_over_q_edge_cases():
 
 # -- the ring map --------------------------------------------------------------
 
+def _frozen_embedding(grp, slot):
+    """The images of the previous slot embedding: each variable to its
+    namesake tagged with `slot` in the square, a parameter to itself."""
+    tring = grp.square().ring
+    return {n: tring.var(n if n in grp.params else f"{n}{slot}")
+            for n in grp.ring.names}
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([E2, OSP]).flatmap(
     lambda grp: st.tuples(st.just(grp), _elements(grp.ring, 2, 3))))
@@ -331,10 +341,26 @@ def test_coproduct_and_embeddings_equal_frozen(drawn):
     grp, x = drawn
     square = grp.square().ring
     for got, images in ((grp.coproduct(x), grp._generator_coproducts()),
-                        (grp.embed(x, 1), grp._embeddings[1]),
-                        (grp.embed(x, 2), grp._embeddings[2])):
+                        (grp.embed(x, 1), _frozen_embedding(grp, 1)),
+                        (grp.embed(x, 2), _frozen_embedding(grp, 2))):
         assert _values(got) == _frozen_map(x, square, images)
         assert _stored(got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([E2, OSP]).flatmap(
+    lambda grp: st.tuples(st.just(grp), _elements(grp.ring, 2, 3),
+                          _elements(grp.ring, 2, 3))))
+def test_tensor_equals_the_product_of_the_frozen_embeddings(drawn):
+    # on super-E(2) the draws carry c, shared by both slots, and negative
+    # powers of E; the product is reduced, the tensor is not
+    grp, x, y = drawn
+    square = grp.square().ring
+    want = _frozen_mul(_frozen_map(x, square, _frozen_embedding(grp, 1)),
+                       _frozen_map(y, square, _frozen_embedding(grp, 2)),
+                       _frozen_rules(square))
+    got = grp.tensor(x, y)
+    assert _values(got) == want and _stored(got)
 
 
 @settings(max_examples=20, deadline=None)
@@ -442,6 +468,14 @@ def test_terminating_relations_are_accepted(relations):
     variables = [(n, "commuting") for n in "abcdm"] + [
         ("alpha", "grassmann"), ("delta", "grassmann")]
     Ring(variables, relations=relations)
+
+
+def test_var_is_the_normal_form():
+    # b is the leading monomial of b - a, so the variable b is a
+    ring = Ring([("a", "commuting"), ("b", "commuting")], [("b-a", "b")])
+    b = ring.var("b")
+    assert b == ring.var("a")
+    assert (b._terms, b._den) == (ring.parse("b")._terms, ring.parse("b")._den)
 
 
 def test_every_relation_ring_in_use_is_accepted():

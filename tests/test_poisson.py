@@ -364,7 +364,8 @@ class TestCoproduct:
         for name in grp.ring.names:
             x = grp.var(name)
             dx = grp.coproduct(x)
-            assert grp.restrict(dx, 1) == x == grp.restrict(dx, 2), name
+            assert _frozen_restrict(grp, dx, 1) == x \
+                == _frozen_restrict(grp, dx, 2), name
 
 
 # The previous coproduct loop, kept verbatim as the reference for the ring
@@ -387,7 +388,68 @@ def _frozen_coproduct(grp, f):
     return out
 
 
+# The derivation of the fields through G x G that reading them off T
+# replaced, kept as the reference: Y_k = restrict_1 o xi_k(slot 2) o Delta
+# and X_k = restrict_2 o xi_k(slot 1) o Delta, with Delta the frozen
+# coproduct rules, xi_k lifted to a slot by embedding its table there and
+# restrict_s the ring map keeping slot s and sending the other slot to e.
+
+def _frozen_restrict(grp, x, slot):
+    ring = grp.ring
+    images = {}
+    for name in ring.names:
+        if name in grp.params:
+            images[name] = ring.var(name)
+            continue
+        for s in (1, 2):
+            images[f"{name}{s}"] = ring.var(name) if s == slot \
+                else ring.scalar(grp.identity[name])
+    return x.map(ring, images)
+
+
+def _frozen_lift(grp, field, slot):
+    embed = _frozen_embedder(grp, slot)
+    table = {f"{name}{slot}": embed(value)
+             for name, value in field.table.items()}
+    return poisson.VectorField(grp.square(), f"{field.label}_{slot}",
+                               field.parity, table, field.side)
+
+
+def _frozen_fields(grp):
+    """{(gen, chirality, side): (parity, side, table)} by the square."""
+    tring = grp.square().ring
+    delta = {name: tring.parse(rule)
+             for name, rule in FROZEN_COPRODUCT_RULES[grp.name].items()}
+    fields = {}
+    for gen, parity in zip(grp.algebra.basis, grp.algebra.grades):
+        table = {name: grp.ring.scalar(q)
+                 for name, q in grp.tangents[gen].items()}
+        for side in ("l", "r") if parity else ("l",):
+            tangent = poisson.VectorField(grp, f"xi_{gen}", parity, table, side)
+            for chirality, slot, kept in (("Y", 2, 1), ("X", 1, 2)):
+                lifted = _frozen_lift(grp, tangent, slot)
+                values = {name: _frozen_restrict(grp, lifted(delta[name]), kept)
+                          for name in grp.coordinates}
+                values = {name: v for name, v in values.items()
+                          if not v.is_zero()}
+                for s in (side,) if parity else ("l", "r"):
+                    fields[gen, chirality, s] = (parity, s, values)
+    return fields
+
+
 class TestRingMap:
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_fields_read_off_t_equal_the_frozen_square_derivation(self, gname):
+        grp = FRESH_GROUPS[gname]()
+        keys = _field_keys(grp)
+        fields = {key: grp.field(*key) for key in keys}
+        assert grp._square is None  # reading the fields off T needs no G x G
+        frozen = _frozen_fields(grp)
+        assert sorted(frozen) == sorted(keys)
+        for key, (parity, side, table) in frozen.items():
+            assert (fields[key].parity, fields[key].side) == (parity, side)
+            assert fields[key].table == table, key
+
     @pytest.mark.parametrize("gname", ["super-e2", "osp"])
     def test_coproduct_and_embeddings_equal_frozen(self, gname):
         # draws carry negative powers of E on super-E(2) and both Grassmann
@@ -404,10 +466,70 @@ class TestRingMap:
             assert grp.embed(x, 1) == frozen[1](x)
             assert grp.embed(x, 2) == frozen[2](x)
             for slot, other in ((1, 2), (2, 1)):
-                assert grp.restrict(frozen[slot](x), slot) == x
-                assert grp.restrict(frozen[other](x), slot) == grp.at_identity(x)
+                assert _frozen_restrict(grp, frozen[slot](x), slot) == x
+                assert _frozen_restrict(grp, frozen[other](x), slot) == \
+                    grp.at_identity(x)
 
         check()
+
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_tensor_is_the_product_of_the_frozen_embeddings(self, gname):
+        # the draws carry the shared parameter c and negative powers of E
+        # on super-E(2); a fresh group's square is built by `tensor` itself
+        warm = group(gname)
+
+        @settings(max_examples=30, deadline=None)
+        @given(_pair(gname))
+        def check(drawn):
+            _, f, g = drawn
+            fresh = FRESH_GROUPS[gname]()
+            for grp in (fresh, warm):
+                got = grp.tensor(f, g)
+                assert got == _frozen_embedder(grp, 1)(f) \
+                    * _frozen_embedder(grp, 2)(g)
+                assert got.ring is grp.square().ring
+
+        check()
+
+    @pytest.mark.parametrize("gname", ["super-e2", "osp"])
+    def test_at_identity_and_coproduct_memos_equal_the_ring_maps(self, gname):
+        # each memo is checked filling (fresh group) and read (warm group)
+        warm = group(gname)
+
+        @settings(max_examples=30, deadline=None)
+        @given(_pair(gname))
+        def check(drawn):
+            _, f, g = drawn
+            x = f + g
+            fresh = FRESH_GROUPS[gname]()
+            for grp in (fresh, warm, fresh):
+                assert grp.at_identity(x) == x.substitute(grp.identity)
+                assert grp.coproduct(x) == _frozen_coproduct(grp, x)
+
+        check()
+
+    def test_square_refuses_a_layout_tensor_cannot_read(self, e2, osp):
+        # a parameter after a coordinate would make concatenated keys wrong,
+        # and one in a leading monomial would make them reducible
+        from superbialg.scalars import ReductionError, Ring
+        late = Ring([("s", "commuting"), ("c", "commuting"),
+                     ("E", "laurent")])
+        leading = Ring([("c", "commuting"), ("s", "commuting"),
+                        ("E", "laurent")], relations=[("c*s-1", "c*s")])
+        for ring, error, message in (
+                (late, ValueError, "parameters must lead the evens"),
+                (leading, ReductionError, "'c\\*s1' and 'c\\*s2' share")):
+            grp = CoordinateRing("bad", ring, ("s",), [[["1", "s"], ["0", "1"]],
+                                                       [["E"]]],
+                                 {"H": {"s": 1}}, {"E": ("s", Fraction(1, 2))},
+                                 (), "super_e2", params=("c",))
+            with pytest.raises(error, match=message):
+                grp.square()
+
+    def test_tensor_refuses_another_ring(self, e2, osp):
+        from superbialg.scalars import RingMismatchError
+        with pytest.raises(RingMismatchError):
+            e2.tensor(e2.var("a"), osp.var("a"))
 
     def test_square_is_a_coordinate_ring(self, e2):
         sq = e2.square()
@@ -416,7 +538,7 @@ class TestRingMap:
                                     "E2": ("s2", Fraction(1, 2))}
         # a lifted field acts on its slot only, with the same Leibniz rule
         fld = e2.field("D+", "Y", "l")
-        lifted = e2.lift(fld, 2)
+        lifted = _frozen_lift(e2, fld, 2)
         assert (lifted.parity, lifted.side) == (fld.parity, fld.side)
         x = sq.ring.parse("xi1*a2*E2^-2")
         assert lifted(x) == -e2.embed(e2.var("xi"), 1) \
@@ -522,6 +644,36 @@ class TestRendering:
             st = coboundary_structure(group("osp"), r, display_scale=scale)
             assert st.display_scale == want
             assert type(st.display_scale) is type(want)
+
+
+class TestSquareUse:
+    """G x G is built for the coproduct check alone; the fields and the
+    coproduct run through `apply_field` and `coproduct`, the methods the
+    bench tracer wraps as its `poisson.field` and `poisson.coproduct`."""
+
+    @pytest.mark.parametrize("gname,fid,params", [
+        ("osp", "osp-r-a", {"x": 1, "y": 2, "z": 3}),
+        ("super-e2", "e2-r-b", {"a": 2, "b": Fraction(1, 3), "f": -1})])
+    def test_format_table_leaves_the_square_unbuilt(self, gname, fid, params):
+        grp = FRESH_GROUPS[gname]()
+        format_table(coboundary_structure(grp, family(fid, **params)))
+        assert grp._fields is not None and grp._square is None
+
+    def test_fields_and_coproducts_go_through_their_methods(self, monkeypatch):
+        calls = {"apply_field": 0, "coproduct": 0}
+        for name in calls:
+            method = getattr(CoordinateRing, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(CoordinateRing, name, counted)
+        grp = osp_group()
+        structure = coboundary_structure(grp, family("osp-r-a", x=1, y=2, z=3))
+        format_table(structure)
+        assert calls["apply_field"] and not calls["coproduct"]
+        assert check_axioms(structure, leibniz_triples=[]).passed
+        assert calls["coproduct"] and grp._square is not None
 
 
 class TestPublishedTables:
