@@ -78,17 +78,6 @@ class SuperLieAlgebra:
         self.constants = _sparse_constants(tensors.accumulate(self.ring, products))
         self._constants_in = (self.ring, self.constants)  # the latest pair
 
-    @property
-    def c(self):
-        """The dense table c[i][j][k], built from `constants` on each access."""
-        n = self.dim
-        zero = self.ring.zero()
-        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j), entries in self.constants.items():
-            for k, v in entries:
-                table[i][j][k] = v
-        return table
-
     def z(self, i, j):
         """Koszul sign (-1)^{|i||j|} for basis indices."""
         return -1 if (self.grades[i] and self.grades[j]) else 1

@@ -146,28 +146,23 @@ def rank(rows, ncols=None):
     return len(_rref(rows, ncols)[1])
 
 
-def nullspace(rows, ncols=None, column_order=None):
+def nullspace(rows, ncols=None):
     """Exact basis of {v : M v = 0}.
 
     One basis vector per free column of the reduced echelon form, with 1 in
-    its free slot and 0 in the other free slots.  `column_order` permutes
-    the columns before elimination (used by the determinism cross-check);
-    returned vectors are always in natural order.
+    its free slot and 0 in the other free slots.
     """
     ncols = ncols if ncols is not None else len(rows[0]) if rows else 0
-    order = list(column_order) if column_order is not None else list(range(ncols))
-    if sorted(order) != list(range(ncols)):
-        raise ValueError("column_order must be a permutation")
-    reduced, pivots, _ = _rref([[row[c] for c in order] for row in rows], ncols)
+    reduced, pivots, _ = _rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [Fraction(0)] * ncols
-        v[order[free]] = Fraction(1)
+        v[free] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            v[order[pc]] = -row[free]
+            v[pc] = -row[free]
         basis.append(v)
     return basis
 

@@ -54,12 +54,13 @@ a full verify-paper run the memos hold 770 images on the 40 fields, 1308
 term products (132 zero), 53 values at e, 32 monomial coproducts and 172
 entry products, and the nine structures 1684 monomial brackets (771 zero).
 
-The tensor square (`CoordinateRing.square`: slot-tagged variables x1, x2,
-shared parameters) serves the coproduct check alone; `tensor(x, y)`
-concatenates keys, and the coproduct is the ring map x -> Delta(x).  The
-bracket is Poisson-Lie when Delta is a Poisson map into the product
-structure on G x G, read off Delta x = sum u (x) v over the nonzero entries
-u, v of T (`entries`, `coproduct_pairs`):
+G x G is a bare `Ring`, the ring Delta maps into (`CoordinateRing.square`:
+slot-tagged variables x1, x2, shared parameters, each relation once per
+slot); it serves the coproduct check alone.  `tensor(x, y)` concatenates
+keys, x in slot 1 is `tensor(x, 1)`, and the coproduct is the ring map
+x -> Delta(x).  The bracket is Poisson-Lie when Delta is a Poisson map into
+the product structure on G x G, read off Delta x = sum u (x) v over the
+nonzero entries u, v of T (`entries`, `coproduct_pairs`):
 
     {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
 
@@ -300,14 +301,13 @@ class CoordinateRing:
     # -- the tensor square ---------------------------------------------------
 
     def square(self):
-        """The coordinate ring of G x G, built once.
+        """The ring of G x G that Delta maps into, built once.
 
         Variable layout: shared parameters first, then slot-1 evens, slot-2
-        evens, slot-1 odds, slot-2 odds; relations, Laurent rules (E1 <- s1,
-        E2 <- s2) and T (diag(T1, T2)) are retagged per slot.  `tensor` needs
-        G's parameters to lead its evens.  Every leading monomial lies in one
-        slot: one with a parameter would be shared by the two slot copies of
-        its relation, which `Ring` refuses.
+        evens, slot-1 odds, slot-2 odds; each relation is retagged per slot.
+        `tensor` needs G's parameters to lead its evens.  Every leading
+        monomial lies in one slot: one with a parameter would be shared by
+        the two slot copies of its relation, which `Ring` refuses.
         """
         if self._square is not None:
             return self._square
@@ -318,34 +318,24 @@ class CoordinateRing:
             return re.sub(r"[A-Za-z_]\w*", lambda m: f"{m[0]}{slot}"
                           if m[0] in identity else m[0], text)
 
-        slots = (1, 2)
         variables = [(p, ring.kind(p)) for p in params]
         for names in (ring.even_names, ring.odd_names):
-            for slot in slots:
-                variables += [(tag(n, slot), ring.kind(n))
+            for slot in (1, 2):
+                variables += [(f"{n}{slot}", ring.kind(n))
                               for n in names if n not in params]
         relations = [(tag(text, slot), tag(lead, slot))
-                     for text, lead in ring._relation_spec for slot in slots]
-        tring = Ring(variables, relations)
+                     for text, lead in ring._relation_spec for slot in (1, 2)]
+        square = Ring(variables, relations)
         if ring.even_names[:len(params)] != params:
             raise ValueError(f"{self.name}: parameters must lead the evens")
-        self._square = CoordinateRing(
-            f"{self.name}^2", tring,
-            coordinates=[tag(n, slot) for slot in slots
-                         for n in self.coordinates],
-            matrix=[[[tag(x, slot) for x in row] for row in block]
-                    for slot in slots for block in self.matrix],
-            tangents={},
-            laurent_rules={tag(n, slot): (tag(src, slot), q) for slot in slots
-                           for n, (src, q) in self.laurent_rules.items()},
-            display=(), algebra_name=self.algebra.name, params=params)
-        return self._square
+        self._square = square
+        return square
 
     def tensor(self, x, y):
         """x (x) y in the square: each key of x then one of y, the shared
         parameters' exponents added; no product kernel and no rewrite, as a
         tensor of normal forms is a normal form (see `square`)."""
-        ring, tring = self.ring, self.square().ring
+        ring, tring = self.ring, self.square()
         x, y = ring.coerce(x), ring.coerce(y)
         n, shift = len(self.params), len(ring.odd_names)
         right = [(e[:n], e[n:], tuple(i + shift for i in o), c)
@@ -358,15 +348,11 @@ class CoordinateRing:
                 out[key] = out.get(key, 0) + c1 * c2
         return tring._make(*_lowest(out, x._den * y._den))
 
-    def embed(self, x, slot):
-        """x in slot 1 or 2 of the square; parameters stay shared."""
-        return self.tensor(x, 1) if slot == 1 else self.tensor(1, x)
-
     def _generator_coproducts(self):
         """Delta of every ring variable, derived once: Delta(T_ij) =
         sum_k T_ik (x) T_kj over its `coproduct_pairs`."""
         if self._delta is None:
-            tring = self.square().ring
+            tring = self.square()
             tensor, entries = self.tensor, self.entries
             delta = {p: tring.var(p) for p in self.params}
             delta.update((x, tring._combination(
@@ -378,7 +364,7 @@ class CoordinateRing:
     def coproduct(self, f):
         """The ring map sending each variable to its generator coproduct,
         formed once per monomial of the group."""
-        tring = self.square().ring
+        tring = self.square()
         return self._per_monomial(self._coproducts, f, tring, lambda _, m: m.map(
             tring, self._generator_coproducts()))
 
@@ -640,7 +626,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def check_axioms(structure, leibniz_triples=None):
+def check_axioms(structure):
     """Graded antisymmetry, Leibniz, graded Jacobi, and the coproduct
     morphism property, all on the group generators (exact, symbolic).
 
@@ -670,10 +656,7 @@ def check_axioms(structure, leibniz_triples=None):
         if not res.is_zero():
             report.antisymmetry.append((f"{{{f},{g}}}", res.render()))
 
-    triples = leibniz_triples
-    if triples is None:
-        triples = list(itertools.product(gens, repeat=3))
-    for f, g, h in triples:
+    for f, g, h in itertools.product(gens, repeat=3):
         lhs = bracket(val[f], product(at[g], at[h]))
         rhs = ring.sum_of_products([(1, (pi[f, g], val[h])),
                                     (z(par[f], par[g]), (val[g], pi[f, h]))])
@@ -690,7 +673,7 @@ def check_axioms(structure, leibniz_triples=None):
 
     pairs, tensor = grp.coproduct_pairs, grp.tensor
     parity = [x.parity() for x in entries]
-    tring = grp.square().ring
+    tring = grp.square()
     brackets = {}  # (p, r) -> {entry p, entry r}
 
     def entry_bracket(p, r):

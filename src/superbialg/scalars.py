@@ -20,7 +20,10 @@ Rings may carry rewrite relations (e.g. ``a*d - b*c + alpha*delta - 1`` with
 leading monomial ``a*d``), in which case every arithmetic result is reduced
 to its normal form automatically.  A product is formed unreduced and reduced
 once; reduction is one linear pass over the terms, and the normal form of
-each reducible monomial is computed once per ring and kept.
+each reducible monomial is computed once per ring and kept.  Sums,
+differences, negation and rational multiples are one combination kernel,
+``Ring._combination``: a rational combination of normal forms is a normal
+form, so nothing is reduced.
 
 A ring without variables is Q (a relation needs a leading monomial other
 than 1), and ``Ring.sum_of_products`` there is integer arithmetic on one
@@ -95,19 +98,15 @@ def _rational(q):
     return q.numerator, q.denominator
 
 
-def _cancel(terms, den):
-    """The zero-free numerators `terms` over `den` in lowest terms."""
+def _lowest(terms, den):
+    """The numerators `terms` over `den` without the zeros, in lowest terms."""
+    terms = {key: c for key, c in terms.items() if c}
     if den == 1 or not terms:
         return terms, 1
     g = math.gcd(den, *terms.values())
     if g == 1:
         return terms, den
     return {key: c // g for key, c in terms.items()}, den // g
-
-
-def _lowest(terms, den):
-    """The numerators `terms` over `den` without the zeros, in lowest terms."""
-    return _cancel({key: c for key, c in terms.items() if c}, den)
 
 
 def _merge_grassmann(left, right):
@@ -568,7 +567,7 @@ class SuperScalar:
         for key, coeff in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = coeff
         ring, den = self.ring, self._den
-        return ring._make(*_cancel(even, den)), ring._make(*_cancel(odd, den))
+        return ring._make(*_lowest(even, den)), ring._make(*_lowest(odd, den))
 
     def as_fraction(self):
         """The rational value of a constant element; error otherwise."""
@@ -582,53 +581,28 @@ class SuperScalar:
 
     # -- ring operations -------------------------------------------------
 
-    def _check(self, other):
-        if isinstance(other, SuperScalar):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise RingMismatchError("operands from different rings")
-            return other
-        return self.ring.scalar(other)
-
     def __add__(self, other):
         if not isinstance(other, (SuperScalar, int, Fraction)):
             return NotImplemented
-        other = self._check(other)
+        other = self.ring.coerce(other)
         if not self._terms:
             return other
         if not other._terms:
             return self
-        den = self._den
-        if other._den == den:
-            terms, other_terms = dict(self._terms), other._terms
-        else:
-            den = math.lcm(den, other._den)
-            scale, other_scale = den // self._den, den // other._den
-            terms = {key: c * scale for key, c in self._terms.items()}
-            other_terms = {key: c * other_scale
-                           for key, c in other._terms.items()}
-        for key, coeff in other_terms.items():
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = coeff
-                continue
-            acc += coeff
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
-        return self.ring._make(*_cancel(terms, den))
+        return self.ring._combination([(1, 1, self), (1, 1, other)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring._make({k: -c for k, c in self._terms.items()},
-                               self._den)
+        return self.ring._combination([(-1, 1, self)])
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        ring = self.ring
+        return ring._combination([(1, 1, self), (-1, 1, ring.coerce(other))])
 
     def __rsub__(self, other):
-        return self._check(other) + (-self)
+        ring = self.ring
+        return ring._combination([(1, 1, ring.coerce(other)), (-1, 1, self)])
 
     def __mul__(self, other):
         ring = self.ring
@@ -637,13 +611,10 @@ class SuperScalar:
             n, d = _rational(other)
             if n == d:
                 return self
-            if not n:
-                return ring.zero()
-            return ring._make(*_cancel(
-                {key: c * n for key, c in self._terms.items()}, self._den * d))
+            return ring._combination([(n, d, self)])
         if not isinstance(other, SuperScalar):
             return NotImplemented
-        self._check(other)
+        ring.coerce(other)
         return ring._reduced(_multiply(self._terms, other._terms, {}),
                              self._den * other._den)
 

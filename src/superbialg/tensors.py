@@ -314,9 +314,16 @@ def render_wedge_form(t):
         coeff = t.coeffs[(k, l)]
         if k == l:
             coeff = coeff * Fraction(1, 2)
-        text = coeff.render()
-        parts.append(f"{text} {algebra.basis[k]}^{algebra.basis[l]}")
-    return " + ".join(parts).replace("+ -", "- ")
+        text = f"{coeff.render()} {algebra.basis[k]}^{algebra.basis[l]}"
+        # only a one-term coefficient gives its sign to the joint: the
+        # parser reads `- a+b` as -(a+b), so -a+b joins as `+ -a+b`
+        if not parts:
+            parts.append(text)
+        elif text[0] == "-" and len(coeff._terms) == 1:
+            parts.append(f" - {text[1:]}")
+        else:
+            parts.append(f" + {text}")
+    return "".join(parts)
 
 
 def schouten(algebra, r):

@@ -14,7 +14,7 @@ from superbialg.bialgebra import (Cobracket, _cojacobi_residuals,
                                   CYBE, MCYBE)
 from superbialg.scalars import Ring
 from superbialg.tensors import (GradedTensor, RMatrix, parse_rmatrix,
-                                render_wedge_form)
+                                parse_wedge_sum, render_wedge_form, wedge)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,22 @@ class TestCobracketText:
         text = d.render()
         again = parse_cobracket_text(text, e2)
         assert again == d
+
+    def test_multi_term_coefficients_round_trip(self, e2):
+        # only a one-term coefficient lends its sign to the joint: read back,
+        # `- a+b H^P-` would be -(a+b) H^P-
+        ring = Ring([("a", "commuting"), ("b", "commuting")])
+        a, b = ring.var("a"), ring.var("b")
+        t = (wedge(e2, "H", "P+", ring) + wedge(e2, "H", "P-", ring, coeff=b - a)
+             + wedge(e2, "P+", "P-", ring, coeff=-2 * b)
+             + wedge(e2, "D+", "D+", ring, coeff=-a - b)
+             + wedge(e2, "D+", "D-", ring, coeff=a - b))
+        text = render_wedge_form(t)
+        assert text == ("1 H^P+ + -a+b H^P- - 2*b P+^P- + -a-b D+^D+"
+                        " + a-b D+^D-")
+        assert parse_wedge_sum(text, e2, ring) == t
+        d = Cobracket.from_rows(e2, {"H": t, "P-": -1 * t}, ring)
+        assert parse_cobracket_text(d.render(), e2, ring) == d, d.render()
 
     def test_parse_rows(self, e2):
         d = parse_cobracket_text("delta H = 1 P+^P-", e2)

@@ -198,7 +198,7 @@ def _elements(ring, max_exp=2, max_size=4):
     return _term_dicts(ring, max_exp, max_size).map(build)
 
 
-RINGS = [E2.ring, OSP.ring, SQUARE.ring, CONSTANTS]
+RINGS = [E2.ring, OSP.ring, SQUARE, CONSTANTS]
 
 
 def _values(x):
@@ -227,20 +227,37 @@ def _stored(x):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(RINGS).flatmap(
-    lambda ring: st.tuples(_elements(ring, 1 if ring is SQUARE.ring else 2),
-                           _elements(ring, 1 if ring is SQUARE.ring else 2))))
-def test_product_equals_frozen(pair):
+    lambda ring: st.tuples(_elements(ring, 1 if ring is SQUARE else 2),
+                           _elements(ring, 1 if ring is SQUARE else 2))),
+       _COEFFS)
+def test_product_equals_frozen(pair, q):
     x, y = pair
     rules = _frozen_rules(x.ring)
     product = x * y
     assert _values(product) == _frozen_mul(_values(x), _values(y), rules)
+
+    def fraction_sum(*parts):
+        # the sum of r * values over the (rational r, values) parts
+        out = {}
+        for r, values in parts:
+            for key, c in values.items():
+                out[key] = out.get(key, Fraction(0)) + r * c
+        return {key: c for key, c in out.items() if c}
+
+    vx, vy = _values(x), _values(y)
+    assert _values(x + y) == fraction_sum((1, vx), (1, vy))
+    assert _values(x - y) == fraction_sum((1, vx), (-1, vy))
+    assert _values(-x) == fraction_sum((-1, vx))
+    assert _values(q * x) == _values(x * q) == fraction_sum((q, vx))
+    assert _values(q - x) == fraction_sum((1, _values(x.ring.scalar(q))),
+                                          (-1, vx))
     for value in (product, x + y, x - y, -x, x * Fraction(3, 2), Fraction(2, 3) * y,
-                  x * Fraction(4, 2), x * 2):
+                  x * Fraction(4, 2), x * 2, q * x):
         assert _stored(value)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(OSP.ring, 3), (SQUARE.ring, 2)]).flatmap(
+@given(st.sampled_from([(OSP.ring, 3), (SQUARE, 2)]).flatmap(
     lambda drawn: st.tuples(st.just(drawn[0]), _term_dicts(*drawn))))
 def test_rewrite_equals_frozen(drawn):
     ring, terms = drawn
@@ -329,7 +346,7 @@ def test_sum_over_q_edge_cases():
 def _frozen_embedding(grp, slot):
     """The images of the previous slot embedding: each variable to its
     namesake tagged with `slot` in the square, a parameter to itself."""
-    tring = grp.square().ring
+    tring = grp.square()
     return {n: tring.var(n if n in grp.params else f"{n}{slot}")
             for n in grp.ring.names}
 
@@ -339,10 +356,10 @@ def _frozen_embedding(grp, slot):
     lambda grp: st.tuples(st.just(grp), _elements(grp.ring, 2, 3))))
 def test_coproduct_and_embeddings_equal_frozen(drawn):
     grp, x = drawn
-    square = grp.square().ring
+    square = grp.square()
     for got, images in ((grp.coproduct(x), grp._generator_coproducts()),
-                        (grp.embed(x, 1), _frozen_embedding(grp, 1)),
-                        (grp.embed(x, 2), _frozen_embedding(grp, 2))):
+                        (grp.tensor(x, 1), _frozen_embedding(grp, 1)),
+                        (grp.tensor(1, x), _frozen_embedding(grp, 2))):
         assert _values(got) == _frozen_map(x, square, images)
         assert _stored(got)
 
@@ -355,7 +372,7 @@ def test_tensor_equals_the_product_of_the_frozen_embeddings(drawn):
     # on super-E(2) the draws carry c, shared by both slots, and negative
     # powers of E; the product is reduced, the tensor is not
     grp, x, y = drawn
-    square = grp.square().ring
+    square = grp.square()
     want = _frozen_mul(_frozen_map(x, square, _frozen_embedding(grp, 1)),
                        _frozen_map(y, square, _frozen_embedding(grp, 2)),
                        _frozen_rules(square))
@@ -393,7 +410,7 @@ def _same(*values):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(RINGS).flatmap(lambda ring: st.tuples(*[
-    _elements(ring, 1 if ring is SQUARE.ring else 2, 3) for _ in range(3)])),
+    _elements(ring, 1 if ring is SQUARE else 2, 3) for _ in range(3)])),
     _COEFFS, _COEFFS)
 def test_equal_values_by_different_routes_are_stored_alike(drawn, q, r):
     x, y, z = drawn
@@ -480,7 +497,7 @@ def test_var_is_the_normal_form():
 
 def test_every_relation_ring_in_use_is_accepted():
     # the OSp ring, its tensor square and the symbolic root family rings
-    rings = [OSP.ring, SQUARE.ring, family("e2-r-a").ring,
+    rings = [OSP.ring, SQUARE, family("e2-r-a").ring,
              family("e2-case-a", a=2).ring, family("e2-case-a", b=3).ring]
     for ring in rings:
         rebuilt = Ring([(n, ring.kind(n)) for n in ring.names],

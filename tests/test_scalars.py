@@ -549,11 +549,11 @@ def test_overlapping_leading_monomials_are_rejected():
 
 
 def test_osp_square_ring_is_accepted():
-    relations = group("osp").square().ring._relation_spec
+    relations = group("osp").square()._relation_spec
     assert [lead for _, lead in relations] == ["a1*d1", "a2*d2"]
 
 
-_SQUARE = group("osp").square().ring
+_SQUARE = group("osp").square()
 _SQUARE_SWAPPED = Ring(
     [(n, _SQUARE.kind(n)) for n in _SQUARE.names],
     relations=list(reversed(_SQUARE._relation_spec)))
