@@ -75,7 +75,7 @@ class SuperLieAlgebra:
                 products.append(((i, j, k), 1, value))
                 if i != j:
                     products.append(((j, i, k), -self.z(i, j), value))
-        self.constants = _sparse_constants(tensors.accumulate(self.ring, products))
+        self.constants = _sparse_constants(self.ring.accumulate(products))
         self._constants_in = (self.ring, self.constants)  # the latest pair
 
     def z(self, i, j):
@@ -116,14 +116,14 @@ class SuperLieAlgebra:
                         (names[i], names[j], names[k], v.render()))
         # c_ij^k + z(i,j) c_ji^k keyed i <= j: c_ij^k enters with 1 when
         # i < j, z(i,j) when i > j and 1 + z(i,i) when i = j
-        antisymmetry = tensors.accumulate(self.ring, (
+        antisymmetry = self.ring.accumulate((
             ((min(i, j), max(i, j), k),
              (i <= j) + (i >= j) * self.z(i, j), (v,))
             for (i, j), entries in self.constants.items() for k, v in entries))
         for (i, j, k), res in sorted(antisymmetry.items()):
             report.antisymmetry_failures.append(
                 (names[i], names[j], names[k], res.render()))
-        jacobi = tensors.accumulate(self.ring, (
+        jacobi = self.ring.accumulate((
             (key, self.z(x, w), (value,))
             for (x, y, w, m), value in tensors.contract(self.ring, rows).items()
             for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m))))
@@ -162,7 +162,7 @@ def bracket(algebra, x, y):
         raise RingMismatchError("elements of a different algebra")
     if x.rank != 1 or y.rank != 1:
         raise ValueError("bracket is defined on rank-1 elements")
-    return tensors.GradedTensor(algebra, 1, tensors.accumulate(x.ring, (
+    return tensors.GradedTensor(algebra, 1, x.ring.accumulate((
         (key, sign, (f, *factors)) for (i,), f in x.coeffs.items()
         for key, sign, factors in tensors._adjoint(algebra, i, y))), x.ring)
 

@@ -74,7 +74,7 @@ class Cobracket:
             if k != l:
                 products.append(((i, l, k), -algebra.z(k, l), value))
         coeffs = [{} for _ in range(algebra.dim)]
-        for (i, k, l), value in tensors.accumulate(ring, products).items():
+        for (i, k, l), value in ring.accumulate(products).items():
             coeffs[i][k, l] = value
         return cls(algebra, ring,
                    [GradedTensor(algebra, 2, c, ring) for c in coeffs])
@@ -170,7 +170,7 @@ def _cocycle_residual(algebra, d, i, j):
                  in tensors._adjoint(algebra, i, d.rows[j])]
     products += [(key, algebra.z(i, j) * sign, factors) for key, sign, factors
                  in tensors._adjoint(algebra, j, d.rows[i])]
-    return GradedTensor(algebra, 2, tensors.accumulate(ring, products), ring)
+    return GradedTensor(algebra, 2, ring.accumulate(products), ring)
 
 
 def _cojacobi_residuals(algebra, d):
@@ -180,7 +180,7 @@ def _cojacobi_residuals(algebra, d):
     order.  T is `tensors.contract` of the rows; each of its entries enters
     the three cyclic positions of its last three indices with the same sign."""
     contracted = tensors.contract(d.ring, [row.coeffs for row in d.rows])
-    residuals = tensors.accumulate(d.ring, (
+    residuals = d.ring.accumulate((
         (key, algebra.z(k, m), (value,))
         for (i, k, l, m), value in contracted.items()
         for key in ((i, k, l, m), (i, m, k, l), (i, l, m, k))))

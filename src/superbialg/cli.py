@@ -201,8 +201,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def algebra_flags(p):
-        p.add_argument("--algebra", help="builtin name (osp12 | super_e2) or file path")
-        p.add_argument("--file", help="algebra definition file (alias for --algebra)")
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--algebra", help="builtin name (osp12 | super_e2) or file path")
+        g.add_argument("--file", help="algebra definition file (alias for --algebra)")
+
+    def r_flags(p, r_help, family_help):
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--r", help=r_help)
+        g.add_argument("--family", help=family_help)
+        p.add_argument("--params", help="family parameters")
 
     p = sub.add_parser("validate", help="check the superalgebra axioms")
     algebra_flags(p)
@@ -210,25 +217,23 @@ def build_parser():
 
     p = sub.add_parser("cobracket-check", help="check the four bialgebra axioms")
     algebra_flags(p)
-    p.add_argument("--family", help="named family id, e.g. e2-case-a")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--family", help="named family id, e.g. e2-case-a")
+    g.add_argument("--cobracket-file", help="file with 'delta H = ...' rows")
     p.add_argument("--params", help="comma-separated rational bindings, e.g. a=1,b=0")
-    p.add_argument("--cobracket-file", help="file with 'delta H = ...' rows")
     p.set_defaults(func=cmd_cobracket_check)
 
     p = sub.add_parser("schouten", help="CYBE / mCYBE status of an r-matrix")
     algebra_flags(p)
-    p.add_argument("--r", help="r-matrix text, e.g. '1 H^P+ - 1 V+^V+'")
-    p.add_argument("--family", help="named r-matrix family id")
-    p.add_argument("--params", help="family parameters")
+    r_flags(p, "r-matrix text, e.g. '1 H^P+ - 1 V+^V+'",
+            "named r-matrix family id")
     p.add_argument("--verbose", action="store_true",
                    help="also print the Schouten bracket when nonzero")
     p.set_defaults(func=cmd_schouten)
 
     p = sub.add_parser("coboundary", help="cobracket of an r-matrix")
     algebra_flags(p)
-    p.add_argument("--r", help="r-matrix text")
-    p.add_argument("--family", help="named r-matrix family id")
-    p.add_argument("--params", help="family parameters")
+    r_flags(p, "r-matrix text", "named r-matrix family id")
     p.set_defaults(func=cmd_coboundary)
 
     p = sub.add_parser("solve-cocycle",
@@ -260,6 +265,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits with 2 on usage errors
     try:
+        if getattr(args, "params", None) is not None and not args.family:
+            raise UsageError("--params needs --family")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .scalars import Ring
 from .algebra import builtin, bracket
-from .tensors import GradedTensor, RMatrix, accumulate
+from .tensors import GradedTensor, RMatrix
 from .bialgebra import Cobracket, cybe_status, family
 
 
@@ -70,7 +70,7 @@ class Automorphism:
         for i in range(n):
             for j in range(n):
                 lhs = bracket(algebra, self.apply_index(i), self.apply_index(j))
-                rhs = GradedTensor(algebra, 1, accumulate(self.ring, (
+                rhs = GradedTensor(algebra, 1, self.ring.accumulate((
                     ((m,), 1, (cval, v))
                     for k, cval in constants.get((i, j), ())
                     for m, v in enumerate(self.matrix[k]))), self.ring)
@@ -180,13 +180,13 @@ def transform(phi, x):
     n = algebra.dim
     if isinstance(x, Cobracket):
         moved = [transform(phi, row) for row in x.rows]
-        return Cobracket(algebra, ring, [GradedTensor(algebra, 2, accumulate(
-            ring, ((kl, 1, (inv, v)) for inv, image in zip(phi.inverse[i], moved)
-                   if not inv.is_zero() for kl, v in image.coeffs.items())),
+        return Cobracket(algebra, ring, [GradedTensor(algebra, 2, ring.accumulate(
+            (kl, 1, (inv, v)) for inv, image in zip(phi.inverse[i], moved)
+            if not inv.is_zero() for kl, v in image.coeffs.items()),
             ring) for i in range(n)])
     if isinstance(x, GradedTensor) and x.rank == 2:
         src = x.convert(ring) if x.ring != ring else x
-        out = accumulate(ring, (
+        out = ring.accumulate((
             ((kk, ll), 1, (v, mk, ml)) for (k, l), v in src.coeffs.items()
             for kk, mk in enumerate(phi.matrix[k]) if not mk.is_zero()
             for ll, ml in enumerate(phi.matrix[l]) if not ml.is_zero()))

@@ -10,11 +10,9 @@ bubble-sorting Grassmann factors into that fixed order; a repeated generator
 annihilates the term.
 
 An element is stored as integer numerators over one positive common
-denominator, in lowest terms (the gcd of the denominator and every
-numerator is 1; zero has denominator 1), so it has one stored form and all
-arithmetic is on Python integers.  A rational enters through one reader,
-which refuses a float or a Decimal with ``TypeError``; ``terms()`` and
-``as_fraction()`` hand out ``Fraction``s.
+denominator, in lowest terms (zero has denominator 1), so it has one stored
+form and all arithmetic is on Python integers.  A rational enters through
+one reader, which refuses a float or a Decimal with ``TypeError``.
 
 Rings may carry rewrite relations (e.g. ``a*d - b*c + alpha*delta - 1`` with
 leading monomial ``a*d``), in which case every arithmetic result is reduced
@@ -26,8 +24,9 @@ differences, negation and rational multiples are one combination kernel,
 form, so nothing is reduced.
 
 A ring without variables is Q (a relation needs a leading monomial other
-than 1), and ``Ring.sum_of_products`` there is integer arithmetic on one
-numerator and one denominator, chosen by that property of the ring alone.
+than 1).  ``Ring.accumulate`` sums keyed products; over Q it is one pass of
+integer arithmetic over one denominator, and ``sum_of_products`` is its
+one-key case.
 
 No floating point anywhere; all values are immutable and all operations are
 pure functions.
@@ -71,20 +70,16 @@ _NUMBER = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def parse_rational(text):
-    """The rational spelt by `text` in the number form of the scalar
-    grammar, ``[+-]?\\d+(/\\d+)?`` between optional blanks: ValueError for
-    any other text, exponents and decimal points included, and
-    ZeroDivisionError for a zero denominator."""
+    """The rational spelt by `text`, an integer or p/q: ValueError for any
+    other text, exponents and decimals included; ZeroDivisionError for p/0."""
     if _NUMBER.fullmatch(text.strip()) is None:
         raise ValueError(f"not an integer or p/q: {text!r}")
     return Fraction(text)
 
 
 def _rational(q):
-    """(numerator, positive denominator) in lowest terms of a rational: an
-    int, a Fraction or another exact Rational, or text read by
-    `parse_rational`.  Anything inexact, such as a float or a Decimal,
-    raises TypeError."""
+    """(numerator, positive denominator) in lowest terms of an exact
+    rational or its text; a float or a Decimal raises TypeError."""
     if type(q) is int:
         return q, 1
     if type(q) is not Fraction:
@@ -110,10 +105,7 @@ def _lowest(terms, den):
 
 
 def _merge_grassmann(left, right):
-    """Merge two nonempty strictly increasing index tuples, counting crossings.
-
-    Returns (merged tuple, sign) or (None, 0) when an index repeats.
-    """
+    """(merged tuple, sign) of two increasing index tuples, or (None, 0)."""
     out = []
     sign = 1
     i, j = 0, 0
@@ -206,8 +198,7 @@ class Ring:
         self._relations = tuple(rules)
 
     def _compile_relation(self, relation, leading):
-        """The rule (leading exponents, (replacement numerators,
-        denominator)) of one relation."""
+        """(leading exponents, (numerators, denominator) of lead - relation)."""
         if len(leading._terms) != 1:
             raise ReductionError("leading monomial must be a single term")
         (lead_key, lead_coeff), = leading._terms.items()
@@ -322,8 +313,7 @@ class Ring:
     # -- normal form ---------------------------------------------------
 
     def _reduced(self, terms, den):
-        """The element with numerators `terms` over `den`, zeros allowed,
-        in normal form and lowest terms."""
+        """`terms` over `den` in normal form and lowest terms."""
         if not self._relations:
             return self._make(*_lowest(terms, den))
         return self._make(*_rewrite(terms, den, self._relations,
@@ -334,25 +324,11 @@ class Ring:
         (x1, ..., xn)) pairs in `products`: q rational, each x an element of
         this ring, n >= 0.  Every product is formed unreduced and the sum is
         reduced once; reduction is linear, so this equals the sum of the
-        reduced products.  A ring without variables is Q: there the sum is
-        one lcm, one integer sum and one gcd."""
+        reduced products."""
         if self._is_q:
-            unit = self._zero_exps, ()
-            parts = []
-            for q, factors in products:
-                n, d = (q, 1) if type(q) is int else _rational(q)
-                for x in factors:
-                    if x.ring is not self and x.ring != self:
-                        raise RingMismatchError("factor belongs to a different ring")
-                    n *= x._terms.get(unit, 0)
-                    d *= x._den
-                parts.append((n, d))
-            den = math.lcm(*[d for _, d in parts])
-            num = sum([n * (den // d) for n, d in parts])
-            if not num:
-                return self._make({})
-            g = math.gcd(num, den)
-            return self._make({unit: num // g}, den // g)
+            return self.accumulate(
+                (None, q, factors) for q, factors in products).get(
+                None, self._make({}))
         checked = []
         for q, factors in products:
             n, d = (q, 1) if type(q) is int else _rational(q)
@@ -365,15 +341,47 @@ class Ring:
             checked.append((n, d, terms))
         return self._reduced(*_sum_of_products(checked, (self._zero_exps, ())))
 
+    def accumulate(self, products):
+        """{key: sum of q * f1 * ... * fn} over the (key, q, (f1, ..., fn))
+        triples in `products`, zero sums dropped.  Over Q the whole call
+        shares one lcm, then takes one integer sum per key and one gcd per
+        nonzero key; elsewhere each key is one `sum_of_products`."""
+        if not self._is_q:
+            groups = {}
+            for key, q, factors in products:
+                groups.setdefault(key, []).append((q, factors))
+            sums = {key: self.sum_of_products(group)
+                    for key, group in groups.items()}
+            return {key: value for key, value in sums.items() if value._terms}
+        parts = []
+        for key, q, factors in products:
+            n, d = (q, 1) if type(q) is int else _rational(q)
+            for x in factors:
+                if x.ring is not self and x.ring != self:
+                    raise RingMismatchError("factor belongs to a different ring")
+                n *= x._terms.get(((), ()), 0)
+                d *= x._den
+            parts.append((key, n, d))
+        den = math.lcm(*{d for _, _, d in parts})
+        sums = {}
+        for key, n, d in parts:
+            n *= den // d
+            acc = sums.get(key)
+            sums[key] = n if acc is None else acc + n
+        out = {}
+        for key, n in sums.items():
+            if n:
+                g = math.gcd(n, den)
+                out[key] = self._make({((), ()): n // g}, den // g)
+        return out
+
     def linear_combination(self, pairs):
         """The sum of q * x over (rational q, element x) pairs."""
         return self._combination([(*_rational(q), x) for q, x in pairs])
 
     def _combination(self, triples):
-        """The sum of n/d * x over (int n, positive int d, element x)
-        triples, over the lcm of the d * (denominator of x).  A rational
-        combination of normal forms is a normal form, so nothing is
-        reduced."""
+        """The sum of n/d * x over (n, d, x) triples.  A rational combination
+        of normal forms is a normal form, so nothing is reduced."""
         den = math.lcm(*[d * x._den for _, d, x in triples])
         out = {}
         get = out.get
@@ -401,9 +409,8 @@ def _divides(lead_exps, exps):
 
 
 def _multiply(left, right, out):
-    """The product kernel: add every term product of the numerator dicts
-    `left` and `right` into `out` and return it.  Nothing is reduced, and a
-    sum that cancels stays in `out` as a zero until `_lowest`."""
+    """The product kernel: add left * right into `out`, unreduced, zeros
+    kept, and return it."""
     get = out.get
     right = list(right.items())
     for (e1, o1), c1 in left.items():
@@ -422,11 +429,8 @@ def _multiply(left, right, out):
 
 
 def _sum_of_products(products, unit):
-    """(numerators, denominator) of the sum of n/d * f1 * ... * fn over the
-    (n, d, (f1, ..., fn)) triples in `products`, each f a numerator dict and
-    d the product of the denominators: unreduced, zeros not dropped, over
-    the lcm of the d.  `unit` is the key of the constant monomial, the
-    empty product.  The last factor multiplies straight into the sum."""
+    """(numerators, lcm of the d) of the sum of n/d * f1 * ... * fn over
+    (n, d, numerator dicts) triples, unreduced; `unit` is the empty product."""
     den = math.lcm(*[d for _, d, _ in products])
     out = {}
     get = out.get
@@ -454,12 +458,9 @@ def _rule_for(exps, rules):
 
 
 def _rewrite(terms, den, rules, memo):
-    """Normal form, in lowest terms, of the numerators `terms` over `den`
-    under compiled (lead_exps, (numerators, denominator)) rules, in one
-    linear pass: a term that no leading monomial divides is kept, any other
-    is replaced by its monomial's normal form, which `_normal_form` computes
-    once and keeps in `memo`.  The sum is taken over the lcm of the normal
-    forms' denominators.  The input dict is left unchanged."""
+    """Normal form, in lowest terms, of `terms` over `den` in one linear
+    pass: each reducible monomial is replaced by its normal form, computed
+    once by `_normal_form` and kept in `memo`."""
     for exps, _ in terms:
         if _rule_for(exps, rules) is not None:
             break
@@ -521,14 +522,9 @@ def _normal_form(key, rules, memo):
 
 
 class SuperScalar:
-    """Canonical element of a supercommutative ring.
-
-    Stored as `_terms`, a map from (even exponent vector, increasing
-    Grassmann index tuple) to a nonzero int numerator, and `_den`, one
-    positive int denominator, in lowest terms: the coefficient of a term is
-    its numerator over `_den`.  Do not mutate; all operations return new
-    values.
-    """
+    """Canonical element of a supercommutative ring: `_terms` maps (even
+    exponents, increasing Grassmann indices) to nonzero int numerators over
+    the one denominator `_den`.  Immutable."""
 
     __slots__ = ("ring", "_terms", "_den")
 
@@ -666,12 +662,8 @@ class SuperScalar:
     # -- substitution ----------------------------------------------------
 
     def substitute(self, bindings):
-        """Simultaneous substitution name -> value, then normalization.
-
-        Values must be elements of the same ring (or rationals).  A binding
-        must preserve parity: even variables take even values, Grassmann
-        variables take odd values or 0.  Unbound variables stay as they are.
-        """
+        """Simultaneous substitution name -> value of the same ring and
+        parity (or 0), then normalization."""
         ring = self.ring
         images = {name: ring.var(name) for name in ring.names}
         for name, value in bindings.items():
@@ -766,14 +758,10 @@ def map_products(source, target, images):
 
 
 def reduce_mod_relation(x, relation, leading_monomial):
-    """Rewrite every occurrence of `leading_monomial` using `relation`.
-
-    `relation` is understood as ``relation == 0``; the leading monomial must
-    occur in it with coefficient 1 and divide no other monomial of it.
-    Unlike a `Ring`'s relations it is not checked to terminate: with
+    """Rewrite every occurrence of `leading_monomial` using ``relation ==
+    0``.  Unlike a `Ring`'s relations it is not checked to terminate: with
     ``a*d - a^2 - d^2`` and leading monomial ``a*d``, rewriting ``a^2*d^2``
-    comes back to ``a^2*d^2`` and raises ReductionError.
-    """
+    comes back to ``a^2*d^2`` and raises ReductionError."""
     ring = x.ring
     if isinstance(leading_monomial, str):
         leading_monomial = ring.parse(leading_monomial)

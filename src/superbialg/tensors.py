@@ -1,6 +1,6 @@
 """Graded tensor powers of a superalgebra: wedges, the adjoint action, the
-Schouten bracket [[r,r]], the sparse contraction shared by the Jacobi and
-co-Jacobi checks, and `accumulate`, which forms each of their coefficients.
+Schouten bracket [[r,r]] and the sparse contraction shared by the Jacobi and
+co-Jacobi checks.  Each of their coefficients is one key of `Ring.accumulate`.
 
 Sign conventions (frozen here, used everywhere):
 
@@ -25,7 +25,6 @@ Sign conventions (frozen here, used everywhere):
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from fractions import Fraction
 
 from .scalars import EVEN, RingMismatchError, ScalarParseError, map_products
@@ -59,7 +58,7 @@ class GradedTensor:
         if (other.algebra is not self.algebra or other.rank != self.rank
                 or other.ring != self.ring):
             raise RingMismatchError("incompatible tensors")
-        return GradedTensor(self.algebra, self.rank, accumulate(self.ring, (
+        return GradedTensor(self.algebra, self.rank, self.ring.accumulate((
             (k, 1, (v,)) for t in (self, other) for k, v in t.coeffs.items())),
             self.ring)
 
@@ -133,21 +132,6 @@ class GradedTensor:
         return f"<rank-{self.rank} {self.render()}>"
 
 
-def accumulate(ring, products):
-    """{key: sum of q * f1 * ... * fn} over the (key, q, (f1, ..., fn))
-    triples in `products` (q rational, each f in `ring`): each key's sum is
-    one `Ring.sum_of_products`, reduced once, and zero sums are dropped."""
-    groups = defaultdict(list)
-    for key, q, factors in products:
-        groups[key].append((q, factors))
-    out = {}
-    for key, group in groups.items():
-        value = ring.sum_of_products(group)
-        if value._terms:
-            out[key] = value
-    return out
-
-
 def wedge(algebra, x, y, ring=None, coeff=1):
     """x ^ y = x(x)y - z(x,y) y(x)x on basis elements (names or indices)."""
     return _wedge_sum(algebra, [(coeff, x, y)], ring)
@@ -163,7 +147,7 @@ def _wedge_sum(algebra, entries, ring=None):
         j = algebra.index[y] if isinstance(y, str) else y
         coeff = (ring.coerce(coeff),)
         products += [((i, j), 1, coeff), ((j, i), -algebra.z(i, j), coeff)]
-    return GradedTensor(algebra, 2, accumulate(ring, products), ring)
+    return GradedTensor(algebra, 2, ring.accumulate(products), ring)
 
 
 def ad_action(algebra, g, t):
@@ -174,12 +158,12 @@ def ad_action(algebra, g, t):
         raise ValueError("ad_action expects rank 2 or 3")
     gi = algebra.index[g] if isinstance(g, str) else g
     return GradedTensor(algebra, t.rank,
-                        accumulate(t.ring, _adjoint(algebra, gi, t)), t.ring)
+                        t.ring.accumulate(_adjoint(algebra, gi, t)), t.ring)
 
 
 def _adjoint(algebra, gi, t):
     """The (index, sign, (scalar, structure constant)) triples whose
-    `accumulate` is ad_{g_i}(t), for any rank: the bracket enters each slot in
+    `Ring.accumulate` is ad_{g_i}(t), for any rank: the bracket enters each slot in
     turn after the Koszul signs of the scalar's parity parts and prior slots."""
     ggrade = algebra.grades[gi]
     constants = algebra.constants_in(t.ring)
@@ -206,7 +190,7 @@ def contract(ring, rows):
     this is the co-Jacobi contraction of a cobracket; with rows[i][(j,k)] =
     c_ij^k it is [[g_a,g_b],g_c]_d, the Jacobi term of an algebra.
     """
-    return accumulate(ring, (
+    return ring.accumulate((
         ((a, b, c, d), 1, (left, right))
         for a, row in enumerate(rows) for (b, j), left in row.items()
         for (c, d), right in rows[j].items()))
@@ -346,7 +330,7 @@ def schouten(algebra, r):
                          for p, cval in constants.get((l, m), ())]
             products += [((k, m, p), zlm, (r1, r2, cval))
                          for p, cval in constants.get((l, n), ())]
-    return GradedTensor(algebra, 3, accumulate(ring, products), ring)
+    return GradedTensor(algebra, 3, ring.accumulate(products), ring)
 
 
 def is_ad_invariant(algebra, t):

@@ -316,6 +316,15 @@ BAD_INPUTS = {
     "params-repeated-name": (
         ["cobracket-check", "--algebra", "super_e2", "--family", "e2-case-b",
          "--params", "c=1,c=0"], None, None),
+    "schouten-params-without-family": (
+        ["schouten", "--algebra", "super_e2", "--r", "1 H^P+",
+         "--params", "a=1"], None, None),
+    "coboundary-params-without-family": (
+        ["coboundary", "--algebra", "osp12", "--r", "1 H^X+",
+         "--params", "x=1"], None, None),
+    "cobracket-file-with-params": (
+        ["cobracket-check", "--algebra", "super_e2", "--params", "c=1",
+         "--cobracket-file"], "d.cob", "delta H = 1 P+^P-\n"),
 }
 
 
@@ -330,6 +339,31 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
+# two inputs for one role: the parser refuses the pair before any check runs
+CONFLICTING_INPUTS = {
+    "algebra-and-file": ["validate", "--algebra", "osp12", "--file", "super_e2"],
+    "schouten-r-and-family": ["schouten", "--algebra", "super_e2",
+                              "--r", "1 H^P+", "--family", "e2-r-a"],
+    "coboundary-r-and-family": ["coboundary", "--algebra", "osp12",
+                                "--r", "1 H^X+", "--family", "osp-r1"],
+    "family-and-cobracket-file": ["cobracket-check", "--algebra", "super_e2",
+                                  "--family", "e2-case-b",
+                                  "--cobracket-file", "d.cob"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFLICTING_INPUTS))
+def test_conflicting_inputs_exit_2_without_traceback(case, tmp_path):
+    (tmp_path / "d.cob").write_text("delta H = 1 P+^P-\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbialg.cli", *CONFLICTING_INPUTS[case]],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not allowed with argument" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
 
 

@@ -180,6 +180,45 @@ class TestFields:
         assert lhs == rhs
 
 
+    @pytest.mark.parametrize("gname,count", [("super-e2", 500), ("osp", 600)])
+    def test_fields_represent_the_algebra(self, gname, count):
+        assert _representation_defects(group(gname)) == (count, [])
+
+    def test_wrong_tangent_factor_breaks_the_representation(self):
+        grp = osp_group()
+        grp.tangents["V+"] = {"alpha": 1}  # d/dalpha where 1/2 d/dalpha is right
+        checked, defects = _representation_defects(grp)
+        assert (checked, len(defects)) == (600, 106)
+
+
+def _representation_defects(grp):
+    """(identities checked, failures) of [F_j, F_k}(x) = sign * sum_l
+    c_jk^l F_l(x) over both chiralities, both sides, every ordered generator
+    pair and every coordinate x, with [F_j, F_k} = F_j F_k - z(j,k) F_k F_j.
+    The sign is +1 for Y and -1 for X; on the left side an odd-odd pair
+    takes the opposite sign.  This ties the `.alg` constants to T and the
+    tangents, which otherwise meet only in the published cells."""
+    algebra, ring = grp.algebra, grp.ring
+    checked, defects = 0, []
+    for chirality, sign in (("Y", 1), ("X", -1)):
+        for side in ("l", "r"):
+            fields = [grp.field(gen, chirality, side) for gen in algebra.basis]
+            for j, k in itertools.product(range(algebra.dim), repeat=2):
+                odd_pair = algebra.grades[j] and algebra.grades[k]
+                z = -1 if odd_pair else 1
+                s = -sign if odd_pair and side == "l" else sign
+                for name in grp.coordinates:
+                    x = grp.var(name)
+                    lhs = fields[j](fields[k](x)) - z * fields[k](fields[j](x))
+                    rhs = ring.linear_combination(
+                        (s * c.as_fraction(), fields[l](x))
+                        for l, c in algebra.constants.get((j, k), ()))
+                    checked += 1
+                    if lhs != rhs:
+                        defects.append((chirality, side, j, k, name))
+    return checked, defects
+
+
 FRESH_GROUPS = {"super-e2": super_e2_group, "osp": osp_group}
 
 

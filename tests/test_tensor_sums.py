@@ -1,19 +1,24 @@
 """The tensor layer's sums of products against the loops they replaced.
 
-`tensors.accumulate` forms every tensor coefficient that is a sum of scalar
-products through `Ring.sum_of_products`, reduced once, and the structure
+`Ring.accumulate` forms every tensor coefficient that is a sum of scalar
+products as one key, reduced once: over Q all keys of a call in one integer
+pass, in any other ring one `Ring.sum_of_products` per key.  The structure
 constants are read converted once per ring (`SuperLieAlgebra.constants_in`).
 The previous bodies are kept below as references: they multiply with
 `SuperScalar.__mul__`, add with `+` after every product and convert each
-structure constant where it is used.  Both must agree on four rings: the
-constants, the super-E(2) coordinate ring (Laurent E, Grassmann xi and eta,
-so odd and mixed-parity coefficients), the OSp ring with its relation, and
-the symbolic `e2-r-a` family ring with m^2 = ab.
+structure constant where it is used, and the keyed accumulator is the
+per-key loop it replaced, with the Q sum it called.  Both must agree on four
+rings: the constants, the super-E(2) coordinate ring (Laurent E, Grassmann
+xi and eta, so odd and mixed-parity coefficients), the OSp ring with its
+relation, and the symbolic `e2-r-a` family ring with m^2 = ab.
 """
 
 import functools
 import gc
+import math
 import weakref
+from collections import defaultdict
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,7 +30,7 @@ from superbialg.bialgebra import (Cobracket, _cocycle_residual,
 from superbialg.equivalence import (Automorphism, _matmul, e2_automorphism,
                                     osp_automorphism, transform)
 from superbialg.poisson import group
-from superbialg.scalars import EVEN, Ring
+from superbialg.scalars import EVEN, Ring, RingMismatchError, _rational
 from superbialg.tensors import (GradedTensor, RMatrix, _wedge_sum, ad_action,
                                 contract, schouten)
 
@@ -39,6 +44,40 @@ ALGEBRAS = ("osp12", "super_e2")
 
 
 # -- the previous loops, kept as references -------------------------------------
+
+def _frozen_sum_of_products(ring, products):
+    # over Q: one lcm, one integer sum and one gcd per call
+    if not ring._is_q:
+        return ring.sum_of_products(products)
+    unit = ring._zero_exps, ()
+    parts = []
+    for q, factors in products:
+        n, d = (q, 1) if type(q) is int else _rational(q)
+        for x in factors:
+            if x.ring is not ring and x.ring != ring:
+                raise RingMismatchError("factor belongs to a different ring")
+            n *= x._terms.get(unit, 0)
+            d *= x._den
+        parts.append((n, d))
+    den = math.lcm(*[d for _, d in parts])
+    num = sum([n * (den // d) for n, d in parts])
+    if not num:
+        return ring._make({})
+    g = math.gcd(num, den)
+    return ring._make({unit: num // g}, den // g)
+
+
+def _frozen_accumulate(ring, products):
+    groups = defaultdict(list)
+    for key, q, factors in products:
+        groups[key].append((q, factors))
+    out = {}
+    for key, group in groups.items():
+        value = _frozen_sum_of_products(ring, group)
+        if value._terms:
+            out[key] = value
+    return out
+
 
 def _frozen_add(t, u):
     out = dict(t.coeffs)
@@ -467,3 +506,71 @@ def test_map_equals_coefficientwise_scalar_map(fid):
         assert row.coeffs == {k: v for k, v in (
             (k, v.map(ring, images)) for k, v in source.coeffs.items())
             if not v.is_zero()}
+
+
+def _stored(sums):
+    return {key: (value._terms, value._den) for key, value in sums.items()}
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_accumulate_equals_frozen(ring_name, data):
+    ring = RINGS[ring_name]
+    products = data.draw(st.lists(st.tuples(
+        st.integers(0, 3), _COEFFS,
+        st.lists(_scalars(ring), max_size=3).map(tuple)), max_size=12))
+    frozen = _stored(_frozen_accumulate(ring, products))
+    assert _stored(ring.accumulate(products)) == frozen
+    assert _stored(ring.accumulate(iter(products))) == frozen
+    assert all(terms for terms, _ in frozen.values())
+    pairs = [(q, factors) for _, q, factors in products]
+    total = ring.sum_of_products(pairs)
+    expected = _frozen_sum_of_products(ring, pairs)
+    assert (total._terms, total._den) == (expected._terms, expected._den)
+
+
+class TestAccumulateOverQ:
+    def test_empty_input(self):
+        assert CONSTANTS.accumulate([]) == {}
+        assert CONSTANTS.accumulate(iter(())) == {}
+        assert CONSTANTS.sum_of_products([]).is_zero()
+
+    def test_cancelling_key_is_dropped(self):
+        half = CONSTANTS.scalar(Fraction(1, 2))
+        sums = CONSTANTS.accumulate([("a", 2, (half,)), ("b", 1, ()),
+                                     ("a", -1, ())])
+        assert list(sums) == ["b"]
+
+    def test_one_lcm_and_lowest_terms_per_key(self):
+        # denominators 2, 6 and 3 over one lcm 6; each key reduced alone
+        third = CONSTANTS.scalar(Fraction(1, 3))
+        sums = CONSTANTS.accumulate([
+            ("a", Fraction(1, 2), ()), ("a", Fraction(1, 6), ()),
+            ("b", Fraction(1, 2), ()), ("b", Fraction(1, 2), ()),
+            ("c", 1, (third, third)), ("c", Fraction(-1, 2), (third,))])
+        assert _stored(sums) == {"a": ({((), ()): 2}, 3),
+                                 "b": ({((), ()): 1}, 1),
+                                 "c": ({((), ()): -1}, 18)}
+
+    def test_factor_after_a_zero_is_still_checked(self):
+        other = E2_RING.one()
+        with pytest.raises(RingMismatchError):
+            CONSTANTS.accumulate([("a", 1, (CONSTANTS.zero(), other))])
+        with pytest.raises(RingMismatchError):
+            CONSTANTS.sum_of_products([(0, (other,))])
+        # an equal ring is the same ring
+        assert _stored(CONSTANTS.accumulate(
+            [("a", 3, (Ring([]).scalar(2),))])) == {"a": ({((), ()): 6}, 1)}
+
+    @pytest.mark.parametrize("q", [0.5, Decimal("0.5")])
+    def test_inexact_coefficient_raises_type_error(self, q):
+        with pytest.raises(TypeError):
+            CONSTANTS.accumulate([("a", q, ())])
+
+    def test_generator_input(self):
+        two = CONSTANTS.scalar(2)
+        sums = CONSTANTS.accumulate((k % 2, Fraction(1, k), (two,))
+                                    for k in range(1, 5))
+        assert _stored(sums) == {1: ({((), ()): 8}, 3),
+                                 0: ({((), ()): 3}, 2)}
