@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EVEN, ODD, Ring, RingMismatchError, parse_rational
+from .scalars import EVEN, ODD, Q, RingMismatchError, parse_rational
 from . import tensors
 
 
@@ -58,7 +58,7 @@ class SuperLieAlgebra:
 
     def __init__(self, name, basis, brackets, ring=None):
         self.name = name
-        self.ring = ring if ring is not None else Ring([])
+        self.ring = ring if ring is not None else Q
         self.basis = tuple(bname for bname, _ in basis)
         self.grades = tuple({"even": EVEN, "odd": ODD}[g] if isinstance(g, str)
                             else g for _, g in basis)

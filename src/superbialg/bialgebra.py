@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EVEN, Ring, map_products, rational_sqrt
+from .scalars import EVEN, Q, Ring, map_products, rational_sqrt
 from .algebra import SuperLieAlgebra, _sparse_constants, builtin
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action
@@ -315,7 +315,7 @@ def _bind(names, values):
             if root is None:
                 raise ValueError(
                     "a*b must be a rational square for a numeric family")
-    ring = Ring([(n, "commuting") for n in free], relations)
+    ring = Ring([(n, "commuting") for n in free], relations) if free else Q
     images = {n: ring.var(n) if n in free else ring.scalar(values[n])
               for n in names if n != "branch"}
     if "branch" in names:

@@ -2,10 +2,11 @@
 
 Commands: validate, cobracket-check, schouten, coboundary, solve-cocycle,
 verify-orbits, poisson, verify-paper.  Exit codes: 0 all checks pass,
-1 failures, 2 usage or parse errors (errata do not fail a run unless
---strict is given), 141 (128 + SIGPIPE, as a shell reports a process that a
-closed pipe stopped) when the reader of stdout goes away early, e.g.
-`superbialg solve-cocycle --algebra osp12 | head -2`; nothing is printed then.
+1 failures, 2 usage or parse errors, reported in one `error: ...` line on
+stderr (errata do not fail a run unless --strict is given), 141 (128 +
+SIGPIPE, as a shell reports a process that a closed pipe stopped) when the
+reader of stdout goes away early, e.g. `superbialg solve-cocycle --algebra
+osp12 | head -2`; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ from .scalars import parse_rational
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments the way `main` reports a `UsageError`: one
+    `error: ...` line on stderr and exit code 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _load_algebra(args):
@@ -193,7 +203,7 @@ def cmd_verify_paper(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superbialg",
         description=("Exact verification of the Lie super-bialgebra"
                      " classification on osp(1|2) and super-e(2) and the"
@@ -263,7 +273,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)  # argparse exits with 2 on usage errors
+    args = parser.parse_args(argv)  # exits with 2 on usage errors
     try:
         if getattr(args, "params", None) is not None and not args.family:
             raise UsageError("--params needs --family")

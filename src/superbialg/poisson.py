@@ -25,10 +25,14 @@ super-E(2) families, or the whole bracket of family iv):
 Both r and Phi are rank-2 wedge sums; the nine published structures are one
 table (`_STRUCTURES`) of r-matrix families and Phi texts.  `bracket` is the
 one bracket: {f, g} is the sum of c*d*{m, n} over the terms c*m of f and
-d*n of g, and the bracket {m, n} of two monomials is formed once per
-structure from the (left field, coefficient, right field) triples.  Products
-are taken in the written order; the supercommutative ring supplies every
-Koszul sign.
+d*n of g, and the bracket {m, n} of two monomials, formed once per
+structure, is linear in r: the sum of r^{kj} B_kj(m, n) over the entries of
+r, with the basis brackets
+
+    B_kj(m, n) = (Y_k^(r) m)(Y_j^(l) n) - (X_k^(r) m)(X_j^(l) n),
+
+plus the Phi products (X_j^(r) m) Phi^{jk} (X_k^(l) n).  Products are taken
+in the written order; the supercommutative ring supplies every Koszul sign.
 
 The invariant fields are read off T, through Delta(T_ij) = sum_l T_il (x)
 T_lj, from tangent vectors xi_k at e (Semenov-Tian-Shansky 1985):
@@ -45,14 +49,13 @@ X (the entry the derivative crosses), and 1 otherwise.  The tangents are
 
 Field application is the graded Leibniz rule of the field's side, with the
 chain rule field(E) = 1/2 field(s) E.  A field's image, the value at e and
-the coproduct of each monomial, and the product of two entries of T, are
-formed once per group, as is each L(m) * R(n) (`term_products`, keyed by
-left field, right field, m, n, shared by every structure): the bracket
-{m, n} is a rational combination of them plus the Phi products
-L(m) Phi R(n).  A zero product or bracket is the group's one `zero`.  After
-a full verify-paper run the memos hold 770 images on the 40 fields, 1308
-term products (132 zero), 53 values at e, 32 monomial coproducts and 172
-entry products, and the nine structures 1684 monomial brackets (771 zero).
+the coproduct of each monomial, the product of two entries of T and each
+basis bracket (`basis_brackets`, {(m, n): {(k, j): B_kj(m, n)}}, shared by
+every structure) are formed once per group; a zero basis bracket or bracket
+is the group's one `zero`.  After a full verify-paper run the memos hold 770
+images on the 40 fields, 2712 basis brackets on 393 monomial pairs (1872
+zero), 53 values at e, 32 monomial coproducts and 172 entry products, and
+the nine structures 1684 monomial brackets (771 zero).
 
 G x G is a bare `Ring`, the ring Delta maps into (`CoordinateRing.square`:
 slot-tagged variables x1, x2, shared parameters, each relation once per
@@ -162,10 +165,8 @@ class CoordinateRing:
         self.tangents = dict(tangents)  # generator -> {coordinate: rational}
         self._fields = None
         self._square = None
-        # (left field, right field, monomial m, monomial n) -> the reduced
-        # product L(m) * R(n), filled by `PoissonStructure.bracket`; every
-        # zero product is the one `zero`
-        self.term_products = {}
+        # (m, n) -> {(k, j): B_kj(m, n)}, filled by `PoissonStructure.bracket`
+        self.basis_brackets = {}
         self.zero = ring.zero()
         self._delta = None
         # monomial -> its value at e or its coproduct; (p, q) -> the product
@@ -253,6 +254,19 @@ class CoordinateRing:
         if image is None:
             image = field.images[key] = self._monomial_image(field, key)
         return image
+
+    def basis_bracket(self, k, j, m, n):
+        """B_kj(m, n) = Y_k^(r) m * Y_j^(l) n - X_k^(r) m * X_j^(l) n of the
+        monomial keys m, n, reduced once; a zero is the group's `zero`."""
+        products = []
+        for chirality, sign in (("Y", 1), ("X", -1)):
+            lm = self.image(self.field(k, chirality, "r"), m)
+            if lm._terms:
+                rn = self.image(self.field(j, chirality, "l"), n)
+                if rn._terms:
+                    products.append((sign, (lm, rn)))
+        value = self.ring.sum_of_products(products) if products else self.zero
+        return value if value._terms else self.zero
 
     def _monomial_image(self, field, key):
         # For x1^k1 .. xm^km th_1 .. th_n, the factor at an odd slot t picks
@@ -470,22 +484,11 @@ class PoissonStructure:
                 raise ValueError(
                     f"Phi^({j},{k}) = {value.render()} does not vanish at the"
                     " group identity")
-        self._triples = None
+        # ((k, j), numerator, denominator) of each r entry; the key objects
+        # are shared by every basis bracket this structure stores
+        self._r = [((k, j), q.numerator, q.denominator)
+                   for k, j, q in self.r_entries]
         self._pairs = {}  # (monomial m, monomial n) -> {m, n}
-
-    def _bracket_triples(self):
-        # (left field, coefficient, right field) for every term of the
-        # bracket, built on first use
-        if self._triples is None:
-            field = self.group.field
-            triples = []
-            for k, j, coeff in self.r_entries:
-                triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
-                triples.append((field(k, "X", "r"), -coeff, field(j, "X", "l")))
-            for (j, k), value in self.phi.items():
-                triples.append((field(j, "X", "r"), value, field(k, "X", "l")))
-            self._triples = triples
-        return self._triples
 
     def bracket(self, f, g):
         """{f, g} = sum of c*d*{m, n} over the terms c*m of f and d*n of g,
@@ -506,35 +509,28 @@ class PoissonStructure:
         return self.group.ring._combination(triples)
 
     def _monomial_bracket(self, m, n):
-        # {m, n} of two coefficient-1 monomials.  A rational triple reads
-        # L(m) R(n) from the group's product memo, so the bracket is a
-        # rational combination of normal forms; a Phi triple is the product
-        # L(m) Phi R(n), reduced with the others.  A zero bracket is the
-        # group's one `zero`.
+        # {m, n} of two coefficient-1 monomials: the rational combination of
+        # r^{kj} B_kj(m, n), each basis bracket read from the group's memo,
+        # plus the Phi products X_j^(r) m Phi^{jk} X_k^(l) n, reduced once.
         grp = self.group
-        image, memo = grp.image, grp.term_products
+        ring, image, field = grp.ring, grp.image, grp.field
+        row = grp.basis_brackets.get((m, n))
+        if row is None:
+            row = grp.basis_brackets[m, n] = {}
         triples = []
+        for kj, num, den in self._r:
+            value = row.get(kj)
+            if value is None:
+                value = row[kj] = grp.basis_bracket(*kj, m, n)
+            if value._terms:
+                triples.append((num, den, value))
         phi = []
-        for lfield, coeff, rfield in self._bracket_triples():
-            rational = isinstance(coeff, Fraction)
-            if rational:
-                product = memo.get((lfield, rfield, m, n))
-                if product is not None:
-                    triples.append((coeff.numerator, coeff.denominator, product))
-                    continue
-            lm = image(lfield, m)
-            if lm.is_zero():
-                continue
-            rn = image(rfield, n)
-            if rn.is_zero():
-                continue
-            if not rational:
-                phi.append((1, (lm, coeff, rn)))
-                continue
-            product = lm * rn
-            memo[lfield, rfield, m, n] = product if product._terms else grp.zero
-            triples.append((coeff.numerator, coeff.denominator, product))
-        ring = grp.ring
+        for (j, k), value in self.phi.items():
+            lm = image(field(j, "X", "r"), m)
+            if lm._terms:
+                rn = image(field(k, "X", "l"), n)
+                if rn._terms:
+                    phi.append((1, (lm, value, rn)))
         if phi:
             triples.append((1, 1, ring.sum_of_products(phi)))
         value = ring._combination(triples)

@@ -297,6 +297,8 @@ class Ring:
         return {name: target.var(name) for name in self.names}
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Ring):
             return NotImplemented
         return (self._evens == other._evens and self._odds == other._odds
@@ -399,6 +401,9 @@ class Ring:
 
     def parse(self, text):
         return _parse_scalar(self, text)
+
+
+Q = Ring()  # the one ring without variables, shared by every numeric point
 
 
 def _divides(lead_exps, exps):
@@ -697,34 +702,22 @@ class SuperScalar:
     # -- rendering -------------------------------------------------------
 
     def render(self):
+        """Terms in decreasing key order, each coefficient in lowest terms."""
         if not self._terms:
             return "0"
-        pieces = []
-        den = self._den
+        ring, den, text = self.ring, self._den, ""
         for key in sorted(self._terms, reverse=True):
             exps, odds = key
-            coeff = self._terms[key]
-            if den != 1:
-                coeff = Fraction(coeff, den)
-            factors = []
-            for pos, e in enumerate(exps):
-                if not e:
-                    continue
-                name = self.ring._evens[pos]
-                factors.append(name if e == 1 else f"{name}^{e}")
-            factors.extend(self.ring._odds[i] for i in odds)
-            mag = coeff if coeff > 0 else -coeff
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += sign + body
+            c = self._terms[key]
+            mag = -c if c < 0 else c
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(ring._evens, exps) if e]
+            factors.extend(ring._odds[i] for i in odds)
+            if not factors or mag != den:
+                g = math.gcd(mag, den)
+                factors.insert(0, f"{mag // g}/{den // g}" if g != den
+                               else str(mag // g))
+            text += ("-" if c < 0 else "+" if text else "") + "*".join(factors)
         return text
 
     def __str__(self):

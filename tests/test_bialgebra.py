@@ -12,7 +12,7 @@ from superbialg.bialgebra import (Cobracket, _cojacobi_residuals,
                                   cybe_status, dual_algebra, family,
                                   family_ids, parse_cobracket_text,
                                   CYBE, MCYBE)
-from superbialg.scalars import Ring
+from superbialg.scalars import Q, Ring
 from superbialg.tensors import (GradedTensor, RMatrix, parse_rmatrix,
                                 parse_wedge_sum, render_wedge_form, wedge)
 
@@ -359,3 +359,15 @@ class TestSparseKernelsMatchDense:
         raw = Cobracket(algebra, ring,
                         [GradedTensor(algebra, 2, c, ring) for c in coeffs])
         assert_matches_dense(algebra, raw)
+
+
+def test_numeric_points_share_the_one_q_ring():
+    # every fully numeric family point and the builtin algebras live in Q,
+    # so the structure constants are read as they are, with no conversion
+    osp = builtin("osp12")
+    points = [family("osp-r-a", x=1, y=2, z=3),
+              family("e2-r-a", a=4, b=1, f=Fraction(2, 3)),
+              family("osp-r1")]
+    assert osp.ring is Q and all(r.ring is Q for r in points)
+    assert osp.constants_in(points[0].ring) is osp.constants
+    assert family("osp-r-a").ring is not Q

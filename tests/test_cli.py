@@ -355,16 +355,31 @@ CONFLICTING_INPUTS = {
 }
 
 
+def _parser_refusal(argv, cwd):
+    """The one stderr line of a run the parser refuses: exit code 2, no
+    output, no usage block, the line formatted as `main` reports errors."""
+    proc = subprocess.run([sys.executable, "-m", "superbialg.cli", *argv],
+                          capture_output=True, text=True, timeout=120, cwd=cwd)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
 @pytest.mark.parametrize("case", sorted(CONFLICTING_INPUTS))
 def test_conflicting_inputs_exit_2_without_traceback(case, tmp_path):
     (tmp_path / "d.cob").write_text("delta H = 1 P+^P-\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "superbialg.cli", *CONFLICTING_INPUTS[case]],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "not allowed with argument" in proc.stderr.splitlines()[-1]
-    assert "Traceback" not in proc.stderr
+    line = _parser_refusal(CONFLICTING_INPUTS[case], tmp_path)
+    assert "not allowed with argument" in line
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["poisson", "--group", "osp"], "required: --structure"),
+    (["nope"], "invalid choice: 'nope'"),
+], ids=["missing-required-flag", "unknown-command"])
+def test_parser_refusal_is_one_error_line(argv, words, tmp_path):
+    assert words in _parser_refusal(argv, tmp_path)
 
 
 # a number outside the grammar's integers and p/q, read from --params or an

@@ -137,9 +137,17 @@ def _frozen_map(x, target, images):
 
 
 def _frozen_bracket(structure, f, g):
-    # the previous bracket: each triple's product reduced, then summed
+    # the previous bracket: each (left field, coefficient, right field)
+    # triple's product reduced, then summed
+    field = structure.group.field
+    triples = []
+    for k, j, coeff in structure.r_entries:
+        triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
+        triples.append((field(k, "X", "r"), -coeff, field(j, "X", "l")))
+    for (j, k), value in structure.phi.items():
+        triples.append((field(j, "X", "r"), value, field(k, "X", "l")))
     total = structure.group.ring.zero()
-    for lfield, coeff, rfield in structure._bracket_triples():
+    for lfield, coeff, rfield in triples:
         total = total + lfield(f) * coeff * rfield(g)
     return total
 

@@ -17,7 +17,7 @@ from superbialg.poisson import (group, named_structure, check_axioms,
                                 super_e2_group, osp_group, CoordinateRing)
 from superbialg.bialgebra import family
 from superbialg.claims import run_claims
-from superbialg.scalars import EVEN, ODD, Ring, SuperScalar
+from superbialg.scalars import EVEN, ODD, Ring
 from superbialg.tensors import (GradedTensor, parse_rmatrix, parse_wedge_sum,
                                 render_wedge_form)
 from test_algebra import dense_table
@@ -1252,10 +1252,11 @@ class TestTermProducts:
                     assert structure.bracket(f, g) == want, (sid, f, g)
 
     def test_memo_keeps_zero_products_as_one_shared_value(self):
-        # polynomial arguments fill the memo through their monomials
+        # polynomial arguments fill the memo through their monomials; each
+        # value is B_kj(m, n) = Y_k^(r) m Y_j^(l) n - X_k^(r) m X_j^(l) n
         grp = osp_group()
         structure = coboundary_structure(grp, family("osp-r-a", x=1, y=2, z=3))
-        memo = grp.term_products
+        memo = grp.basis_brackets
         elements = _display_and_generators(grp)
         polynomials = [grp.ring.zero(), grp.parse("a*b+alpha*delta"),
                        grp.parse("b-3*c"), grp.parse("a*d")]
@@ -1266,39 +1267,55 @@ class TestTermProducts:
             structure.bracket(Fraction(-3, 2) * g, f)
             monomials.update(itertools.product(f._terms, g._terms))
             monomials.update(itertools.product(g._terms, f._terms))
-        pairs = {(left, right) for left, _, right in structure._bracket_triples()}
-        assert memo and all(key[:2] in pairs for key in memo)
-        assert {key[2:] for key in memo} <= monomials
-        zeros = [product for product in memo.values() if product.is_zero()]
-        assert zeros and all(product is grp.zero for product in zeros)
-        for (left, right, m, n), product in memo.items():
-            assert product == grp.image(left, m) * grp.image(right, n)
-        # the memo is the group's: a second structure with the same fields
-        # reads it and adds nothing
-        kept = dict(memo)
+        names = {(k, j) for k, j, _ in structure.r_entries}
+        assert memo and set(memo) <= monomials
+        assert all(set(row) == names for row in memo.values())
+        values = [value for row in memo.values() for value in row.values()]
+        zeros = [value for value in values if value.is_zero()]
+        assert zeros and all(value is grp.zero for value in zeros)
+        image, field = grp.image, grp.field
+        for (m, n), row in memo.items():
+            for (k, j), value in row.items():
+                assert value == (
+                    image(field(k, "Y", "r"), m) * image(field(j, "Y", "l"), n)
+                    - image(field(k, "X", "r"), m) * image(field(j, "X", "l"), n))
+        # the memo is the group's: a second structure with the same r
+        # entries reads it and adds nothing
+        kept = {key: dict(row) for key, row in memo.items()}
         again = coboundary_structure(grp, family("osp-r-a", x=1, y=2, z=3))
         for f, g in itertools.product(polynomials, elements):
             again.bracket(f, g)
-        assert memo == kept
+        assert {key: dict(row) for key, row in memo.items()} == kept
+        assert all(row[kj] is kept[key][kj]
+                   for key, row in memo.items() for kj in row)
 
     def test_repeated_term_bracket_forms_no_product(self, monkeypatch):
-        # every L(m) R(n), zero or not, is read from the memo the second time
+        # every basis bracket B_kj(m, n), zero or not, is read from the
+        # group's memo the second time, and nothing is multiplied
         grp = super_e2_group()
         structure = coboundary_structure(
             grp, family("e2-r-b", a=2, b=Fraction(1, 3), f=-1))
         elements = _display_and_generators(grp)
+        formed = []
+        basis_bracket = poisson.CoordinateRing.basis_bracket
+        sum_of_products = Ring.sum_of_products
+
+        def counted_bracket(self, *args):
+            formed.append(args)
+            return basis_bracket(self, *args)
+
+        def counted_sum(self, products):
+            formed.append(products)
+            return sum_of_products(self, products)
+
+        monkeypatch.setattr(poisson.CoordinateRing, "basis_bracket",
+                            counted_bracket)
+        monkeypatch.setattr(Ring, "sum_of_products", counted_sum)
         first = [structure.bracket(f, g)
                  for f, g in itertools.product(elements, repeat=2)]
-        formed = []
-        mul = SuperScalar.__mul__
-
-        def counted(self, other):
-            product = mul(self, other)
-            if isinstance(other, SuperScalar):
-                formed.append(product)
-            return product
-
-        monkeypatch.setattr(SuperScalar, "__mul__", counted)
+        assert formed
+        formed.clear()
+        structure._pairs.clear()  # {m, n} again from the basis brackets
         again = [structure.bracket(f, g)
                  for f, g in itertools.product(elements, repeat=2)]
         assert again == first

@@ -11,6 +11,7 @@ from superbialg.scalars import (
     EVEN,
     GRASSMANN,
     ODD,
+    Q,
     Ring,
     ParityError,
     ReductionError,
@@ -572,3 +573,61 @@ def test_square_normal_form_ignores_relation_order(terms):
             x = x + ring.monomial(exps, (), c)
         forms.append(x.render())
     assert forms[0] == forms[1]
+
+
+# -- rendering ---------------------------------------------------------------
+
+def _frozen_render(x):
+    # the previous SuperScalar.render: each coefficient a Fraction
+    if not x._terms:
+        return "0"
+    pieces = []
+    den = x._den
+    for key in sorted(x._terms, reverse=True):
+        exps, odds = key
+        coeff = x._terms[key]
+        if den != 1:
+            coeff = Fraction(coeff, den)
+        factors = []
+        for pos, e in enumerate(exps):
+            if not e:
+                continue
+            name = x.ring._evens[pos]
+            factors.append(name if e == 1 else f"{name}^{e}")
+        factors.extend(x.ring._odds[i] for i in odds)
+        mag = coeff if coeff > 0 else -coeff
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += sign + body
+    return text
+
+
+def _fractional_elements(ring):
+    """Zero and sums of up to five terms with negative and fractional
+    coefficients over denominators that share factors, so the stored
+    numerators share factors with the common denominator; negative Laurent
+    exponents and any set of Grassmann generators."""
+    exps = st.tuples(*[st.integers(-3 if ring.kind(n) == "laurent" else 0, 3)
+                       for n in ring.even_names])
+    odds = st.sets(st.sampled_from(range(len(ring.odd_names)))).map(
+        lambda s: tuple(sorted(s))) if ring.odd_names else st.just(())
+    coeffs = st.builds(Fraction, st.integers(-12, 12),
+                       st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]))
+    return st.dictionaries(st.tuples(exps, odds), coeffs, max_size=5).map(
+        lambda values: _element(ring, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([RING, OSP_RING, Q]).flatmap(_fractional_elements))
+def test_render_equals_frozen_render(x):
+    text = x.render()
+    assert text == _frozen_render(x)
+    assert x.ring.parse(text) == x
