@@ -17,7 +17,7 @@ from .scalars import (
 )
 from .algebra import (
     SuperLieAlgebra,
-    AlgebraReport,
+    Report,
     AlgebraError,
     builtin,
     bracket,
@@ -35,7 +35,6 @@ from .tensors import (
 )
 from .bialgebra import (
     Cobracket,
-    CobracketReport,
     coboundary_delta,
     check_cobracket,
     cybe_status,

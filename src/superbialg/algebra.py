@@ -1,6 +1,8 @@
 """Finite-dimensional Lie superalgebras from graded bases and sparse
 structure constants (only the nonzero c_ij^k are stored), with axiom
-validation and the two built-in algebras."""
+validation and the two built-in algebras.  `Report` is the one record of a
+failed exact axiom check, here and in `bialgebra` and `poisson`: it holds
+each failed identity's residual value."""
 
 from __future__ import annotations
 
@@ -18,30 +20,40 @@ class AlgebraError(ValueError):
         self.report = report
 
 
-class AlgebraReport:
-    """Axiom check results: every violated identity, not only the first."""
+class Report:
+    """The failed identities of an exact axiom check.  `failures` maps each
+    axiom, in check order, to its (labels, residual) pairs: `labels` are
+    basis or coordinate names, `residual` the nonzero `SuperScalar`.
+    `formats[axiom]` prints one failure from the labels and the rendered
+    residual."""
 
-    def __init__(self):
-        self.grading_failures = []       # (i, j, k, residual)
-        self.antisymmetry_failures = []  # (i, j, k, residual)
-        self.jacobi_failures = []        # (i, j, l, m, residual)
+    def __init__(self, formats):
+        self.formats = formats
+        self.failures = {axiom: [] for axiom in formats}
+
+    def add(self, axiom, labels, residual):
+        self.failures[axiom].append((labels, residual))
 
     @property
     def passed(self):
-        return not (self.grading_failures or self.antisymmetry_failures
-                    or self.jacobi_failures)
+        return not any(self.failures.values())
+
+    def failing_axioms(self):
+        return [axiom for axiom, found in self.failures.items() if found]
+
+    def residuals(self, axiom):
+        return [residual for _, residual in self.failures[axiom]]
 
     def render(self):
-        if self.passed:
-            return "all axioms hold"
-        lines = []
-        for i, j, k, res in self.grading_failures:
-            lines.append(f"grading violated at c[{i}][{j}]^[{k}]: {res}")
-        for i, j, k, res in self.antisymmetry_failures:
-            lines.append(f"graded antisymmetry violated at ({i},{j})^{k}: {res}")
-        for i, j, l, m, res in self.jacobi_failures:
-            lines.append(f"super-Jacobi violated at ({i},{j},{l}) -> {m}: {res}")
-        return "\n".join(lines)
+        return "\n".join(
+            self.formats[axiom].format(*labels, residual.render())
+            for axiom, found in self.failures.items()
+            for labels, residual in found) or "all axioms hold"
+
+
+_AXIOMS = {"grading": "grading violated at c[{}][{}]^[{}]: {}",
+           "antisymmetry": "graded antisymmetry violated at ({},{})^{}: {}",
+           "jacobi": "super-Jacobi violated at ({},{},{}) -> {}: {}"}
 
 
 class SuperLieAlgebra:
@@ -105,15 +117,14 @@ class SuperLieAlgebra:
         constants.  Jacobi at (i,j,l) -> m is z(i,l) T(i,j,l,m) + z(j,i)
         T(j,l,i,m) + z(l,j) T(l,i,j,m) with T(x,y,w,m) = [[x,y],w]_m from
         `tensors.contract`; each T entry enters its three keys with z(x,w)."""
-        report = AlgebraReport()
+        report = Report(_AXIOMS)
         names = self.basis
         rows = [{} for _ in range(self.dim)]
         for (i, j), entries in sorted(self.constants.items()):
             for k, v in entries:
                 rows[i][j, k] = v
                 if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
-                    report.grading_failures.append(
-                        (names[i], names[j], names[k], v.render()))
+                    report.add("grading", (names[i], names[j], names[k]), v)
         # c_ij^k + z(i,j) c_ji^k keyed i <= j: c_ij^k enters with 1 when
         # i < j, z(i,j) when i > j and 1 + z(i,i) when i = j
         antisymmetry = self.ring.accumulate((
@@ -121,15 +132,13 @@ class SuperLieAlgebra:
              (i <= j) + (i >= j) * self.z(i, j), (v,))
             for (i, j), entries in self.constants.items() for k, v in entries))
         for (i, j, k), res in sorted(antisymmetry.items()):
-            report.antisymmetry_failures.append(
-                (names[i], names[j], names[k], res.render()))
+            report.add("antisymmetry", (names[i], names[j], names[k]), res)
         jacobi = self.ring.accumulate((
             (key, self.z(x, w), (value,))
             for (x, y, w, m), value in tensors.contract(self.ring, rows).items()
             for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m))))
         for key, res in sorted(jacobi.items()):
-            report.jacobi_failures.append(
-                (*(names[i] for i in key), res.render()))
+            report.add("jacobi", tuple(names[i] for i in key), res)
         return report
 
     # -- elements --------------------------------------------------------

@@ -7,8 +7,8 @@ the cocycle compatibility with the bracket,
 
     delta([g_i, g_j]) = ad_i delta(g_j) - z(i,j) ad_j delta(g_i),
 
-all as exact scalar-zero tests (parameters stay symbolic; failures carry the
-residual polynomial).
+all as exact scalar-zero tests (parameters stay symbolic); `check_cobracket`
+returns a `Report` holding each nonzero residual polynomial.
 
 The coboundary construction fixes the overall sign so that
 delta(g) = [g(x)1 + 1(x)g, r] = ad_g(r): this is the sign under which the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EVEN, Q, Ring, map_products, rational_sqrt
-from .algebra import SuperLieAlgebra, _sparse_constants, builtin
+from .algebra import Report, SuperLieAlgebra, _sparse_constants, builtin
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action
 
@@ -119,37 +119,10 @@ class Cobracket:
         return f"<Cobracket on {self.algebra.name}: {self.render()!r}>"
 
 
-class CobracketReport:
-    """Per-axiom residuals of the four bialgebra conditions."""
-
-    AXIOMS = ("grading", "antisymmetry", "cojacobi", "cocycle")
-
-    def __init__(self):
-        self.grading = []       # (i, k, l, residual)
-        self.antisymmetry = []  # (i, k, l, residual)
-        self.cojacobi = []      # (i, k, l, m, residual)
-        self.cocycle = []       # (i, j, l, m, residual)
-
-    @property
-    def passed(self):
-        return not (self.grading or self.antisymmetry
-                    or self.cojacobi or self.cocycle)
-
-    def failing_axioms(self):
-        return [name for name in self.AXIOMS if getattr(self, name)]
-
-    def residuals(self, axiom):
-        return [entry[-1] for entry in getattr(self, axiom)]
-
-    def render(self):
-        if self.passed:
-            return "all cobracket axioms hold"
-        lines = []
-        for axiom in self.AXIOMS:
-            for entry in getattr(self, axiom):
-                where = ",".join(str(x) for x in entry[:-1])
-                lines.append(f"{axiom} violated at ({where}): {entry[-1].render()}")
-        return "\n".join(lines)
+_AXIOMS = {"grading": "grading violated at ({},{},{}): {}",
+           "antisymmetry": "antisymmetry violated at ({},{},{}): {}",
+           "cojacobi": "cojacobi violated at ({},{},{},{}): {}",
+           "cocycle": "cocycle violated at ({},{},{},{}): {}"}
 
 
 def coboundary_delta(algebra, r):
@@ -189,7 +162,7 @@ def _cojacobi_residuals(algebra, d):
 
 
 def check_cobracket(algebra, d):
-    report = CobracketReport()
+    report = Report(_AXIOMS)
     grades = algebra.grades
     names = algebra.basis
     zero = d.ring.zero()
@@ -197,20 +170,20 @@ def check_cobracket(algebra, d):
         f = row.coeffs
         for (k, l), v in sorted(f.items()):
             if (grades[k] + grades[l]) % 2 != grades[i]:
-                report.grading.append((names[i], names[k], names[l], v))
+                report.add("grading", (names[i], names[k], names[l]), v)
         for k, l in sorted({(min(kl), max(kl)) for kl in f}):
             res = f.get((k, l), zero) + algebra.z(k, l) * f.get((l, k), zero)
             if not res.is_zero():
-                report.antisymmetry.append((names[i], names[k], names[l], res))
+                report.add("antisymmetry", (names[i], names[k], names[l]), res)
     for i, k, l, m, res in _cojacobi_residuals(algebra, d):
-        report.cojacobi.append((names[i], names[k], names[l], names[m], res))
+        report.add("cojacobi", (names[i], names[k], names[l], names[m]), res)
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
             if i == j and not grades[i]:
                 continue
             res = _cocycle_residual(algebra, d, i, j)
             for (l, m), v in sorted(res.coeffs.items()):
-                report.cocycle.append((names[i], names[j], names[l], names[m], v))
+                report.add("cocycle", (names[i], names[j], names[l], names[m]), v)
     return report
 
 

@@ -99,11 +99,15 @@ def cmd_cobracket_check(args):
         raise UsageError("cobracket family belongs to a different algebra")
     report = check_cobracket(algebra, d)
     print(d.render())
+    return _print_axioms(report)
+
+
+def _print_axioms(report):
     print("axioms: " + ("pass" if report.passed else "FAIL"))
-    if not report.passed:
-        print(report.render())
-        return 1
-    return 0
+    if report.passed:
+        return 0
+    print(report.render())
+    return 1
 
 
 def cmd_schouten(args):
@@ -169,20 +173,13 @@ def cmd_verify_orbits(args):
 def cmd_poisson(args):
     st = named_structure(args.group, args.structure)
     print(format_table(st, fmt=args.format))
-    if args.check:
-        report = check_axioms(st)
-        print("axioms: " + ("pass" if report.passed else "FAIL"))
-        if not report.passed:
-            print(report.render())
-            return 1
-    return 0
+    return _print_axioms(check_axioms(st)) if args.check else 0
 
 
 def cmd_verify_paper(args):
     results = run_claims(prefix=args.filter)
     if not results:
-        print(f"no claims match {args.filter!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no claims match {args.filter!r}")
     if args.format == "machine":
         for r in results:
             print(r.machine_line())
@@ -263,7 +260,7 @@ def build_parser():
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("verify-paper", help="run the whole claim registry")
-    p.add_argument("--filter", help="only claims whose id matches this prefix")
+    p.add_argument("--filter", help="only claims whose id contains this text")
     p.add_argument("--strict", action="store_true", help="errata fail the run")
     p.add_argument("--format", default="text", choices=["text", "machine"])
     p.set_defaults(func=cmd_verify_paper)

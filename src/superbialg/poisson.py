@@ -67,6 +67,9 @@ nonzero entries u, v of T (`entries`, `coproduct_pairs`):
 
     {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
 
+`check_axioms` returns a `Report` of the failed identities and their
+residuals.
+
 OSp bracket values are conventionally displayed after multiplication by 2,
 which is how the published table is normalized; `render_table` applies the
 structure's display scale.
@@ -80,7 +83,7 @@ from fractions import Fraction
 from operator import add
 
 from .scalars import EVEN, ODD, Ring, _lowest, _rational
-from .algebra import builtin
+from .algebra import Report, builtin
 from .bialgebra import family as bialgebra_family
 from .tensors import parse_wedge_sum
 
@@ -597,29 +600,11 @@ def structure_ids(group_name):
     return list(_STRUCTURES[group(group_name).name])
 
 
-class AxiomReport:
-    AXIOMS = ("antisymmetry", "leibniz", "jacobi", "coproduct_morphism")
-
-    def __init__(self):
-        self.antisymmetry = []
-        self.leibniz = []
-        self.jacobi = []
-        self.coproduct_morphism = []
-        self.vanishing = []
-
-    @property
-    def passed(self):
-        return not (self.antisymmetry or self.leibniz or self.jacobi
-                    or self.coproduct_morphism or self.vanishing)
-
-    def render(self):
-        if self.passed:
-            return "all Poisson-Lie axioms hold"
-        lines = []
-        for axiom in self.AXIOMS + ("vanishing",):
-            for where, res in getattr(self, axiom):
-                lines.append(f"{axiom} fails at {where}: {res}")
-        return "\n".join(lines)
+_AXIOMS = {"antisymmetry": "antisymmetry fails at {{{},{}}}: {}",
+           "leibniz": "leibniz fails at {{{},{}*{}}}: {}",
+           "jacobi": "jacobi fails at ({},{},{}): {}",
+           "coproduct_morphism": "coproduct_morphism fails at Delta{{{},{}}}: {}",
+           "vanishing": "vanishing fails at {{{},{}}} at identity: {}"}
 
 
 def check_axioms(structure):
@@ -638,7 +623,7 @@ def check_axioms(structure):
     gens = list(grp.coordinates)
     par = {g: grp.parity_of(g) for g in gens}
     val = {g: entries[at[g]] for g in gens}
-    report = AxiomReport()
+    report = Report(_AXIOMS)
     bracket, product = structure.bracket, grp.entry_product
 
     pi = {(f, g): bracket(val[f], val[g]) for f in gens for g in gens}
@@ -650,14 +635,14 @@ def check_axioms(structure):
         res = ring._combination([(1, 1, pi[f, g]),
                                  (z(par[f], par[g]), 1, pi[g, f])])
         if not res.is_zero():
-            report.antisymmetry.append((f"{{{f},{g}}}", res.render()))
+            report.add("antisymmetry", (f, g), res)
 
     for f, g, h in itertools.product(gens, repeat=3):
         lhs = bracket(val[f], product(at[g], at[h]))
         rhs = ring.sum_of_products([(1, (pi[f, g], val[h])),
                                     (z(par[f], par[g]), (val[g], pi[f, h]))])
         if lhs != rhs:
-            report.leibniz.append((f"{{{f},{g}*{h}}}", (lhs - rhs).render()))
+            report.add("leibniz", (f, g, h), lhs - rhs)
 
     for f, g, h in itertools.combinations_with_replacement(gens, 3):
         total = ring._combination([
@@ -665,7 +650,7 @@ def check_axioms(structure):
             (z(par[g], par[f]), 1, bracket(val[g], pi[h, f])),
             (z(par[h], par[g]), 1, bracket(val[h], pi[f, g]))])
         if not total.is_zero():
-            report.jacobi.append((f"({f},{g},{h})", total.render()))
+            report.add("jacobi", (f, g, h), total)
 
     pairs, tensor = grp.coproduct_pairs, grp.tensor
     parity = [x.parity() for x in entries]
@@ -687,16 +672,14 @@ def check_axioms(structure):
         lhs = grp.coproduct(pi[f, g])
         rhs = tring._combination(terms)
         if lhs != rhs:
-            report.coproduct_morphism.append(
-                (f"Delta{{{f},{g}}}", (lhs - rhs).render()))
+            report.add("coproduct_morphism", (f, g), lhs - rhs)
 
     elements = grp.display_elements
     for label_f, f in elements.items():
         for label_g, g in elements.items():
             value = bracket(f, g)
             if not grp.vanishes_at_identity(value):
-                report.vanishing.append(
-                    (f"{{{label_f},{label_g}}} at identity", value.render()))
+                report.add("vanishing", (label_f, label_g), value)
     return report
 
 

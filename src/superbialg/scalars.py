@@ -598,10 +598,14 @@ class SuperScalar:
         return self.ring._combination([(-1, 1, self)])
 
     def __sub__(self, other):
+        if not isinstance(other, (SuperScalar, int, Fraction)):
+            return NotImplemented
         ring = self.ring
         return ring._combination([(1, 1, self), (-1, 1, ring.coerce(other))])
 
     def __rsub__(self, other):
+        if not isinstance(other, (SuperScalar, int, Fraction)):
+            return NotImplemented
         ring = self.ring
         return ring._combination([(1, 1, ring.coerce(other)), (-1, 1, self)])
 

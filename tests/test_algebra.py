@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from superbialg.scalars import Ring
+from superbialg.scalars import Ring, SuperScalar
 from superbialg.algebra import (SuperLieAlgebra, AlgebraError, builtin,
                                 bracket, parse_algebra_text,
                                 render_algebra_text)
@@ -120,9 +120,11 @@ class TestValidation:
         )
         report = mutated.validate()
         assert not report.passed
-        assert report.jacobi_failures
-        assert any(set(entry[:3]) <= {"H", "D+"}
-                   for entry in report.jacobi_failures)
+        assert report.failures["jacobi"]
+        assert any(set(labels[:3]) <= {"H", "D+"}
+                   for labels, _ in report.failures["jacobi"])
+        assert all(isinstance(res, SuperScalar)
+                   for res in report.residuals("jacobi"))
 
     def test_abelian_validates(self):
         abelian = SuperLieAlgebra(
@@ -272,8 +274,10 @@ def assert_store_matches_dense(algebra, c):
             assert list(algebra.bracket_indices(i, j)) == [
                 (k, v) for k, v in enumerate(c[i][j]) if not v.is_zero()]
     report = algebra.validate()
-    assert (report.grading_failures, report.antisymmetry_failures,
-            report.jacobi_failures) == dense_validate(algebra, c)
+    assert tuple([(*labels, res.render())
+                  for labels, res in report.failures[axiom]]
+                 for axiom in ("grading", "antisymmetry", "jacobi")) == \
+        dense_validate(algebra, c)
 
 
 def alg_file_brackets(name):

@@ -1,9 +1,11 @@
 """Tests for the command-line front end (exit codes and report formats)."""
 
+import ast
 import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,9 @@ class TestValidate:
                         "[brackets]\nH X = 1 X\nH Y = 1 Y\nX Y = 1 H\n")
         code, out, err = run_cli(capsys, "validate", "--file", str(path))
         assert code == 1
+        # six super-Jacobi lines, from "super-Jacobi violated at (H,X,Y) -> H: 2"
+        assert hashlib.sha256(err.encode()).hexdigest() == (
+            "5c502bbd53163f8cdf3c6b8e293775e84465da6f2c7b254b528797ea9d06950a"), err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--file", "/nonexistent.alg")
@@ -74,6 +79,11 @@ class TestCobracketCheck:
                                "--family", "e2-case-b")
         assert code == 1
         assert "cojacobi" in out
+        # the cobracket, "axioms: FAIL" and 24 lines such as
+        # "cojacobi violated at (H,H,P+,P-): -4*c*d"
+        assert len(out.splitlines()) == 30
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7dad24470e01e042a618e8a3feeb3eb9ed5de45f846ceb8b54a594a3838cd11a"), out
 
     def test_cobracket_file(self, capsys, tmp_path):
         path = tmp_path / "d.cob"
@@ -210,8 +220,10 @@ class TestVerifyPaper:
         assert "erratum" in out
 
     def test_unknown_filter(self, capsys):
-        code, _, err = run_cli(capsys, "verify-paper", "--filter", "zzz")
+        code, out, err = run_cli(capsys, "verify-paper", "--filter", "zzz")
         assert code == 2
+        assert err == "error: no claims match 'zzz'\n"
+        assert out == ""
 
     def test_machine_output_is_golden(self, capsys):
         code, out, _ = run_cli(capsys, "verify-paper", "--format", "machine")
@@ -262,6 +274,25 @@ class TestUsage:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_src_imports_only_the_stdlib(self):
+        # the package declares `dependencies = []`: every absolute import
+        # names a standard-library module; relative imports are its own
+        package = Path(__file__).resolve().parents[1] / "src" / "superbialg"
+        paths = sorted(package.glob("*.py"))
+        assert paths
+        outside = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                outside += [(path.name, name) for name in names if
+                            name.split(".")[0] not in sys.stdlib_module_names]
+        assert outside == []
 
     def test_python_dash_m_package(self):
         proc = subprocess.run(

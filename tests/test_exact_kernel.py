@@ -548,9 +548,15 @@ def test_inexact_values_are_refused(inexact):
                   lambda q: x.substitute({"b": q}),
                   lambda q: ring.sum_of_products([(q, (x,))]),
                   lambda q: ring.linear_combination([(1, x), (q, x)]),
-                  lambda q: x * q, lambda q: q * x, lambda q: x + q):
+                  lambda q: x * q, lambda q: q * x, lambda q: x + q,
+                  lambda q: x - q, lambda q: q - x):
         with pytest.raises(TypeError):
             enter(inexact)
+    # the ring's readers take number text; the operators do not
+    for enter in (lambda q: x + q, lambda q: q + x, lambda q: x * q,
+                  lambda q: q * x, lambda q: x - q, lambda q: q - x):
+        with pytest.raises(TypeError):
+            enter("1/2")
 
 
 @pytest.mark.parametrize("inexact", [0.5, 2.0, Decimal("0.5")],
