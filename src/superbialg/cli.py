@@ -75,11 +75,9 @@ def _parse_params(text):
 def cmd_validate(args):
     algebra = _load_algebra(args)
     report = algebra.validate()
-    print(f"algebra {algebra.name}: "
-          + ("all axioms hold" if report.passed else "axiom failures"))
     if not report.passed:
-        print(report.render())
-        return 1
+        raise AlgebraError(report)
+    print(f"algebra {algebra.name}: all axioms hold")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Re-derivation of the classification inputs.
 
-Builds the linear system the cocycle identity imposes on the unknown
-cobracket constants, computes its exact nullspace (Gauss-Jordan elimination
-over Q), generates the quadratic co-Jacobi constraints on the surviving
-parameters, and compares the cocycle space with the span of coboundaries.
+Forms the matrix over Q of the cocycle identity, whose column for each
+unknown cobracket constant is the residual of that constant's unit
+cobracket, computes its exact nullspace (Gauss-Jordan elimination over Q),
+generates the quadratic co-Jacobi constraints on the surviving parameters,
+and compares the cocycle space with the span of coboundaries.
 
 Unknown ordering: admissible triples (i, k, l) sorted lexicographically,
 with k < l for distinct upper indices and odd-odd diagonal unknowns (k = l)
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Ring
+from .scalars import Q, Ring
 from .bialgebra import (Cobracket, _cocycle_residual, _cojacobi_residuals,
                         coboundary_delta)
 from .tensors import RMatrix
@@ -37,13 +38,11 @@ def admissible_unknowns(algebra):
 
 
 class LinearSystem:
-    """Exact rational linear system M t = 0 over named unknowns."""
+    """Exact rational linear system M t = 0 over the admissible unknowns."""
 
-    def __init__(self, algebra, unknowns, rows, equations):
-        self.algebra = algebra
+    def __init__(self, unknowns, rows):
         self.unknowns = unknowns      # list of (i, k, l)
         self.rows = rows              # list of Fraction lists
-        self.equations = equations    # labels parallel to rows
 
     @property
     def unknown_count(self):
@@ -54,47 +53,27 @@ class LinearSystem:
         return len(self.rows)
 
 
-def generic_cobracket(algebra):
-    """A cobracket whose admissible constants are fresh ring parameters."""
-    unknowns = admissible_unknowns(algebra)
-    ring = Ring([(f"t{n}", "commuting") for n in range(len(unknowns))])
-    d = Cobracket.from_entries(algebra, ring, (
-        (u, ring.var(f"t{pos}")) for pos, u in enumerate(unknowns)))
-    return d, unknowns, ring
-
-
-def _linear_coefficients(scalar, ring, count):
-    """Coefficient vector of a scalar linear in the t-parameters."""
-    row = [Fraction(0)] * count
-    for exps, odds, coeff in scalar.terms():
-        if odds:
-            raise ValueError("unexpected Grassmann content in a cocycle equation")
-        nonzero = [(pos, e) for pos, e in enumerate(exps) if e]
-        if len(nonzero) != 1 or nonzero[0][1] != 1:
-            raise ValueError("cocycle equation is not linear in the unknowns")
-        row[nonzero[0][0]] += coeff
-    return row
-
-
 def build_cocycle_system(algebra):
-    """One linear equation per component of each cocycle-identity residual."""
-    d, unknowns, ring = generic_cobracket(algebra)
-    rows = []
-    labels = []
-    names = algebra.basis
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and not algebra.grades[i]:
-                continue
-            res = _cocycle_residual(algebra, d, i, j)
-            for (l, m), value in sorted(res.coeffs.items()):
-                row = _linear_coefficients(value, ring, len(unknowns))
-                if any(row):
-                    rows.append(row)
-                    labels.append(f"({names[i]},{names[j]})->"
-                                  f"{names[l]}(x){names[m]}")
-    return LinearSystem(algebra, unknowns, rows, labels)
+    """One equation per component (i, j, l, m) of the cocycle residual at
+    (g_i, g_j), i <= j, that some unknown reaches, in that order.  The
+    residual is linear in the cobracket, so column u holds the residual of
+    the unit cobracket at u."""
+    unknowns = admissible_unknowns(algebra)
+    columns = {}
+    for col, u in enumerate(unknowns):
+        d = Cobracket.from_entries(algebra, Q, [(u, 1)])
+        for i in range(algebra.dim):
+            for j in range(i, algebra.dim):
+                if i == j and not algebra.grades[i]:
+                    continue
+                res = _cocycle_residual(algebra, d, i, j)
+                for (l, m), value in res.coeffs.items():
+                    entries = columns.setdefault((i, j, l, m), {})
+                    entries[col] = value.as_fraction()
+    zero = Fraction(0)
+    rows = [[entries.get(col, zero) for col in range(len(unknowns))]
+            for _, entries in sorted(columns.items())]
+    return LinearSystem(unknowns, rows)
 
 
 # -- exact linear algebra ---------------------------------------------------

@@ -77,3 +77,23 @@ def test_tables_reach_apply_field(monkeypatch):
         poisson.osp_group(), r, display_scale=2))
     assert text.count("\n") == 16
     assert calls
+
+
+def test_one_job_of_each_kind_meets_its_expectation():
+    # one job of each kind from a classify and a tables pass, both cocycle
+    # jobs among them, through the calls the benchmark makes: a change to
+    # that API (the pair from solve_cocycle_space, SolutionFamily.nullity,
+    # the (ring, list) from cojacobi_constraints) fails here and not only
+    # in a benchmark run
+    workloads = _load("workloads")
+    jobs = {}
+    for job in (workloads.make_jobs("classify", 1)
+                + workloads.make_jobs("tables", 1)):
+        jobs.setdefault(job if job[0] == "cocycles" else job[0], job)
+    assert set(jobs) == {
+        "case-a", "case-b", "osp-r-a", "e2-r-a", ("cocycles", "osp12"),
+        ("cocycles", "super_e2"), "table:osp-r-a", "table:e2-r-a",
+        "table:e2-r-b", "table:named"}
+    expect = workloads.Expectations()
+    for job in jobs.values():
+        assert expect.mismatch(job, workloads.run_job(job)) is None, job

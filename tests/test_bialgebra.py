@@ -320,7 +320,9 @@ NAMED = family_ids() + ["generic:osp12", "generic:super_e2",
 
 def _named_cobracket(label):
     """A family cobracket, the coboundary of an r-matrix family, or the
-    generic or co-Jacobi-constraint cobracket of a built-in algebra."""
+    generic (one ring variable per admissible constant, as the cocycle
+    system was once built) or co-Jacobi-constraint cobracket of a built-in
+    algebra."""
     if ":" not in label:
         obj = family(label)
         if isinstance(obj, RMatrix):
@@ -329,7 +331,10 @@ def _named_cobracket(label):
     kind, name = label.split(":")
     algebra = builtin(name)
     if kind == "generic":
-        return cocycles.generic_cobracket(algebra)[0]
+        # imported here: test_cocycles draws algebras from test_algebra,
+        # which imports this module
+        from test_cocycles import _frozen_generic_cobracket
+        return _frozen_generic_cobracket(algebra)[0]
     return _constraint_cobracket(algebra)
 
 

@@ -1,14 +1,19 @@
 """Tests for the command-line front end (exit codes and report formats)."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superbialg import algebra
+from superbialg.algebra import SuperLieAlgebra
 from superbialg.cli import main
 from superbialg.claims import data_path
 
@@ -40,6 +45,21 @@ class TestValidate:
         # six super-Jacobi lines, from "super-Jacobi violated at (H,X,Y) -> H: 2"
         assert hashlib.sha256(err.encode()).hexdigest() == (
             "5c502bbd53163f8cdf3c6b8e293775e84465da6f2c7b254b528797ea9d06950a"), err
+
+    def test_failing_builtin_reports_like_a_bad_file(self, capsys,
+                                                      monkeypatch):
+        # a replaced builtin that fails its axioms takes the path of a bad
+        # file: the report on stderr, nothing on stdout, exit 1
+        invalid = SuperLieAlgebra(
+            "super_e2", [("H", "even"), ("X", "even"), ("Y", "even")],
+            {("H", "X"): [(1, "X")], ("H", "Y"): [(1, "Y")],
+             ("X", "Y"): [(1, "H")]})
+        report = invalid.validate()
+        assert not report.passed
+        monkeypatch.setitem(algebra._BUILTIN_CACHE, "super_e2", invalid)
+        code, out, err = run_cli(capsys, "validate", "--algebra", "super_e2")
+        assert (code, out) == (1, "")
+        assert err == f"error: {report.render()}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--file", "/nonexistent.alg")
@@ -481,3 +501,86 @@ def test_cobracket_file_errors_name_the_line(row, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: line 2:")
     assert "Traceback" not in proc.stderr
+
+
+# the pieces the input grammars are spelt from: digits, operators, spaces
+# and newlines, both algebras' basis names, the family variables, and the
+# keywords of cobracket rows and .alg files.  Free text of these pieces is
+# mostly refused at once, so each grammar also draws its own shape with
+# free coefficients, to reach the checks behind the parser.
+_NAMES = ["H", "P+", "P-", "D+", "D-", "X+", "X-", "V+", "V-"]
+_PIECES = (list("0123456789/+-*^=#:, \n") + _NAMES
+           + ["a", "b", "c", "d", "E", "s", "xi", "delta", "[algebra]",
+              "[brackets]", "name", "basis", "even", "odd"])
+_TEXT = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
+_NAME = st.sampled_from(_NAMES)
+_COEFF = st.lists(st.sampled_from(list("0123456789/-* ") + ["c", "xi"]),
+                  max_size=4).map("".join)
+_WEDGE = st.one_of(_TEXT, st.lists(
+    st.builds("{} {}^{}".format, _COEFF, _NAME, _NAME),
+    min_size=1, max_size=4).map(" + ".join))
+_COBRACKET_TEXT = st.one_of(_TEXT, st.lists(
+    st.builds("delta {} = {}".format, _NAME, _WEDGE),
+    max_size=5).map("\n".join))
+_ALG_TEXT = st.one_of(_TEXT, st.builds(
+    "[algebra] name = t\nbasis = {}\n[brackets]\n{}".format,
+    st.lists(st.builds("{}:{}".format, _NAME, st.sampled_from(
+        ["even", "odd"])), max_size=4).map(" ".join),
+    st.lists(st.builds("{} {} = {} {}".format, _NAME, _NAME, _COEFF, _NAME),
+             max_size=4).map("\n".join)))
+_PARAMS = st.one_of(_TEXT, st.lists(
+    st.builds("{}={}".format, st.sampled_from("abcd"), _COEFF),
+    max_size=4).map(",".join))
+
+
+class TestFuzzInputGrammars:
+    """Text drawn from the grammars' own pieces exits 0, 1 or 2, never with
+    a traceback; a refusal (2) is one `error: ` line on stderr."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    def _run(self, *argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:   # the parser's refusal
+                assert exc.code == 2
+                code = 2
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            line, = err.getvalue().splitlines()
+            assert line.startswith("error: "), line
+
+    def _run_on_file(self, path, text, *argv):
+        path.write_text(text)
+        self._run(*argv, str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["osp12", "super_e2"]), _WEDGE)
+    def test_schouten_r(self, name, text):
+        self._run("schouten", "--algebra", name, f"--r={text}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["osp12", "super_e2"]), _WEDGE)
+    def test_coboundary_r(self, name, text):
+        self._run("coboundary", "--algebra", name, f"--r={text}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_COBRACKET_TEXT)
+    def test_cobracket_file(self, workdir, text):
+        self._run_on_file(workdir / "d.cob", text, "cobracket-check",
+                          "--algebra", "super_e2", "--cobracket-file")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ALG_TEXT)
+    def test_alg_file(self, workdir, text):
+        self._run_on_file(workdir / "t.alg", text, "validate", "--algebra")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PARAMS)
+    def test_family_params(self, text):
+        self._run("cobracket-check", "--algebra", "super_e2",
+                  "--family", "e2-case-b", f"--params={text}")

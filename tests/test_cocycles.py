@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superbialg import algebra, claims, cocycles
-from superbialg.algebra import builtin
-from superbialg.bialgebra import check_cobracket, coboundary_delta, family
+from superbialg.algebra import SuperLieAlgebra, builtin
+from superbialg.bialgebra import (Cobracket, _cocycle_residual,
+                                  check_cobracket, coboundary_delta,
+                                  dual_algebra, family)
 from superbialg.claims import run_claims
 from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  build_cocycle_system, coboundary_space, cojacobi_constraints,
@@ -17,7 +19,9 @@ from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  in_span, nullspace, rank, residual_of,
                                  solve_cocycle_space, vector_cobracket)
 from superbialg.poisson import group
-from superbialg.scalars import Ring
+from superbialg.scalars import Ring, RingMismatchError
+
+from test_algebra import constructor_inputs
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,91 @@ class TestSystem:
             assert fam.vectors
             for v in fam.vectors:
                 assert not any(residual_of(system, v))
+
+
+# -- reference: the cocycle system built before the unit-cobracket columns,
+# from a cobracket whose 30 constants are the variables of a polynomial ring
+# and a residual read back coefficient by coefficient; kept verbatim, except
+# that the names carry a _frozen prefix and the build returns the unknowns
+# and rows in place of the LinearSystem with equation labels.
+
+def _frozen_generic_cobracket(algebra):
+    """A cobracket whose admissible constants are fresh ring parameters."""
+    unknowns = admissible_unknowns(algebra)
+    ring = Ring([(f"t{n}", "commuting") for n in range(len(unknowns))])
+    d = Cobracket.from_entries(algebra, ring, (
+        (u, ring.var(f"t{pos}")) for pos, u in enumerate(unknowns)))
+    return d, unknowns, ring
+
+
+def _frozen_linear_coefficients(scalar, ring, count):
+    """Coefficient vector of a scalar linear in the t-parameters."""
+    row = [Fraction(0)] * count
+    for exps, odds, coeff in scalar.terms():
+        if odds:
+            raise ValueError("unexpected Grassmann content in a cocycle equation")
+        nonzero = [(pos, e) for pos, e in enumerate(exps) if e]
+        if len(nonzero) != 1 or nonzero[0][1] != 1:
+            raise ValueError("cocycle equation is not linear in the unknowns")
+        row[nonzero[0][0]] += coeff
+    return row
+
+
+def _frozen_build_cocycle_system(algebra):
+    """One linear equation per component of each cocycle-identity residual."""
+    d, unknowns, ring = _frozen_generic_cobracket(algebra)
+    rows = []
+    n = algebra.dim
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and not algebra.grades[i]:
+                continue
+            res = _cocycle_residual(algebra, d, i, j)
+            for (l, m), value in sorted(res.coeffs.items()):
+                row = _frozen_linear_coefficients(value, ring, len(unknowns))
+                if any(row):
+                    rows.append(row)
+    return unknowns, rows
+
+
+def _assert_system_equals_frozen(algebra):
+    system = build_cocycle_system(algebra)
+    assert (system.unknowns, system.rows) \
+        == _frozen_build_cocycle_system(algebra)
+
+
+class TestSystemEqualsFrozen:
+    @pytest.mark.parametrize("name", ["osp12", "super_e2"])
+    def test_builtins(self, name):
+        _assert_system_equals_frozen(builtin(name))
+
+    def test_abelian(self):
+        _assert_system_equals_frozen(SuperLieAlgebra(
+            "abelian5", [("A", "even"), ("B", "even"), ("C", "even"),
+                         ("S", "odd"), ("T", "odd")], {}))
+
+    @pytest.mark.parametrize("point", [
+        ("e2-case-b", dict(a=1, b=2, c=3, d=0)),
+        ("e2-case-a", dict(a=4, b=1, c=Fraction(-1, 2)))])
+    def test_numeric_duals(self, point):
+        d = family(point[0], **point[1])
+        _assert_system_equals_frozen(dual_algebra(d.algebra, d))
+
+    def test_symbolic_dual_is_refused_as_before(self):
+        d = family("e2-case-b")
+        dual = dual_algebra(d.algebra, d)
+        with pytest.raises(RingMismatchError) as frozen:
+            _frozen_build_cocycle_system(dual)
+        with pytest.raises(RingMismatchError) as new:
+            build_cocycle_system(dual)
+        assert str(new.value) == str(frozen.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(constructor_inputs())
+    @example(([("H", "even"), ("X", "even")], {("H", "H"): [(1, "X")]}))
+    def test_drawn_superalgebras(self, drawn):
+        # brackets on any ordered pair, even diagonals included
+        _assert_system_equals_frozen(SuperLieAlgebra("drawn", *drawn))
 
 
 def _permuted_nullspace(rows, ncols, order):

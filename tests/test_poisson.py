@@ -753,6 +753,24 @@ class TestPublishedTables:
         errata = sorted(r.claim_id for r in results if r.status == "erratum")
         assert errata == ["table1.3.b,d", "table2.v.a,b"]
 
+    def test_only_unparsable_published_text_is_an_erratum(self, monkeypatch):
+        # published text outside the grammar is an erratum; any other error
+        # while reading a published cell fails its claim
+        parse = CoordinateRing.parse
+
+        def broken_on_published(self, text):
+            if text == "-b-E^2":   # the published cell of table2.v.a,b
+                raise RuntimeError("reader broke")
+            return parse(self, text)
+
+        monkeypatch.setattr(CoordinateRing, "parse", broken_on_published)
+        results = {r.claim_id: r for r in run_claims(prefix=".b,d")
+                   + run_claims(prefix="table2.v.a,b")}
+        parse_error, other = results["table1.3.b,d"], results["table2.v.a,b"]
+        assert parse_error.status == "erratum"
+        assert "published text does not parse" in parse_error.detail
+        assert (other.status, other.detail) == ("fail", "error: reader broke")
+
     def test_fault_injection_fails_claims(self, monkeypatch):
         # a mutated built-in must make the corresponding claims fail
         from superbialg import algebra
