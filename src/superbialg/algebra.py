@@ -1,12 +1,15 @@
 """Finite-dimensional Lie superalgebras from graded bases and sparse
 structure constants (only the nonzero c_ij^k are stored), with axiom
-validation and the two built-in algebras.  `Report` is the one record of a
-failed exact axiom check, here and in `bialgebra` and `poisson`: it holds
-each failed identity's residual value."""
+validation and the `.alg` file format.  `data_path` is the one reader of
+the bundled data; the two built-in algebras are the parsed `data/*.alg`
+files, which the `files.*` claims check against the constants read off the
+groups' supermatrices T.  `Report` is the one record of a failed exact axiom
+check, here and in `bialgebra` and `poisson`: it holds each failed
+identity's residual value."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from importlib import resources
 
 from .scalars import EVEN, ODD, Q, RingMismatchError, parse_rational
 from . import tensors
@@ -178,53 +181,26 @@ def bracket(algebra, x, y):
 
 # -- built-in algebras --------------------------------------------------
 
+BUILTIN_NAMES = ("osp12", "super_e2")
 _BUILTIN_CACHE = {}
 
 
+def data_path(name):
+    """The bundled data file `name` (`claims.json` or `<builtin>.alg`)."""
+    return resources.files("superbialg.data").joinpath(name)
+
+
 def builtin(name):
-    """The two built-in algebras, with basis orders (H,P+,P-,D+,D-) and
-    (H,X+,X-,V+,V-).  Cached: repeated calls return the same object, so
+    """The two built-in algebras, read unvalidated from `data/<name>.alg`
+    with basis orders (H,P+,P-,D+,D-) and (H,X+,X-,V+,V-); the `axioms.*`
+    claims validate them.  Cached: repeated calls return the same object, so
     tensors built anywhere in the package share one algebra instance."""
+    if name not in BUILTIN_NAMES:
+        raise KeyError(f"unknown builtin algebra {name!r}")
     if name not in _BUILTIN_CACHE:
-        _BUILTIN_CACHE[name] = _build_builtin(name)
+        _BUILTIN_CACHE[name] = parse_algebra_text(
+            data_path(f"{name}.alg").read_text(), validate=False)
     return _BUILTIN_CACHE[name]
-
-
-def _build_builtin(name):
-    half = Fraction(1, 2)
-    if name == "super_e2":
-        return SuperLieAlgebra(
-            "super_e2",
-            [("H", "even"), ("P+", "even"), ("P-", "even"),
-             ("D+", "odd"), ("D-", "odd")],
-            {
-                ("H", "P+"): [(1, "P+")],
-                ("H", "P-"): [(-1, "P-")],
-                ("H", "D+"): [(half, "D+")],
-                ("H", "D-"): [(-half, "D-")],
-                ("D+", "D+"): [(1, "P+")],
-                ("D-", "D-"): [(1, "P-")],
-            },
-        )
-    if name == "osp12":
-        return SuperLieAlgebra(
-            "osp12",
-            [("H", "even"), ("X+", "even"), ("X-", "even"),
-             ("V+", "odd"), ("V-", "odd")],
-            {
-                ("H", "X+"): [(1, "X+")],
-                ("H", "X-"): [(-1, "X-")],
-                ("H", "V+"): [(half, "V+")],
-                ("H", "V-"): [(-half, "V-")],
-                ("X+", "X-"): [(2, "H")],
-                ("V+", "V-"): [(-half, "H")],
-                ("V+", "V+"): [(half, "X+")],
-                ("V-", "V-"): [(-half, "X-")],
-                ("X+", "V-"): [(1, "V+")],
-                ("X-", "V+"): [(1, "V-")],
-            },
-        )
-    raise KeyError(f"unknown builtin algebra {name!r}")
 
 
 # -- file format ----------------------------------------------------------

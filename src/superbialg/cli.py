@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .algebra import builtin, parse_algebra_file, AlgebraError
+from .algebra import BUILTIN_NAMES, builtin, parse_algebra_file, AlgebraError
 from .bialgebra import (Cobracket, check_cobracket, coboundary_delta,
                         cybe_status, family, parse_cobracket_text)
 from .tensors import RMatrix, parse_rmatrix, schouten as schouten_op
@@ -39,14 +39,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _load_algebra(args):
+def _load_algebra(args, validate=True):
     name = getattr(args, "algebra", None) or getattr(args, "file", None)
     if name is None:
         raise UsageError("--algebra (builtin name or file path) is required")
-    if name in ("osp12", "super_e2"):
+    if name in BUILTIN_NAMES:
         return builtin(name)
-    algebra = parse_algebra_file(name)
-    if algebra.name in ("osp12", "super_e2"):
+    algebra = parse_algebra_file(name, validate=validate)
+    if algebra.name in BUILTIN_NAMES:
         # a file that restates a builtin is that builtin, whose families apply
         ref = builtin(algebra.name)
         if (ref.basis, ref.grades, ref.constants) == (
@@ -73,7 +73,7 @@ def _parse_params(text):
 
 
 def cmd_validate(args):
-    algebra = _load_algebra(args)
+    algebra = _load_algebra(args, validate=False)
     report = algebra.validate()
     if not report.passed:
         raise AlgebraError(report)
@@ -207,7 +207,8 @@ def build_parser():
 
     def algebra_flags(p):
         g = p.add_mutually_exclusive_group()
-        g.add_argument("--algebra", help="builtin name (osp12 | super_e2) or file path")
+        g.add_argument("--algebra", help=f"builtin name ({' | '.join(BUILTIN_NAMES)})"
+                       " or file path")
         g.add_argument("--file", help="algebra definition file (alias for --algebra)")
 
     def r_flags(p, r_help, family_help):

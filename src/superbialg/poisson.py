@@ -218,18 +218,24 @@ class CoordinateRing:
             self._fields = self._derive_fields()
         return self._fields[(gen, chirality, side)]
 
+    def tangent_at_identity(self, gen):
+        """[xi(x)|_e for x in `entries`], xi the left tangent of `gen`."""
+        self.field(gen, "Y", "l")
+        return self._at_e[gen]
+
     def _derive_fields(self):
         # Y_k, X_k of the module docstring, summed over the pairs (p, q) of
         # Delta(T_ij): entry k kept and entry m differentiated, (k, m) = (p, q)
         # for Y and (q, p) for X.  An even field is derived once for both sides.
         ring, entries = self.ring, self.entries
         parity = [x.parity() for x in entries]
-        fields = {}
+        fields, self._at_e = {}, {}
         for gen, odd in zip(self.algebra.basis, self.algebra.grades):
             table = {n: ring.scalar(q) for n, q in self.tangents[gen].items()}
             for side in ("l", "r") if odd else ("l",):
                 tangent = VectorField(self, f"xi_{gen}", odd, table, side)
                 at_e = [self.at_identity(tangent(x)).as_fraction() for x in entries]
+                self._at_e.setdefault(gen, at_e)  # the left tangent's, side "l"
                 for chirality, crossing, order in (("Y", "l", 1), ("X", "r", -1)):
                     flip, values = odd and side == crossing, {}
                     for name in self.coordinates:

@@ -13,15 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbialg import algebra
-from superbialg.algebra import SuperLieAlgebra
+from superbialg.algebra import SuperLieAlgebra, data_path
 from superbialg.cli import main
-from superbialg.claims import data_path
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# fails super-Jacobi at six identities
+BAD_ALG = ("[algebra] name = bad\nbasis = H:even X:even Y:even\n"
+           "[brackets]\nH X = 1 X\nH Y = 1 Y\nX Y = 1 H\n")
 
 
 class TestValidate:
@@ -38,8 +42,7 @@ class TestValidate:
 
     def test_bad_file(self, capsys, tmp_path):
         path = tmp_path / "bad.alg"
-        path.write_text("[algebra] name = bad\nbasis = H:even X:even Y:even\n"
-                        "[brackets]\nH X = 1 X\nH Y = 1 Y\nX Y = 1 H\n")
+        path.write_text(BAD_ALG)
         code, out, err = run_cli(capsys, "validate", "--file", str(path))
         assert code == 1
         # six super-Jacobi lines, from "super-Jacobi violated at (H,X,Y) -> H: 2"
@@ -60,6 +63,35 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", "--algebra", "super_e2")
         assert (code, out) == (1, "")
         assert err == f"error: {report.render()}\n"
+
+    @pytest.mark.parametrize("text", [
+        data_path("osp12.alg").read_text(),
+        data_path("super_e2.alg").read_text().replace("name = super_e2",
+                                                      "name = e2copy"),
+        BAD_ALG], ids=["builtin-file", "other-algebra", "failing"])
+    def test_one_validate_call(self, capsys, tmp_path, monkeypatch, text):
+        # a passing file (a builtin's, or another algebra's) and a failing
+        # one are each validated once; the failing one still exits 1 with
+        # its failed identities on stderr
+        calls = []
+        validate = SuperLieAlgebra.validate
+
+        def counted(self):
+            calls.append(self.name)
+            return validate(self)
+
+        monkeypatch.setattr(SuperLieAlgebra, "validate", counted)
+        path = tmp_path / "x.alg"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--file", str(path))
+        assert len(calls) == 1
+        if text is BAD_ALG:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: super-Jacobi violated at (H,X,Y)")
+            assert len(err.splitlines()) == 6
+        else:
+            assert (code, err) == (0, "")
+            assert out == f"algebra {calls[0]}: all axioms hold\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--file", "/nonexistent.alg")

@@ -8,16 +8,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from superbialg import poisson
+from superbialg import algebra, poisson
 from superbialg.poisson import (group, named_structure, check_axioms,
                                 render_table, table_cell, format_table,
                                 PoissonStructure,
                                 coboundary_structure, structure_ids,
                                 super_e2_group, osp_group, CoordinateRing)
 from superbialg.bialgebra import family
-from superbialg.claims import run_claims
+from superbialg.algebra import SuperLieAlgebra, builtin, data_path
+from superbialg.claims import constants_from_group, run_claims
 from superbialg.scalars import EVEN, ODD, Ring, SuperScalar
 from superbialg.tensors import (GradedTensor, parse_rmatrix, parse_wedge_sum,
                                 render_wedge_form)
@@ -773,7 +774,6 @@ class TestPublishedTables:
 
     def test_fault_injection_fails_claims(self, monkeypatch):
         # a mutated built-in must make the corresponding claims fail
-        from superbialg import algebra
         text = algebra.render_algebra_text(algebra.builtin("super_e2"))
         assert "D+ D+ = 1 P+\n" in text
         mutated = algebra.parse_algebra_text(
@@ -782,9 +782,153 @@ class TestPublishedTables:
         c = dense_table(mutated)
         assert c[i["D+"]][i["D+"]][i["P+"]] == 0
         assert c[i["D+"]][i["D+"]][i["P-"]] == 1
+        group("super_e2")  # built first, so that it keeps the file's algebra
         monkeypatch.setitem(algebra._BUILTIN_CACHE, "super_e2", mutated)
-        results = run_claims(prefix="axioms.e2")
-        assert results and all(r.status == "fail" for r in results)
+        results = run_claims(prefix="axioms.e2") + run_claims(prefix="files.e2")
+        assert [(r.claim_id, r.status) for r in results] == [
+            ("axioms.e2", "fail"), ("files.e2", "fail")]
+        assert results[1].detail == "structure constants differ"
+
+
+def _rebuilt_group(grp, **changes):
+    """A new CoordinateRing from `grp`'s arguments, some of them changed."""
+    args = dict(name=grp.name, ring=grp.ring, coordinates=grp.coordinates,
+                matrix=grp.matrix, tangents=grp.tangents,
+                laurent_rules=grp.laurent_rules, display=grp.display,
+                algebra_name=grp.algebra.name, params=grp.params)
+    return CoordinateRing(**{**args, **changes})
+
+
+class TestBuiltinFilesAgainstT:
+    """`files.*` compares each bundled .alg file with the structure
+    constants read off its group's T (`claims.constants_from_group`)."""
+
+    NAMES = {"super-e2": "super_e2", "osp": "osp12"}
+
+    @pytest.mark.parametrize("gname", sorted(FRESH_GROUPS))
+    def test_derivation_never_reads_the_constants(self, gname, monkeypatch):
+        # a group built on an algebra with the file's basis and grades and
+        # no brackets still reads off the file's constants exactly
+        name = self.NAMES[gname]
+        ref = algebra.parse_algebra_text(data_path(f"{name}.alg").read_text())
+        blank = SuperLieAlgebra(name, list(zip(ref.basis, ref.grades)), {})
+        monkeypatch.setitem(algebra._BUILTIN_CACHE, name, blank)
+        grp = FRESH_GROUPS[gname]()
+        assert grp.algebra is blank and not blank.constants
+        assert constants_from_group(grp) == ref.constants
+
+    def test_tangents_are_shared_with_the_fields(self):
+        # rho is read from the values the fields were derived from: no
+        # tangent is applied a second time
+        grp = osp_group()
+        grp.field("H", "Y", "l")
+        applied = []
+        apply_field = grp.apply_field
+        grp.apply_field = lambda field, f: applied.append(f) or apply_field(field, f)
+        assert constants_from_group(grp) == builtin("osp12").constants
+        assert applied == []
+
+    def _files_claim(self, monkeypatch, gname, grp):
+        monkeypatch.setitem(poisson._GROUPS, gname, grp)
+        result, = run_claims(prefix=f"files.{gname.split('-')[-1]}")
+        return result.status, result.detail
+
+    @pytest.mark.parametrize("gname", sorted(FRESH_GROUPS))
+    def test_claims_pass(self, gname, monkeypatch):
+        assert self._files_claim(monkeypatch, gname, FRESH_GROUPS[gname]()) == (
+            "pass", "file constants identical to builtin")
+
+    def test_tangent_of_v_plus_doubled_fails(self, monkeypatch):
+        grp = osp_group()
+        assert grp.tangents["V+"] == {"alpha": Fraction(1, 2)}
+        mutated = _rebuilt_group(grp, tangents={**grp.tangents,
+                                                "V+": {"alpha": 1}})
+        assert self._files_claim(monkeypatch, "osp", mutated) == (
+            "fail", "structure constants differ")
+
+    def test_changed_entry_of_t_fails(self, monkeypatch):
+        # {D+, D+} = 2 rho(D+)^2 reads 2 P+ when T_12 of the (xi, a) block
+        # loses its 1/2
+        grp = super_e2_group()
+        assert grp.matrix[1][1][2] == "1/2*xi*E^-1"
+        changed = [[list(row) for row in b] for b in grp.matrix]
+        changed[1][1][2] = "xi*E^-1"
+        mutated = _rebuilt_group(grp, matrix=changed)
+        assert self._files_claim(monkeypatch, "super-e2", mutated) == (
+            "fail", "structure constants differ")
+
+    @pytest.mark.parametrize("gname, line, changed", [
+        ("osp", "V+ V+ = 1/2 X+", "V+ V+ = 1 X+"),
+        ("super-e2", "H D- = -1/2 D-", "H D- = -1 D-")])
+    def test_changed_file_coefficient_fails(self, gname, line, changed,
+                                            monkeypatch, tmp_path):
+        name = self.NAMES[gname]
+        text = data_path(f"{name}.alg").read_text()
+        assert line in text
+        path = tmp_path / f"{name}.alg"
+        path.write_text(text.replace(line, changed))
+        grp = group(gname)  # built first, on the bundled file
+        monkeypatch.setattr(algebra, "data_path", lambda _: path)
+        monkeypatch.delitem(algebra._BUILTIN_CACHE, name)
+        assert self._files_claim(monkeypatch, gname, grp) == (
+            "fail", "structure constants differ")
+
+    def test_dependent_tangents_fail(self, monkeypatch):
+        # V- given the tangent of V+: the rho_k do not fix the constants
+        grp = osp_group()
+        mutated = _rebuilt_group(grp, tangents={**grp.tangents,
+                                                "V-": grp.tangents["V+"]})
+        with pytest.raises(ValueError, match="linearly dependent"):
+            constants_from_group(mutated)
+        status, detail = self._files_claim(monkeypatch, "osp", mutated)
+        assert status == "fail" and "linearly dependent" in detail
+
+
+# The scalar grammar of the group rings, fuzzed by the rules of
+# `test_cli.TestFuzzInputGrammars`: free text of the grammar's pieces (digits,
+# operators, spaces, newlines, both groups' variables and a name neither
+# has), and the grammar's own shape with free factors: variables with
+# exponents of either sign, rationals whose denominator may be 0, and
+# dangling signs and operators.
+_SCALAR_NAMES = ["a", "b", "c", "d", "s", "E", "xi", "eta", "alpha", "delta",
+                 "q"]
+_SCALAR_PIECES = list("0123456789/+-*^ \n.") + _SCALAR_NAMES
+_FACTOR = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(_SCALAR_NAMES), st.one_of(
+        st.just(""), st.builds("^{}{}".format, st.sampled_from(["", "-"]),
+                               st.integers(0, 3)))),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 3)),
+    st.integers(0, 12).map(str))
+_SCALAR_TEXT = st.one_of(
+    st.lists(st.sampled_from(_SCALAR_PIECES), max_size=24).map("".join),
+    st.builds("{}{}{}".format,
+              st.sampled_from(["", "-", "+", "--", "- "]),
+              st.lists(st.tuples(
+                  st.sampled_from([" + ", " - ", "+", "-", " ", ""]),
+                  st.lists(_FACTOR, min_size=1, max_size=4).map("*".join)),
+                  min_size=1, max_size=4).map(
+                      lambda terms: "".join(s + t for s, t in terms).lstrip()),
+              st.sampled_from(["", "+", "-", " -", "*", "^", "/"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FRESH_GROUPS)), _SCALAR_TEXT)
+@example("super-e2", "c*E^-2*xi - 1/2*a*b")
+@example("super-e2", "a^-1*E")
+@example("osp", "1/0*b")
+@example("super-e2", "xi^2")
+@example("osp", "alpha*alpha + d")
+@example("osp", "a*d -")
+def test_group_scalar_grammar(gname, text):
+    """Each text parses to a scalar of the group ring that reads back from
+    its rendering, or is refused with a ValueError, never another error."""
+    grp = group(gname)
+    try:
+        value = grp.parse(text)
+    except ValueError:
+        return
+    assert isinstance(value, SuperScalar) and value.ring is grp.ring
+    assert grp.parse(value.render()) == value
 
 
 # -- one structure path against the two-loop bracket it replaced ---------------
