@@ -53,9 +53,10 @@ def _run_validate(claim):
 
 def constants_from_group(grp):
     """The structure constants of `grp.algebra` read off T, from its basis
-    names and grades, never its constants: rho(g_k) = xi_k(T)|_e for the left
+    names and grades, never its constants: rho(g_k) = xi_k(T)|_e for the
     tangent xi_k, and c_ij^k solved from rho_i rho_j - (-1)^{|i||j|} rho_j
-    rho_i = sum_k c_ij^k rho_k, i <= j; None when one leaves the span.
+    rho_i = sum_k c_ij^k rho_k, i <= j, all in one `span_solve`; None when
+    one leaves the span.
     ValueError when the rho_k are dependent, as T then does not fix c."""
     algebra, index, names = grp.algebra, grp.entry_index, grp.algebra.basis
     rho = [[[[at_e[index[t]] if t in index else 0 for t in row]
@@ -70,14 +71,14 @@ def constants_from_group(grp):
                         for a, b in zip(left, right)
                         for row in a for column in zip(*b)]
                for i, left in enumerate(rho) for j, right in enumerate(rho)}
-    brackets = {}
-    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
-        coeffs = cocycles.in_span(flat, [x - algebra.z(i, j) * y for x, y in
-                                         zip(product[i, j], product[j, i])])
-        if coeffs is None:
-            return None
-        brackets[names[i], names[j]] = [
-            (c, names[k]) for k, c in enumerate(coeffs) if c]
+    pairs = list(itertools.combinations_with_replacement(range(len(names)), 2))
+    solved = cocycles.span_solve(flat, [
+        [x - algebra.z(i, j) * y for x, y in zip(product[i, j], product[j, i])]
+        for i, j in pairs])
+    if None in solved:
+        return None
+    brackets = {(names[i], names[j]): [(c, n) for n, c in zip(names, cs) if c]
+                for (i, j), cs in zip(pairs, solved)}
     return SuperLieAlgebra(algebra.name, list(zip(names, algebra.grades)),
                            brackets).constants
 
@@ -167,13 +168,11 @@ def _run_cocycle_spaces(claim):
                f"nullity {fam.nullity}", f"coboundaries {len(cob_vectors)}"]
     if fam.nullity != claim["nullity"] or len(cob_vectors) != claim["coboundary_dim"]:
         return "fail", "; ".join(details) + " (frozen values differ)"
-    for v in cob_vectors:
-        if cocycles.in_span(fam.vectors, v) is None:
-            return "fail", "a coboundary escaped the cocycle space"
+    if None in cocycles.span_solve(fam.vectors, cob_vectors):
+        return "fail", "a coboundary escaped the cocycle space"
     if claim["relation"] == "equal":
-        for v in fam.vectors:
-            if cocycles.in_span(cob_vectors, v) is None:
-                return "fail", "a cocycle is not a coboundary"
+        if None in cocycles.span_solve(cob_vectors, fam.vectors):
+            return "fail", "a cocycle is not a coboundary"
         details.append("spaces coincide")
     else:
         if not fam.nullity > len(cob_vectors):

@@ -78,22 +78,19 @@ def build_cocycle_system(algebra):
 
 # -- exact linear algebra ---------------------------------------------------
 
-def _rref(rows, ncols, rhs=None):
+def _rref(rows, ncols):
     """Reduced row echelon form over Q by Gauss-Jordan elimination.
 
-    Returns (rows, pivot columns, rhs).  The first len(pivots) rows carry 1
-    in their pivot column, which is 0 in every other row; the remaining rows
-    are zero.  `rhs` (rationals or SuperScalars, one per row) rides along as
-    an extra column, so it follows the same row operations.  A row update
-    touches only the columns where the pivot row is nonzero; the rhs column
-    is always among them.  Every matrix entry must be an int or a Fraction.
+    Returns (rows, pivot columns).  The first len(pivots) rows carry 1 in
+    their pivot column, which is 0 in every other row.  Columns past `ncols`
+    are right-hand sides (rationals or SuperScalars) that follow the same
+    row operations and hold no pivot.  A row update touches only the columns
+    where the pivot row is nonzero, and every right-hand column.  Every
+    entry of the first `ncols` columns must be an int or a Fraction.
     """
     m = [list(row) for row in rows]
-    if not all(isinstance(x, (int, Fraction)) for row in m for x in row):
+    if not all(isinstance(x, (int, Fraction)) for row in m for x in row[:ncols]):
         raise TypeError("a matrix entry is not an int or a Fraction")
-    if rhs is not None:
-        for row, value in zip(m, rhs):
-            row.append(value)
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -106,9 +103,7 @@ def _rref(rows, ncols, rhs=None):
         # entries left of col are zero in rows r.., so updates start at col
         pivot = m[r]
         inv = Fraction(1) / pivot[col]
-        live = [c for c in range(col, ncols) if pivot[c]]
-        if rhs is not None:
-            live.append(ncols)
+        live = [c for c in range(col, len(pivot)) if c >= ncols or pivot[c]]
         for c in live:
             pivot[c] = pivot[c] * inv
         for rr, row in enumerate(m):
@@ -117,7 +112,7 @@ def _rref(rows, ncols, rhs=None):
                 for c in live:
                     row[c] = row[c] - factor * pivot[c]
         pivots.append(col)
-    return m, pivots, None if rhs is None else [row.pop() for row in m]
+    return m, pivots
 
 
 def rank(rows, ncols=None):
@@ -132,7 +127,7 @@ def nullspace(rows, ncols=None):
     its free slot and 0 in the other free slots.
     """
     ncols = ncols if ncols is not None else len(rows[0]) if rows else 0
-    reduced, pivots, _ = _rref(rows, ncols)
+    reduced, pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -151,21 +146,22 @@ def residual_of(system, vector):
     return [sum(r * x for r, x in zip(row, vector)) for row in system.rows]
 
 
-def in_span(basis, vector):
-    """Solve sum_j x_j basis_j = vector; vector entries may be scalars.
+def span_solve(basis, vectors):
+    """Per vector, the x with sum_j x_j basis_j = vector (0 on basis vectors
+    not needed), or None outside the span.  The rational basis is eliminated
+    once; the vectors, whose entries may be scalars, ride along."""
+    n = len(basis)
+    reduced, pivots = _rref([[b[i] for b in basis] + [v[i] for v in vectors]
+                             for i in range(len(vectors[0]) if vectors else 0)], n)
+    at = dict(zip(pivots, reduced))
+    return [None if any(row[c] != 0 for row in reduced[len(pivots):]) else
+            [at[j][c] if j in at else 0 for j in range(n)]
+            for c in range(n, n + len(vectors))]
 
-    The basis is rational, so elimination uses rational pivots only; returns
-    the coefficient list (0 on basis vectors not needed) or None when the
-    vector is outside the span.
-    """
-    columns = [[b[i] for b in basis] for i in range(len(vector))]
-    _, pivots, rhs = _rref(columns, len(basis), vector)
-    if any(x != 0 for x in rhs[len(pivots):]):
-        return None
-    coeffs = [0] * len(basis)
-    for col, value in zip(pivots, rhs):
-        coeffs[col] = value
-    return coeffs
+
+def in_span(basis, vector):
+    """`span_solve` of one vector."""
+    return span_solve(basis, [vector])[0]
 
 
 # -- cobracket <-> vector ----------------------------------------------------
@@ -227,8 +223,7 @@ def coboundary_space(algebra):
     deltas = [coboundary_delta(algebra, r) for r in basis_r_matrices(algebra)]
     vectors = [[v.as_fraction() for v in cobracket_vector(d, unknowns)]
                for d in deltas]
-    columns = [[vec[i] for vec in vectors] for i in range(len(unknowns))]
-    _, pivots, _ = _rref(columns, len(vectors))
+    _, pivots = _rref(zip(*vectors), len(vectors))
     return [deltas[c] for c in pivots], [vectors[c] for c in pivots]
 
 

@@ -54,16 +54,16 @@ basis bracket (`basis_brackets`, {(m, n): {(k, j): B_kj(m, n)}}, shared by
 every structure) are formed once per group; a zero basis bracket or bracket
 is the group's one `zero`.  After a full verify-paper run the memos hold 770
 images on the 40 fields, 2712 basis brackets on 393 monomial pairs (1872
-zero), 53 values at e, 32 monomial coproducts and 172 entry products, and
+zero), 53 values at e, 32 monomial coproducts and 166 entry products, and
 the nine structures 1684 monomial brackets (771 zero).
 
 G x G is a bare `Ring`, the ring Delta maps into (`CoordinateRing.square`:
 slot-tagged variables x1, x2, shared parameters, each relation once per
-slot); it serves the coproduct check alone.  `tensor(x, y)` concatenates
-keys, x in slot 1 is `tensor(x, 1)`, and the coproduct is the ring map
-x -> Delta(x).  The bracket is Poisson-Lie when Delta is a Poisson map into
-the product structure on G x G, read off Delta x = sum u (x) v over the
-nonzero entries u, v of T (`entries`, `coproduct_pairs`):
+slot); it serves the coproduct check alone.  `tensor_sum` sums q x (x) y
+by concatenating keys; x in slot 1 is `tensor(x, 1)`, and the coproduct is
+the ring map x -> Delta(x).  The bracket is Poisson-Lie when Delta is a
+Poisson map into the product structure on G x G, read off Delta x = sum
+u (x) v over the nonzero entries u, v of T (`entries`, `coproduct_pairs`):
 
     {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
 
@@ -77,7 +77,9 @@ structure's display scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 from operator import add
@@ -110,8 +112,7 @@ class VectorField:
         self.images = {}  # monomial key (exps, odds) -> its image
 
     def on_generator(self, name):
-        value = self.table.get(name)
-        return value if value is not None else self.group.zero
+        return self.table.get(name, self.group.zero)
 
     def __call__(self, f):
         return self.group.apply_field(self, f)
@@ -154,6 +155,7 @@ class CoordinateRing:
             index[text] = len(self.entries)
             self.entries.append(x)
         self.entry_index = index  # entry text -> its index in `entries`
+        self.parities = [x.parity() for x in self.entries]
         self.coproduct_pairs = {
             x: tuple((index[row[k]], index[block[k][j]])
                      for k in range(len(block))
@@ -219,23 +221,23 @@ class CoordinateRing:
         return self._fields[(gen, chirality, side)]
 
     def tangent_at_identity(self, gen):
-        """[xi(x)|_e for x in `entries`], xi the left tangent of `gen`."""
+        """[xi(x)|_e for x in `entries`], xi either side's tangent of `gen`."""
         self.field(gen, "Y", "l")
         return self._at_e[gen]
 
     def _derive_fields(self):
         # Y_k, X_k of the module docstring, summed over the pairs (p, q) of
         # Delta(T_ij): entry k kept and entry m differentiated, (k, m) = (p, q)
-        # for Y and (q, p) for X.  An even field is derived once for both sides.
-        ring, entries = self.ring, self.entries
-        parity = [x.parity() for x in entries]
+        # for Y and (q, p) for X.  An even field is derived once for both sides,
+        # and the values at e once per tangent: its two sides agree at e.
+        ring, entries, parity = self.ring, self.entries, self.parities
         fields, self._at_e = {}, {}
         for gen, odd in zip(self.algebra.basis, self.algebra.grades):
             table = {n: ring.scalar(q) for n, q in self.tangents[gen].items()}
+            tangent = VectorField(self, f"xi_{gen}", odd, table)
+            at_e = self._at_e[gen] = [
+                self.at_identity(tangent(x)).as_fraction() for x in entries]
             for side in ("l", "r") if odd else ("l",):
-                tangent = VectorField(self, f"xi_{gen}", odd, table, side)
-                at_e = [self.at_identity(tangent(x)).as_fraction() for x in entries]
-                self._at_e.setdefault(gen, at_e)  # the left tangent's, side "l"
                 for chirality, crossing, order in (("Y", "l", 1), ("X", "r", -1)):
                     flip, values = odd and side == crossing, {}
                     for name in self.coordinates:
@@ -355,31 +357,37 @@ class CoordinateRing:
         return square
 
     def tensor(self, x, y):
-        """x (x) y in the square: each key of x then one of y, the shared
-        parameters' exponents added; no product kernel and no rewrite, as a
-        tensor of normal forms is a normal form (see `square`)."""
-        ring, tring = self.ring, self.square()
-        x, y = ring.coerce(x), ring.coerce(y)
-        n, shift = len(self.params), len(ring.odd_names)
-        right = [(e[:n], e[n:], tuple(i + shift for i in o), c)
-                 for (e, o), c in y._terms.items()]
+        """x (x) y in the square: the one-term `tensor_sum`."""
+        return self.tensor_sum([(1, self.ring.coerce(x), self.ring.coerce(y))])
+
+    def tensor_sum(self, triples):
+        """The sum of q * x (x) y in the square over (integer q, x, y in G)
+        triples, a zero factor skipped: each key of x then one of y, the
+        shared parameters' exponents added, over one denominator, put in
+        lowest terms once.  No product kernel and no rewrite, as a tensor of
+        normal forms is a normal form (see `square`)."""
+        n, shift = len(self.params), len(self.ring.odd_names)
+        triples = [t for t in triples if t[1]._terms and t[2]._terms]
+        den = math.lcm(*[x._den * y._den for _, x, y in triples])
         out = {}
-        for (e1, o1), c1 in x._terms.items():
-            head1, tail1 = e1[:n], e1[n:]
-            for head2, tail2, o2, c2 in right:
-                key = (tuple(map(add, head1, head2)) + tail1 + tail2, o1 + o2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return tring._make(*_lowest(out, x._den * y._den))
+        for q, x, y in triples:
+            q *= den // (x._den * y._den)
+            right = [(e[:n], e[n:], tuple(i + shift for i in o), c)
+                     for (e, o), c in y._terms.items()]
+            for (e1, o1), c1 in x._terms.items():
+                head1, tail1, c1 = e1[:n], e1[n:], q * c1
+                for head2, tail2, o2, c2 in right:
+                    key = (tuple(map(add, head1, head2)) + tail1 + tail2, o1 + o2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return self.square()._make(*_lowest(out, den))
 
     def _generator_coproducts(self):
         """Delta of every ring variable, derived once: Delta(T_ij) =
         sum_k T_ik (x) T_kj over its `coproduct_pairs`."""
         if self._delta is None:
-            tring = self.square()
-            tensor, entries = self.tensor, self.entries
-            delta = {p: tring.var(p) for p in self.params}
-            delta.update((x, tring._combination(
-                [(1, 1, tensor(entries[p], entries[q])) for p, q in pairs]))
+            delta = {p: self.square().var(p) for p in self.params}
+            delta.update((x, self.tensor_sum(
+                [(1, self.entries[p], self.entries[q]) for p, q in pairs]))
                 for x, pairs in self.coproduct_pairs.items())
             self._delta = delta
         return self._delta
@@ -470,9 +478,9 @@ def group(name):
 class PoissonStructure:
     """The bracket of an r-matrix and a group-valued cocycle Phi.
 
-    `r` is an RMatrix with rational components and `phi` a rank-2
-    GradedTensor over the group ring; either may be absent.  They are kept as
-    `r_entries`, (k, j, r^{kj}) name triples, and `phi`, {(j, k) names:
+    `r` is an RMatrix with rational components and `phi` an even rank-2
+    GradedTensor over the group ring; either may be absent.  They are kept
+    as `r_entries`, (k, j, r^{kj}) name triples, and `phi`, {(j, k) names:
     Phi^{jk}}.  Every Phi^{jk} must vanish at the identity.
     """
 
@@ -488,6 +496,8 @@ class PoissonStructure:
         self.phi = {} if phi is None else {
             (phi.algebra.basis[j], phi.algebra.basis[k]): v
             for (j, k), v in phi.coeffs.items()}
+        if phi is not None and phi.parity() != EVEN:
+            raise ValueError("Phi must be even")
         for (j, k), value in self.phi.items():
             if not grp.vanishes_at_identity(value):
                 raise ValueError(
@@ -618,9 +628,11 @@ def check_axioms(structure):
     morphism property, all on the group generators (exact, symbolic).
 
     pi[f, g] = {x_f, x_g} is computed once; the Leibniz right side is formed
-    from it.  The coproduct morphism compares Delta{x_f, x_g} with the
-    product bracket on G x G of Delta x_f = sum u (x) v and Delta x_g =
-    sum w (x) y over entries of T:
+    from it, for g <= h in coordinate order: for g > h the residual is z =
+    (-1)^{|g||h|} times that at (f, h, g), as x_g x_h = z x_h x_g and the
+    right side of an even bracket permutes alike.  The coproduct morphism
+    compares Delta{x_f, x_g} with one `tensor_sum`, the product bracket of
+    Delta x_f = sum u (x) v and Delta x_g = sum w (x) y over entries of T:
 
         {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
     """
@@ -643,12 +655,16 @@ def check_axioms(structure):
         if not res.is_zero():
             report.add("antisymmetry", (f, g), res)
 
+    done = {}  # (f, g, h), g <= h -> the Leibniz residual there
     for f, g, h in itertools.product(gens, repeat=3):
-        lhs = bracket(val[f], product(at[g], at[h]))
-        rhs = ring.sum_of_products([(1, (pi[f, g], val[h])),
-                                    (z(par[f], par[g]), (val[g], pi[f, h]))])
-        if lhs != rhs:
-            report.add("leibniz", (f, g, h), lhs - rhs)
+        if (f, h, g) in done:
+            res = -done[f, h, g] if par[g] and par[h] else done[f, h, g]
+        else:
+            res = done[f, g, h] = ring.sum_of_products([
+                (1, (bracket(val[f], product(at[g], at[h])),)),
+                (-1, (pi[f, g], val[h])), (-z(par[f], par[g]), (val[g], pi[f, h]))])
+        if res._terms:
+            report.add("leibniz", (f, g, h), res)
 
     for f, g, h in itertools.combinations_with_replacement(gens, 3):
         total = ring._combination([
@@ -658,31 +674,21 @@ def check_axioms(structure):
         if not total.is_zero():
             report.add("jacobi", (f, g, h), total)
 
-    pairs, tensor = grp.coproduct_pairs, grp.tensor
-    parity = [x.parity() for x in entries]
-    tring = grp.square()
-    brackets = {}  # (p, r) -> {entry p, entry r}
-
-    def entry_bracket(p, r):
-        if (p, r) not in brackets:
-            brackets[p, r] = bracket(entries[p], entries[r])
-        return brackets[p, r]
+    entry_bracket = functools.cache(lambda p, r: bracket(entries[p], entries[r]))
 
     for f, g in itertools.combinations_with_replacement(gens, 2):
         terms = []
-        for p, q in pairs[f]:
-            for r, s in pairs[g]:
-                sign = z(parity[q], parity[r])
-                terms += [(sign, 1, tensor(entry_bracket(p, r), product(q, s))),
-                          (sign, 1, tensor(product(p, r), entry_bracket(q, s)))]
-        lhs = grp.coproduct(pi[f, g])
-        rhs = tring._combination(terms)
+        for p, q in grp.coproduct_pairs[f]:
+            for r, s in grp.coproduct_pairs[g]:
+                sign = z(grp.parities[q], grp.parities[r])
+                terms += [(sign, entry_bracket(p, r), product(q, s)),
+                          (sign, product(p, r), entry_bracket(q, s))]
+        lhs, rhs = grp.coproduct(pi[f, g]), grp.tensor_sum(terms)
         if lhs != rhs:
             report.add("coproduct_morphism", (f, g), lhs - rhs)
 
-    elements = grp.display_elements
-    for label_f, f in elements.items():
-        for label_g, g in elements.items():
+    for label_f, f in grp.display_elements.items():
+        for label_g, g in grp.display_elements.items():
             value = bracket(f, g)
             if not grp.vanishes_at_identity(value):
                 report.add("vanishing", (label_f, label_g), value)

@@ -17,7 +17,8 @@ from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  build_cocycle_system, coboundary_space, cojacobi_constraints,
                                  cobracket_vector, evaluate_constraints,
                                  in_span, nullspace, rank, residual_of,
-                                 solve_cocycle_space, vector_cobracket)
+                                 solve_cocycle_space, span_solve,
+                                 vector_cobracket)
 from superbialg.poisson import group
 from superbialg.scalars import Ring, RingMismatchError
 
@@ -567,6 +568,44 @@ class TestOneEliminationKernel:
                             ring.zero()) for i in range(ncols + 1)] == vector
         assert in_span(basis, inside) is not None
         assert in_span(basis, outside) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrices(max_cols=4), st.data())
+    def test_span_solve_equals_frozen_vector_by_vector(self, case, data):
+        # one elimination of the basis, padded by a zero coordinate, for a
+        # list of vectors with rational and scalar entries: combinations of
+        # the basis, the same with a nonzero last coordinate, and arbitrary
+        ring = Ring([("a", "commuting"), ("E", "laurent"),
+                     ("xi", "grassmann"), ("eta", "grassmann")])
+        scalars = st.sampled_from(["0", "1", "-2/3", "a", "E^-1", "xi",
+                                   "a*eta+E", "xi*eta"]).map(ring.parse)
+        rows, ncols, _ = case
+        basis = data.draw(st.sampled_from([[r + [0] for r in rows], []]))
+        kinds = data.draw(st.lists(st.sampled_from(
+            ["inside", "outside", "other"]), max_size=6))
+        vectors = []
+        for kind in kinds:
+            entry = data.draw(st.sampled_from([_ENTRY, scalars]))
+            if kind == "other":
+                vectors.append(data.draw(st.lists(
+                    st.one_of(_ENTRY, scalars), min_size=ncols + 1,
+                    max_size=ncols + 1)))
+                continue
+            weights = data.draw(st.lists(entry, min_size=len(basis),
+                                         max_size=len(basis)))
+            vector = [sum((w * b[i] for w, b in zip(weights, basis)),
+                          Fraction(0)) for i in range(ncols + 1)]
+            if kind == "outside":
+                vector[-1] = data.draw(st.sampled_from(
+                    [ring.var("xi"), Fraction(-1, 2)]))
+            vectors.append(vector)
+        got = span_solve(basis, vectors)
+        assert len(got) == len(vectors)
+        for kind, vector, coeffs in zip(kinds, vectors, got):
+            assert coeffs == _frozen_in_span(basis, vector)
+            assert coeffs == in_span(basis, vector)
+            if kind != "other":
+                assert (coeffs is None) == (kind == "outside")
 
     @pytest.mark.parametrize("name", ["osp12", "super_e2"])
     def test_coboundary_space_picks_as_frozen_greedy_loop(self, name):

@@ -182,6 +182,23 @@ class TestFields:
         assert lhs == rhs
 
 
+    @pytest.mark.parametrize("gname,gens", [("super-e2", ["D+", "D-"]),
+                                            ("osp", ["V+", "V-"])])
+    def test_odd_tangent_values_at_e_agree_on_both_sides(self, gname, gens):
+        # the derivation forms them once, from the left side; the two sides
+        # differ on the product of the odd coordinates but not at e
+        grp = FRESH_GROUPS[gname]()
+        theta, phi = (grp.var(n) for n in grp.coordinates if grp.parity_of(n))
+        for gen in gens:
+            table = {n: grp.ring.scalar(q) for n, q in grp.tangents[gen].items()}
+            left, right = (poisson.VectorField(grp, gen, ODD, table, side)
+                           for side in ("l", "r"))
+            assert left(theta * phi) == -right(theta * phi) != 0, gen
+            for tangent in (left, right):
+                assert [grp.at_identity(tangent(x)).as_fraction()
+                        for x in grp.entries] == grp.tangent_at_identity(gen)
+            assert any(grp.tangent_at_identity(gen)), gen
+
     @pytest.mark.parametrize("gname,count", [("super-e2", 500), ("osp", 600)])
     def test_fields_represent_the_algebra(self, gname, count):
         assert _representation_defects(group(gname)) == (count, [])
@@ -642,6 +659,19 @@ class TestBrackets:
         with pytest.raises(ValueError):
             PoissonStructure(e2, r=family("e2-r-ii"), phi=parse_wedge_sum(
                 "1+s P+^P-", e2.algebra, e2.ring))
+
+    @pytest.mark.parametrize("gname,text", [
+        ("super-e2", "xi H^P+"), ("super-e2", "a*E^-2 P+^P- + a H^D+"),
+        ("osp", "b X+^V+ + alpha H^X-")])
+    def test_phi_must_be_even(self, gname, text):
+        # check_axioms reads Leibniz at (f, g, h), g > h, off (f, h, g), which
+        # holds for an even bracket only: on xi H^P+ the full sweep finds
+        # Leibniz failures at (s, eta, a) and (a, eta, s) but not at their
+        # mirrors
+        grp = group(gname)
+        with pytest.raises(ValueError, match="Phi must be even"):
+            PoissonStructure(grp, phi=parse_wedge_sum(text, grp.algebra,
+                                                      grp.ring))
 
     def test_brackets_vanish_at_identity(self):
         for gname in ("osp", "super-e2"):
@@ -1297,6 +1327,136 @@ class TestAxiomSweepMemo:
                 report.failures["leibniz"]] == [(("a", "s", "b"), "1"),
                                                 (("a", "b", "s"), "1")]
         assert report.failing_axioms() == ["leibniz"]
+
+
+# The previous check_axioms, kept verbatim (only the name carries a _frozen
+# prefix): every Leibniz triple evaluated, and the coproduct side as one
+# `tensor` per term, summed by `_combination`.
+
+def _frozen_parent_check_axioms(structure):
+    """Graded antisymmetry, Leibniz, graded Jacobi, and the coproduct
+    morphism property, all on the group generators (exact, symbolic).
+
+    pi[f, g] = {x_f, x_g} is computed once; the Leibniz right side is formed
+    from it.  The coproduct morphism compares Delta{x_f, x_g} with the
+    product bracket on G x G of Delta x_f = sum u (x) v and Delta x_g =
+    sum w (x) y over entries of T:
+
+        {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
+    """
+    grp = structure.group
+    ring, entries, at = grp.ring, grp.entries, grp.entry_index
+    gens = list(grp.coordinates)
+    par = {g: grp.parity_of(g) for g in gens}
+    val = {g: entries[at[g]] for g in gens}
+    report = algebra.Report(poisson._AXIOMS)
+    bracket, product = structure.bracket, grp.entry_product
+
+    pi = {(f, g): bracket(val[f], val[g]) for f in gens for g in gens}
+
+    def z(p, q):
+        return -1 if (p and q) else 1
+
+    for f, g in itertools.combinations_with_replacement(gens, 2):
+        res = ring._combination([(1, 1, pi[f, g]),
+                                 (z(par[f], par[g]), 1, pi[g, f])])
+        if not res.is_zero():
+            report.add("antisymmetry", (f, g), res)
+
+    for f, g, h in itertools.product(gens, repeat=3):
+        lhs = bracket(val[f], product(at[g], at[h]))
+        rhs = ring.sum_of_products([(1, (pi[f, g], val[h])),
+                                    (z(par[f], par[g]), (val[g], pi[f, h]))])
+        if lhs != rhs:
+            report.add("leibniz", (f, g, h), lhs - rhs)
+
+    for f, g, h in itertools.combinations_with_replacement(gens, 3):
+        total = ring._combination([
+            (z(par[f], par[h]), 1, bracket(val[f], pi[g, h])),
+            (z(par[g], par[f]), 1, bracket(val[g], pi[h, f])),
+            (z(par[h], par[g]), 1, bracket(val[h], pi[f, g]))])
+        if not total.is_zero():
+            report.add("jacobi", (f, g, h), total)
+
+    pairs, tensor = grp.coproduct_pairs, grp.tensor
+    parity = [x.parity() for x in entries]
+    tring = grp.square()
+    brackets = {}  # (p, r) -> {entry p, entry r}
+
+    def entry_bracket(p, r):
+        if (p, r) not in brackets:
+            brackets[p, r] = bracket(entries[p], entries[r])
+        return brackets[p, r]
+
+    for f, g in itertools.combinations_with_replacement(gens, 2):
+        terms = []
+        for p, q in pairs[f]:
+            for r, s in pairs[g]:
+                sign = z(parity[q], parity[r])
+                terms += [(sign, 1, tensor(entry_bracket(p, r), product(q, s))),
+                          (sign, 1, tensor(product(p, r), entry_bracket(q, s)))]
+        lhs = grp.coproduct(pi[f, g])
+        rhs = tring._combination(terms)
+        if lhs != rhs:
+            report.add("coproduct_morphism", (f, g), lhs - rhs)
+
+    elements = grp.display_elements
+    for label_f, f in elements.items():
+        for label_g, g in elements.items():
+            value = bracket(f, g)
+            if not grp.vanishes_at_identity(value):
+                report.add("vanishing", (label_f, label_g), value)
+    return report
+
+
+class _NotBiderivation(PoissonStructure):
+    """A structure's bracket plus d(n)^2 m n on the monomials m, n, d(n) the
+    number of factors of n (an E^-1 counts once): bilinear and even, but no
+    derivation in its second argument, since d is additive and d^2 is not."""
+
+    def _monomial_bracket(self, m, n):
+        ring = self.group.ring
+        degree = sum(map(abs, n[0])) + len(n[1])
+        return super()._monomial_bracket(m, n) \
+            + degree ** 2 * ring._make({m: 1}) * ring._make({n: 1})
+
+
+def _drop_first_phi_term(grp, sid):
+    # (iv)'s Phi without its first term 2*a*E^2 H^P+: still zero at e, but
+    # no longer multiplicative
+    text = poisson._STRUCTURES[grp.name][sid][2]
+    kept = text.split(" + ", 1)[1]
+    return PoissonStructure(grp, "iv-dropped", phi=parse_wedge_sum(
+        kept, grp.algebra, grp.ring))
+
+
+class TestAxiomLoopsEqualFrozen:
+    @pytest.mark.parametrize("key", [("osp", "3"), ("super-e2", "iii")],
+                             ids=_case_id)
+    def test_leibniz_mirror_on_a_bracket_that_is_no_biderivation(self, key):
+        gname, sid = key
+        grp = FRESH_GROUPS[gname]()
+        family_id, params, phi_text = poisson._STRUCTURES[gname][sid]
+        structure = _NotBiderivation(grp, sid, family(family_id, **params),
+                                     parse_wedge_sum(phi_text, grp.algebra,
+                                                     grp.ring)
+                                     if phi_text else None)
+        got = check_axioms(structure)
+        want = _frozen_parent_check_axioms(structure)
+        assert got.failures == want.failures
+        odd = {g for g in grp.coordinates if grp.parity_of(g)}
+        leibniz = [labels for labels, _ in got.failures["leibniz"]]
+        assert any(g in odd and h in odd and g != h for _, g, h in leibniz)
+        assert any(g not in odd and h not in odd and g != h
+                   for _, g, h in leibniz)
+
+    def test_coproduct_sum_on_a_phi_that_is_not_multiplicative(self):
+        structure = _drop_first_phi_term(FRESH_GROUPS["super-e2"](), "iv")
+        assert len(structure.phi) == 20
+        got = check_axioms(structure)
+        want = _frozen_parent_check_axioms(structure)
+        assert got.failures == want.failures
+        assert got.failures["coproduct_morphism"]
 
 
 # The bracket loop before two single terms got their own path, kept verbatim
