@@ -146,8 +146,8 @@ def _run_cybe(claim):
     return "fail", f"expected {claim['expect']}, computed {status}"
 
 
-# The latest [algebra, solution family, co-Jacobi constraints or None],
-# checked by identity as `SuperLieAlgebra.constants_in` checks its ring: the
+# The latest [algebra, solution family, quadratic points or None], checked
+# by identity as `SuperLieAlgebra.constants_in` checks its ring: the
 # super-E(2) space is solved once for the three claims that read it, and a
 # replaced builtin is solved afresh.
 _latest_space = [None, None, None]
@@ -158,6 +158,21 @@ def _cocycle_space(algebra):
     if _latest_space[0] is not algebra:
         _latest_space = [algebra, cocycles.solve_cocycle_space(algebra)[1], None]
     return _latest_space
+
+
+def _quadratic_points():
+    """(co-Jacobi constraints, {point: (cobracket, coordinates)}) on the
+    super-E(2) cocycle space, both points solved in one `span_solve`."""
+    space = _cocycle_space(builtin("super_e2"))
+    if space[2] is None:
+        fam = space[1]
+        points = {"case-a": family("e2-case-a"),
+                  "case-b-cd": family("e2-case-b", c=1, d=1)}
+        solved = cocycles.span_solve(fam.vectors, [
+            cocycles.cobracket_vector(d, fam.unknowns) for d in points.values()])
+        space[2] = (cocycles.cojacobi_constraints(fam)[1],
+                    {p: (d, x) for (p, d), x in zip(points.items(), solved)})
+    return space[2]
 
 
 def _run_cocycle_spaces(claim):
@@ -182,16 +197,8 @@ def _run_cocycle_spaces(claim):
 
 
 def _run_quadratic_point(claim):
-    space = _cocycle_space(builtin("super_e2"))
-    if space[2] is None:
-        space[2] = cocycles.cojacobi_constraints(space[1])[1]
-    _, fam, constraints = space
-    if claim["point"] == "case-a":
-        d = family("e2-case-a")
-    else:
-        d = family("e2-case-b", c=1, d=1)
-    vec = cocycles.cobracket_vector(d, fam.unknowns)
-    coeffs = cocycles.in_span(fam.vectors, vec)
+    constraints, points = _quadratic_points()
+    d, coeffs = points[claim["point"]]
     if coeffs is None:
         return "fail", "point is outside the linear cocycle space"
     bad = cocycles.evaluate_constraints(constraints, coeffs, d.ring)

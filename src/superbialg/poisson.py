@@ -23,16 +23,17 @@ super-E(2) families, or the whole bracket of family iv):
              + (X_j^(r) f) Phi^{jk} (X_k^(l) g)
 
 Both r and Phi are rank-2 wedge sums; the nine published structures are one
-table (`_STRUCTURES`) of r-matrix families and Phi texts.  `bracket` is the
-one bracket: {f, g} is the sum of c*d*{m, n} over the terms c*m of f and
-d*n of g, and the bracket {m, n} of two monomials, formed once per
-structure, is linear in r: the sum of r^{kj} B_kj(m, n) over the entries of
-r, with the basis brackets
+table (`_STRUCTURES`) of r-matrix families and Phi texts.  The bracket is
+linear in (r, Phi), so a structure is its rational coefficients over basis
+brackets of its group: r^{kj} times
 
-    B_kj(m, n) = (Y_k^(r) m)(Y_j^(l) n) - (X_k^(r) m)(X_j^(l) n),
+    B_kj(m, n) = (Y_k^(r) m)(Y_j^(l) n) - (X_k^(r) m)(X_j^(l) n)
 
-plus the Phi products (X_j^(r) m) Phi^{jk} (X_k^(l) n).  Products are taken
-in the written order; the supercommutative ring supplies every Koszul sign.
+for each entry of r, and q times (X_j^(r) m) mu (X_k^(l) n) for each term
+q*mu of Phi^{jk}, mu a monomial.  `bracket` is the one bracket: {f, g} is
+the sum of c*d times the combination at (m, n) over the terms c*m of f and
+d*n of g.  Products are taken in the written order; the supercommutative
+ring supplies every Koszul sign.
 
 The invariant fields are read off T, through Delta(T_ij) = sum_l T_il (x)
 T_lj, from tangent vectors xi_k at e (Semenov-Tian-Shansky 1985):
@@ -50,12 +51,12 @@ X (the entry the derivative crosses), and 1 otherwise.  The tangents are
 Field application is the graded Leibniz rule of the field's side, with the
 chain rule field(E) = 1/2 field(s) E.  A field's image, the value at e and
 the coproduct of each monomial, the product of two entries of T and each
-basis bracket (`basis_brackets`, {(m, n): {(k, j): B_kj(m, n)}}, shared by
-every structure) are formed once per group; a zero basis bracket or bracket
-is the group's one `zero`.  After a full verify-paper run the memos hold 770
-images on the 40 fields, 2712 basis brackets on 393 monomial pairs (1872
-zero), 53 values at e, 32 monomial coproducts and 166 entry products, and
-the nine structures 1684 monomial brackets (771 zero).
+basis bracket (`basis_brackets`, {(m, n): {key: value}}, shared by every
+structure) are formed once per group; a zero basis bracket is the group's
+one `zero`.  After a full verify-paper run the memos hold 770 images on the
+40 fields, 6804 basis brackets on 393 monomial pairs (4092 of them of Phi
+terms, 5756 zero), 53 values at e, 32 monomial coproducts and 166 entry
+products.
 
 G x G is a bare `Ring`, the ring Delta maps into (`CoordinateRing.square`:
 slot-tagged variables x1, x2, shared parameters, each relation once per
@@ -170,7 +171,7 @@ class CoordinateRing:
         self.tangents = dict(tangents)  # generator -> {coordinate: rational}
         self._fields = None
         self._square = None
-        # (m, n) -> {(k, j): B_kj(m, n)}, filled by `PoissonStructure.bracket`
+        # (m, n) -> {key: basis bracket}, filled by `PoissonStructure.bracket`
         self.basis_brackets = {}
         self.zero = ring.zero()
         self._delta = None
@@ -266,16 +267,21 @@ class CoordinateRing:
             image = field.images[key] = self._monomial_image(field, key)
         return image
 
-    def basis_bracket(self, k, j, m, n):
-        """B_kj(m, n) = Y_k^(r) m * Y_j^(l) n - X_k^(r) m * X_j^(l) n of the
-        monomial keys m, n, reduced once; a zero is the group's `zero`."""
+    def basis_bracket(self, key, m, n):
+        """The basis bracket `key` of the monomial keys m, n, reduced once; a
+        zero is the group's `zero`.  An r key (k, j) names B_kj(m, n) =
+        Y_k^(r) m * Y_j^(l) n - X_k^(r) m * X_j^(l) n, a Phi key (j, k, mu),
+        mu a monomial key, names X_j^(r) m * mu * X_k^(l) n (mu may be odd,
+        so the factors keep that order)."""
+        left, right, *mu = key
         products = []
-        for chirality, sign in (("Y", 1), ("X", -1)):
-            lm = self.image(self.field(k, chirality, "r"), m)
+        for chirality, sign in (("X", 1),) if mu else (("Y", 1), ("X", -1)):
+            lm = self.image(self.field(left, chirality, "r"), m)
             if lm._terms:
-                rn = self.image(self.field(j, chirality, "l"), n)
+                rn = self.image(self.field(right, chirality, "l"), n)
                 if rn._terms:
-                    products.append((sign, (lm, rn)))
+                    products.append((sign, (lm, *[self.ring._make({mono: 1})
+                                                  for mono in mu], rn)))
         value = self.ring.sum_of_products(products) if products else self.zero
         return value if value._terms else self.zero
 
@@ -481,7 +487,9 @@ class PoissonStructure:
     `r` is an RMatrix with rational components and `phi` an even rank-2
     GradedTensor over the group ring; either may be absent.  They are kept
     as `r_entries`, (k, j, r^{kj}) name triples, and `phi`, {(j, k) names:
-    Phi^{jk}}.  Every Phi^{jk} must vanish at the identity.
+    Phi^{jk}}.  Every Phi^{jk} must vanish at the identity.  `coefficients`
+    holds (key, numerator, denominator) over the group's basis brackets:
+    key (k, j) for r^{kj}, and (j, k, mu) for each term q*mu of Phi^{jk}.
     """
 
     def __init__(self, grp, structure_id="", r=None, phi=None,
@@ -503,57 +511,32 @@ class PoissonStructure:
                 raise ValueError(
                     f"Phi^({j},{k}) = {value.render()} does not vanish at the"
                     " group identity")
-        # ((k, j), numerator, denominator) of each r entry; the key objects
-        # are shared by every basis bracket this structure stores
-        self._r = [((k, j), q.numerator, q.denominator)
-                   for k, j, q in self.r_entries]
-        self._pairs = {}  # (monomial m, monomial n) -> {m, n}
+        self.coefficients = [((k, j), q.numerator, q.denominator)
+                             for k, j, q in self.r_entries]
+        self.coefficients += [((j, k, mu), c, value._den)
+                              for (j, k), value in self.phi.items()
+                              for mu, c in value._terms.items()]
 
     def bracket(self, f, g):
-        """{f, g} = sum of c*d*{m, n} over the terms c*m of f and d*n of g,
-        the numerators c*d over the denominator of f times that of g.  Each
-        {m, n} is formed once per structure and kept in `_pairs`."""
+        """{f, g}, the sum of c*d*q*B(m, n) over the terms c*m of f, d*n of
+        g and q*B of `coefficients`: one rational combination of basis
+        brackets, each read from the group's memo or formed into it."""
+        grp = self.group
+        memo, basis_bracket = grp.basis_brackets, grp.basis_bracket
         den = f._den * g._den
-        pairs = self._pairs
         triples = []
         for m, c in f._terms.items():
             for n, d in g._terms.items():
-                value = pairs.get((m, n))
-                if value is None:
-                    value = pairs[m, n] = self._monomial_bracket(m, n)
-                if value._terms:
-                    triples.append((c * d, den, value))
-        if len(triples) == 1 and triples[0][0] == den:
-            return triples[0][2]  # 1 * {m, n}: nothing new to form
-        return self.group.ring._combination(triples)
-
-    def _monomial_bracket(self, m, n):
-        # {m, n} of two coefficient-1 monomials: the rational combination of
-        # r^{kj} B_kj(m, n), each basis bracket read from the group's memo,
-        # plus the Phi products X_j^(r) m Phi^{jk} X_k^(l) n, reduced once.
-        grp = self.group
-        ring, image, field = grp.ring, grp.image, grp.field
-        row = grp.basis_brackets.get((m, n))
-        if row is None:
-            row = grp.basis_brackets[m, n] = {}
-        triples = []
-        for kj, num, den in self._r:
-            value = row.get(kj)
-            if value is None:
-                value = row[kj] = grp.basis_bracket(*kj, m, n)
-            if value._terms:
-                triples.append((num, den, value))
-        phi = []
-        for (j, k), value in self.phi.items():
-            lm = image(field(j, "X", "r"), m)
-            if lm._terms:
-                rn = image(field(k, "X", "l"), n)
-                if rn._terms:
-                    phi.append((1, (lm, value, rn)))
-        if phi:
-            triples.append((1, 1, ring.sum_of_products(phi)))
-        value = ring._combination(triples)
-        return value if value._terms else grp.zero
+                row = memo.get((m, n))
+                if row is None:
+                    row = memo[m, n] = {}
+                for key, num, q_den in self.coefficients:
+                    value = row.get(key)
+                    if value is None:
+                        value = row[key] = basis_bracket(key, m, n)
+                    if value._terms:
+                        triples.append((c * d * num, den * q_den, value))
+        return grp.ring._combination(triples)
 
     def __repr__(self):
         return f"<PoissonStructure {self.group.name}:{self.structure_id}>"

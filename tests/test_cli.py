@@ -236,6 +236,52 @@ class TestPoisson:
                                "--structure", "9")
         assert code == 2
 
+    # every structure's table and axiom report, in both formats, byte for
+    # byte: how the bracket is formed may change, what it prints may not
+    @pytest.mark.parametrize("grp, sid, fmt, digest", [
+        ("osp", "1", "table",
+         "5480d7fbc573231335416d7056e8434ba151a6cb564a7f2e291edec07e1f9b5f"),
+        ("osp", "1", "machine",
+         "b851484556d569062cc51dcd074581d16b846b2b66a62c50534dabd453e4814b"),
+        ("osp", "2", "table",
+         "60aca654032be500997074b3152e62f9aae23a2d18ec1917a4a34802cfb303e6"),
+        ("osp", "2", "machine",
+         "5d068c0f2b508d6e04677f330f7cce77d93d15e643dff356472e08000aea4379"),
+        ("osp", "3", "table",
+         "d87ef038c3b0b1122374cca5ef61897d7b6dc3124b561f48d8b298e51b233713"),
+        ("osp", "3", "machine",
+         "b9cca8628582b986375a8eb14776e5869a1110c8f46a942b7eabc64a7f40341d"),
+        ("super-e2", "i", "table",
+         "2d28fa129adcdf27fe892b01ca54cbd3370f3a343042339cf324bb9faf0d79ba"),
+        ("super-e2", "i", "machine",
+         "bcebe9cf038f730cdfaa36f0cdcccdeb97df86ad5fd4a9c0aba42e2f8db1a9d1"),
+        ("super-e2", "ii", "table",
+         "a25ad4514de4ea58a7aceb3e6afec14b62bfe78c7d2100f3d532a5a588c973c2"),
+        ("super-e2", "ii", "machine",
+         "7cdc1d9b6678334975a46592f15c350aef4b88830153a5fac27f38cc80a4a79f"),
+        ("super-e2", "iii", "table",
+         "c7ec68bd48965b522c9813c0f0da52925dfb10ca31553826dfac579bfac357f6"),
+        ("super-e2", "iii", "machine",
+         "c522a8e42447650ffd6823a4a0391f18162cd68df696c09ad19b40090be0c0b3"),
+        ("super-e2", "iv", "table",
+         "f777b902de5d2045f59ead04c647da8ca3b0482fdcc12a9e65c2f8faf013d6c3"),
+        ("super-e2", "iv", "machine",
+         "48ef145bac189c2e60346fa5ad506edfa87379268fa79653cb37a141375058c4"),
+        ("super-e2", "v", "table",
+         "34b14cf09a307e6a14560553983a82c296d3fd03ef079c4ce077dfee9bfb0e93"),
+        ("super-e2", "v", "machine",
+         "07874cc413c329738604f81e20d42487b332d81983a01874ace82962ed71cc8d"),
+        ("super-e2", "vi", "table",
+         "d4cf354c229a1c3295be65544923f09295c3bccfa3a136c0662e13f304d1bea1"),
+        ("super-e2", "vi", "machine",
+         "1eda99359a2783496a95db43085fabb8de24d29c336353ac32c4d1e35d8fc9e8"),
+    ])
+    def test_checked_tables_are_golden(self, capsys, grp, sid, fmt, digest):
+        code, out, _ = run_cli(capsys, "poisson", "--group", grp,
+                               "--structure", sid, "--format", fmt, "--check")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyOrbits:
     def test_all_pass(self, capsys):

@@ -286,6 +286,23 @@ class TestQuadraticConstraints:
         assert len(solved) == 3 and solved[2] is copy
         assert len(expanded) == 2
 
+    def test_quadratic_claims_eliminate_once_each(self, monkeypatch):
+        # one elimination solves the space (30 unknowns) and one solves both
+        # points over its 7 basis vectors; a second run eliminates nothing
+        eliminated = []
+        rref = cocycles._rref
+
+        def counted(rows, ncols):
+            eliminated.append(ncols)
+            return rref(rows, ncols)
+
+        monkeypatch.setattr(cocycles, "_rref", counted)
+        monkeypatch.setattr(claims, "_latest_space", [None, None, None])
+        for _ in range(2):
+            results = run_claims("quadratic")
+            assert [r.status for r in results] == ["pass"] * 2
+            assert eliminated == [30, 7]
+
 
 def _frozen_evaluate_constraints(constraints, point, ring):
     """The previous evaluate_constraints body, kept verbatim as the reference

@@ -20,8 +20,9 @@ from superbialg.bialgebra import family
 from superbialg.algebra import SuperLieAlgebra, builtin, data_path
 from superbialg.claims import constants_from_group, run_claims
 from superbialg.scalars import EVEN, ODD, Ring, SuperScalar
-from superbialg.tensors import (GradedTensor, parse_rmatrix, parse_wedge_sum,
-                                render_wedge_form)
+from superbialg.cocycles import basis_r_matrices
+from superbialg.tensors import (GradedTensor, RMatrix, parse_rmatrix,
+                                parse_wedge_sum, render_wedge_form)
 from test_algebra import dense_table
 
 
@@ -1179,10 +1180,11 @@ def _frozen_named(key):
     return grp, r_entries, phi(grp) if phi else {}
 
 
-def _case(name):
-    """(new structure, frozen structure) for a named or failing case."""
+def _case(name, groups=group):
+    """(new structure, frozen structure) for a named or failing case; a
+    failing case is built on the groups that `groups` returns by name."""
     if name in FAILING:
-        e2, osp = group("super-e2"), group("osp")
+        e2, osp = groups("super-e2"), groups("osp")
         if name == "e2-r-ii+a":
             r = family("e2-r-ii")
             new = PoissonStructure(e2, r=r, phi=parse_wedge_sum(
@@ -1287,12 +1289,14 @@ class _LeibnizDefect(PoissonStructure):
 
 
 def _fresh_structure(name):
-    """A new structure object for a case, so that its pair memo starts
-    empty (the named structures are cached for the process)."""
+    """A new structure object for a case on a new group object, so that the
+    group's basis-bracket memo starts empty (the groups are cached for the
+    process)."""
+    groups = functools.cache(lambda gname: FRESH_GROUPS[gname]())
     if name in FAILING:
-        return _case(name)[0]
+        return _case(name, groups)[0]
     gname, sid = name
-    grp = group(gname)
+    grp = groups(gname)
     family_id, params, phi_text = poisson._STRUCTURES[gname][sid]
     return PoissonStructure(
         grp, sid, family(family_id, **params) if family_id else None,
@@ -1303,23 +1307,34 @@ def _fresh_structure(name):
 class TestAxiomSweepMemo:
     @pytest.mark.parametrize("name", ALL_CASES, ids=_case_id)
     def test_each_monomial_pair_is_bracketed_once(self, name, monkeypatch):
-        # one memo per structure serves check_axioms and render_table
+        # each basis bracket of a monomial pair is formed once per group: the
+        # group's memo serves check_axioms, render_table and a second sweep,
+        # which forms nothing
         new = _fresh_structure(name)
-        pairs = {}
-        pair = PoissonStructure._monomial_bracket
+        grp = new.group
+        formed = {}
+        basis_bracket = CoordinateRing.basis_bracket
 
-        def counted(self, m, n):
-            pairs[self, m, n] = pairs.get((self, m, n), 0) + 1
-            return pair(self, m, n)
+        def counted(self, key, m, n):
+            formed[self, key, m, n] = formed.get((self, key, m, n), 0) + 1
+            return basis_bracket(self, key, m, n)
 
-        monkeypatch.setattr(PoissonStructure, "_monomial_bracket", counted)
+        monkeypatch.setattr(CoordinateRing, "basis_bracket", counted)
         check_axioms(new)
         render_table(new)
-        assert pairs and set(pairs.values()) == {1}
-        assert {key[0] for key in pairs} == {new}
-        assert len(new._pairs) == len(pairs)
-        zeros = [v for v in new._pairs.values() if v.is_zero()]
-        assert zeros and all(v is new.group.zero for v in zeros)
+        assert formed and set(formed.values()) == {1}
+        assert {key[0] for key in formed} == {grp}
+        count = len(formed)
+        check_axioms(new)
+        render_table(new)
+        assert len(formed) == count
+        memo = grp.basis_brackets
+        assert sum(map(len, memo.values())) == count
+        assert {key for row in memo.values() for key in row} \
+            == {key for key, _, _ in new.coefficients}
+        zeros = [v for row in memo.values() for v in row.values()
+                 if v.is_zero()]
+        assert zeros and all(v is grp.zero for v in zeros)
 
     def test_leibniz_right_side_is_formed_from_pi(self, e2):
         report = check_axioms(_LeibnizDefect(e2, "defect"))
@@ -1414,11 +1429,13 @@ class _NotBiderivation(PoissonStructure):
     number of factors of n (an E^-1 counts once): bilinear and even, but no
     derivation in its second argument, since d is additive and d^2 is not."""
 
-    def _monomial_bracket(self, m, n):
+    def bracket(self, f, g):
         ring = self.group.ring
-        degree = sum(map(abs, n[0])) + len(n[1])
-        return super()._monomial_bracket(m, n) \
-            + degree ** 2 * ring._make({m: 1}) * ring._make({n: 1})
+        return super().bracket(f, g) + ring.sum_of_products([
+            (Fraction(c * d * (sum(map(abs, n[0])) + len(n[1])) ** 2,
+                      f._den * g._den),
+             (ring._make({m: 1}), ring._make({n: 1})))
+            for m, c in f._terms.items() for n, d in g._terms.items()])
 
 
 def _drop_first_phi_term(grp, sid):
@@ -1656,8 +1673,159 @@ class TestTermProducts:
                  for f, g in itertools.product(elements, repeat=2)]
         assert formed
         formed.clear()
-        structure._pairs.clear()  # {m, n} again from the basis brackets
         again = [structure.bracket(f, g)
                  for f, g in itertools.product(elements, repeat=2)]
         assert again == first
         assert formed == []
+
+
+# The previous `bracket` and `_monomial_bracket`, kept verbatim as the
+# reference on a wrapper of the structure they check: {m, n} of two
+# monomials formed once per structure and kept in `_pairs`, as the r
+# entries' combination of basis brackets plus the Phi products, and a
+# coefficient-1 single-term bracket returned as stored.  Two names differ:
+# the basis-bracket memo is the wrapper's own `_frozen_basis`, filled by
+# `_frozen_basis_bracket`, the previous `CoordinateRing.basis_bracket`, so
+# the reference shares no memo with the structure it checks.
+
+def _frozen_basis_bracket(self, k, j, m, n):
+    """B_kj(m, n) = Y_k^(r) m * Y_j^(l) n - X_k^(r) m * X_j^(l) n of the
+    monomial keys m, n, reduced once; a zero is the group's `zero`."""
+    products = []
+    for chirality, sign in (("Y", 1), ("X", -1)):
+        lm = self.image(self.field(k, chirality, "r"), m)
+        if lm._terms:
+            rn = self.image(self.field(j, chirality, "l"), n)
+            if rn._terms:
+                products.append((sign, (lm, rn)))
+    value = self.ring.sum_of_products(products) if products else self.zero
+    return value if value._terms else self.zero
+
+
+class _FrozenParentStructure:
+    def __init__(self, structure):
+        self.group = structure.group
+        self.phi = structure.phi
+        # ((k, j), numerator, denominator) of each r entry; the key objects
+        # are shared by every basis bracket this structure stores
+        self._r = [((k, j), q.numerator, q.denominator)
+                   for k, j, q in structure.r_entries]
+        self._pairs = {}  # (monomial m, monomial n) -> {m, n}
+        self._frozen_basis = {}
+
+    def bracket(self, f, g):
+        """{f, g} = sum of c*d*{m, n} over the terms c*m of f and d*n of g,
+        the numerators c*d over the denominator of f times that of g.  Each
+        {m, n} is formed once per structure and kept in `_pairs`."""
+        den = f._den * g._den
+        pairs = self._pairs
+        triples = []
+        for m, c in f._terms.items():
+            for n, d in g._terms.items():
+                value = pairs.get((m, n))
+                if value is None:
+                    value = pairs[m, n] = self._monomial_bracket(m, n)
+                if value._terms:
+                    triples.append((c * d, den, value))
+        if len(triples) == 1 and triples[0][0] == den:
+            return triples[0][2]  # 1 * {m, n}: nothing new to form
+        return self.group.ring._combination(triples)
+
+    def _monomial_bracket(self, m, n):
+        # {m, n} of two coefficient-1 monomials: the rational combination of
+        # r^{kj} B_kj(m, n), each basis bracket read from the group's memo,
+        # plus the Phi products X_j^(r) m Phi^{jk} X_k^(l) n, reduced once.
+        grp = self.group
+        ring, image, field = grp.ring, grp.image, grp.field
+        row = self._frozen_basis.get((m, n))
+        if row is None:
+            row = self._frozen_basis[m, n] = {}
+        triples = []
+        for kj, num, den in self._r:
+            value = row.get(kj)
+            if value is None:
+                value = row[kj] = _frozen_basis_bracket(grp, *kj, m, n)
+            if value._terms:
+                triples.append((num, den, value))
+        phi = []
+        for (j, k), value in self.phi.items():
+            lm = image(field(j, "X", "r"), m)
+            if lm._terms:
+                rn = image(field(k, "X", "l"), n)
+                if rn._terms:
+                    phi.append((1, (lm, value, rn)))
+        if phi:
+            triples.append((1, 1, ring.sum_of_products(phi)))
+        value = ring._combination(triples)
+        return value if value._terms else grp.zero
+
+
+def _assert_brackets_equal_frozen_parent(structure, elements):
+    frozen = _FrozenParentStructure(structure)
+    for f, g in itertools.product(elements, repeat=2):
+        assert structure.bracket(f, g) == frozen.bracket(f, g), (f, g)
+
+
+def _sweep_arguments(structure):
+    """The display elements and generators, and the brackets of adjacent
+    generators, which are polynomials with several terms."""
+    grp = structure.group
+    elements = _display_and_generators(grp)
+    gens = [grp.var(name) for name in grp.coordinates]
+    return elements + [structure.bracket(x, y) for x, y in zip(gens, gens[1:])]
+
+
+class TestBracketEqualsFrozenParent:
+    @pytest.mark.parametrize("key", list(FROZEN_NAMED), ids=_case_id)
+    def test_named_structures(self, key):
+        structure = _fresh_structure(key)
+        _assert_brackets_equal_frozen_parent(structure,
+                                             _sweep_arguments(structure))
+
+    def test_phi_without_its_first_term(self):
+        structure = _drop_first_phi_term(FRESH_GROUPS["super-e2"](), "iv")
+        _assert_brackets_equal_frozen_parent(structure,
+                                             _sweep_arguments(structure))
+
+    def test_phi_with_a_multi_term_coefficient(self):
+        # Phi^{H,P+} = c*s + a*b: two Phi keys on one pair of fields
+        grp = super_e2_group()
+        structure = PoissonStructure(grp, "two-terms", family("e2-r-ii"),
+                                     parse_wedge_sum(
+                                         "c*s H^P+ + a*b H^P+", grp.algebra,
+                                         grp.ring))
+        assert len(structure.phi[("H", "P+")]._terms) == 2
+        assert sum(len(key) == 3 for key, _, _ in structure.coefficients) == 4
+        _assert_brackets_equal_frozen_parent(structure,
+                                             _sweep_arguments(structure))
+
+    @pytest.mark.parametrize("fid", sorted(_COBOUNDARY_FAMILIES))
+    def test_random_coboundary_structures(self, fid):
+        gname, params = _COBOUNDARY_FAMILIES[fid]
+        warm = group(gname)
+
+        @settings(max_examples=20, deadline=None)
+        @given(params, _arguments(warm))
+        def check(values, arguments):
+            structure = coboundary_structure(warm, family(fid, **values))
+            _assert_brackets_equal_frozen_parent(structure, arguments)
+
+        check()
+
+
+class TestCoboundaryBasis:
+    @pytest.mark.parametrize("gname", ["osp", "super-e2"])
+    def test_basis_r_matrices_and_pair_sums_fail_at_most_jacobi(self, gname):
+        # the coproduct, antisymmetry, Leibniz and vanishing residuals are
+        # linear in r: passing on a basis of (wedge^2 g)_even and on the sums
+        # of its pairs checks them on every r-matrix; Jacobi is quadratic
+        grp = group(gname)
+        algebra = grp.algebra
+        basis = basis_r_matrices(algebra)
+        assert len(basis) == 6
+        matrices = basis + [RMatrix(algebra, (x + y).coeffs)
+                            for x, y in itertools.combinations(basis, 2)]
+        assert len(matrices) == 21
+        for r in matrices:
+            report = check_axioms(coboundary_structure(grp, r))
+            assert set(report.failing_axioms()) <= {"jacobi"}, report.render()
