@@ -38,7 +38,6 @@ from .bialgebra import (
     coboundary_delta,
     check_cobracket,
     cybe_status,
-    dual_algebra,
     family,
     parse_cobracket_text,
 )

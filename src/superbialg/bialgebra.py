@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EVEN, Q, Ring, map_products, rational_sqrt
-from .algebra import Report, SuperLieAlgebra, _sparse_constants, builtin
+from .algebra import Report, builtin
 from . import tensors
 from .tensors import GradedTensor, RMatrix, ad_action
 
@@ -195,24 +195,6 @@ def cybe_status(algebra, r):
     if tensors.is_ad_invariant(algebra, s):
         return MCYBE
     return NEITHER
-
-
-def dual_algebra(algebra, d, name=None):
-    """The algebra on the dual space with structure constants c~_{kl}^i = f_i^{kl}.
-
-    The table is taken from the rows as it stands, with no antisymmetric
-    completion, so the validator's Jacobi test is co-Jacobi read on the dual.
-    """
-    dual = SuperLieAlgebra(
-        name or f"{algebra.name}*",
-        [(f"{n}*", g) for n, g in zip(algebra.basis, algebra.grades)],
-        {},
-        ring=d.ring,
-    )
-    dual.constants = _sparse_constants(
-        {(k, l, i): v for i, row in enumerate(d.rows)
-         for (k, l), v in row.coeffs.items()})
-    return dual
 
 
 # -- named families ----------------------------------------------------------

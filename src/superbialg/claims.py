@@ -10,6 +10,7 @@ authoritative).  Machine format is one line per claim:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -146,38 +147,31 @@ def _run_cybe(claim):
     return "fail", f"expected {claim['expect']}, computed {status}"
 
 
-# The latest [algebra, solution family, quadratic points or None], checked
-# by identity as `SuperLieAlgebra.constants_in` checks its ring: the
+# One entry each, as `SuperLieAlgebra.constants_in` keeps one ring: the
 # super-E(2) space is solved once for the three claims that read it, and a
 # replaced builtin is solved afresh.
-_latest_space = [None, None, None]
-
-
+@functools.lru_cache(maxsize=1)
 def _cocycle_space(algebra):
-    global _latest_space
-    if _latest_space[0] is not algebra:
-        _latest_space = [algebra, cocycles.solve_cocycle_space(algebra)[1], None]
-    return _latest_space
+    return cocycles.solve_cocycle_space(algebra)[1]
 
 
-def _quadratic_points():
+@functools.lru_cache(maxsize=1)
+def _quadratic_points(algebra):
     """(co-Jacobi constraints, {point: (cobracket, coordinates)}) on the
-    super-E(2) cocycle space, both points solved in one `span_solve`."""
-    space = _cocycle_space(builtin("super_e2"))
-    if space[2] is None:
-        fam = space[1]
-        points = {"case-a": family("e2-case-a"),
-                  "case-b-cd": family("e2-case-b", c=1, d=1)}
-        solved = cocycles.span_solve(fam.vectors, [
-            cocycles.cobracket_vector(d, fam.unknowns) for d in points.values()])
-        space[2] = (cocycles.cojacobi_constraints(fam)[1],
-                    {p: (d, x) for (p, d), x in zip(points.items(), solved)})
-    return space[2]
+    cocycle space of `algebra` (super-E(2)), both points solved in one
+    `span_solve`."""
+    fam = _cocycle_space(algebra)
+    points = {"case-a": family("e2-case-a"),
+              "case-b-cd": family("e2-case-b", c=1, d=1)}
+    solved = cocycles.span_solve(fam.vectors, [
+        cocycles.cobracket_vector(d, fam.unknowns) for d in points.values()])
+    return (cocycles.cojacobi_constraints(fam)[1],
+            {p: (d, x) for (p, d), x in zip(points.items(), solved)})
 
 
 def _run_cocycle_spaces(claim):
     algebra = builtin(claim["algebra"])
-    fam = _cocycle_space(algebra)[1]
+    fam = _cocycle_space(algebra)
     _, cob_vectors = cocycles.coboundary_space(algebra)
     details = [f"unknowns {len(fam.unknowns)}",
                f"nullity {fam.nullity}", f"coboundaries {len(cob_vectors)}"]
@@ -197,7 +191,7 @@ def _run_cocycle_spaces(claim):
 
 
 def _run_quadratic_point(claim):
-    constraints, points = _quadratic_points()
+    constraints, points = _quadratic_points(builtin("super_e2"))
     d, coeffs = points[claim["point"]]
     if coeffs is None:
         return "fail", "point is outside the linear cocycle space"

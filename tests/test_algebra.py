@@ -10,9 +10,10 @@ from superbialg import algebra as algebra_module
 from superbialg.algebra import (SuperLieAlgebra, AlgebraError, builtin,
                                 bracket, data_path, parse_algebra_text,
                                 render_algebra_text)
-from superbialg.bialgebra import Cobracket, dual_algebra
+from superbialg.bialgebra import Cobracket
 from superbialg.tensors import GradedTensor
 from test_bialgebra import NAMED, _named_cobracket
+from test_double import _dual_brackets, dual_block
 
 
 def dense_table(algebra):
@@ -267,7 +268,7 @@ X H = 1 X
 
 # -- frozen dense references -------------------------------------------------
 #
-# The constructor fill, the validator and the dual table as they ran over a
+# The constructor fill and the validator as they ran over a
 # dense n x n x n table before structure constants were stored sparsely.  The
 # sparse store must give the same table and nonzero brackets, and `validate`
 # the same three reports, entry for entry and in the same order.
@@ -325,12 +326,6 @@ def dense_validate(algebra, c):
     return grading, antisymmetry, jacobi
 
 
-def dense_dual_table(algebra, d):
-    n = algebra.dim
-    f = d.f
-    return [[[f[i][k][l] for i in range(n)] for l in range(n)] for k in range(n)]
-
-
 def assert_store_matches_dense(algebra, c):
     assert dense_table(algebra) == c
     for i in range(algebra.dim):
@@ -386,9 +381,11 @@ class TestSparseStoreMatchesDense:
 
     @pytest.mark.parametrize("label", NAMED)
     def test_named_duals(self, label):
+        # the g* block of the double: constants over each family's ring
         d = _named_cobracket(label)
-        assert_store_matches_dense(dual_algebra(d.algebra, d),
-                                   dense_dual_table(d.algebra, d))
+        block = dual_block(d.algebra, d)
+        assert_store_matches_dense(
+            block, dense_fill(block, _dual_brackets(d.algebra, d)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["osp12", "super_e2"]).flatmap(
@@ -406,5 +403,6 @@ class TestSparseStoreMatchesDense:
         raw = Cobracket(algebra, ring,
                         [GradedTensor(algebra, 2, c, ring) for c in coeffs])
         for d in (Cobracket.from_entries(algebra, ring, entries), raw):
-            assert_store_matches_dense(dual_algebra(algebra, d),
-                                       dense_dual_table(algebra, d))
+            block = dual_block(algebra, d)
+            assert_store_matches_dense(
+                block, dense_fill(block, _dual_brackets(algebra, d)))
