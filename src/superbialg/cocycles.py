@@ -159,11 +159,6 @@ def span_solve(basis, vectors):
             for c in range(n, n + len(vectors))]
 
 
-def in_span(basis, vector):
-    """`span_solve` of one vector."""
-    return span_solve(basis, [vector])[0]
-
-
 # -- cobracket <-> vector ----------------------------------------------------
 
 def cobracket_vector(d, unknowns):

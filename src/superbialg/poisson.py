@@ -39,32 +39,32 @@ The invariant fields are read off T, through Delta(T_ij) = sum_l T_il (x)
 T_lj, from tangent vectors xi_k at e (Semenov-Tian-Shansky 1985):
 
     Y_k(T_ij) = sum_l eps T_il xi_k(T_lj)|_e
-    X_k(T_ij) = sum_l eps xi_k(T_il)|_e T_lj
+    X_k(T_ij) = sum_l xi_k(T_il)|_e T_lj
 
-with eps = (-1)^{|xi_k||T_il|} for a left Y, (-1)^{|xi_k||T_lj|} for a right
-X (the entry the derivative crosses), and 1 otherwise.  The tangents are
+with eps = (-1)^{|xi_k||T_il|}, the sign of the entry the derivative
+crosses.  The tangents are
 
     super-E(2): H -> d/ds, P+ -> d/da, P- -> d/db, D+ -> d/dxi, D- -> d/deta
     OSp(1|2):   H -> 1/2 (d/da - d/dd), X+ -> d/db, X- -> d/dc,
                 V+ -> 1/2 d/dalpha, V- -> 1/2 d/ddelta
 
-Field application is the graded Leibniz rule of the field's side, with the
-chain rule field(E) = 1/2 field(s) E.  A field's image, the value at e and
-the coproduct of each monomial, the product of two entries of T and each
-basis bracket (`basis_brackets`, {(m, n): {key: value}}, shared by every
+Every field is a left derivation, and its table carries the chain rule
+field(E) = 1/2 field(s) E.  The right derivative the bracket reads on its
+left argument is a parity sign times the left one (DeWitt 1984): D^(r) m =
+(-1)^{|D|(|m|+1)} D^(l) m.  A field's image, the value at e and the
+coproduct of each monomial, the product of two entries of T and each basis
+bracket (`basis_brackets`, {(m, n): {key: value}}, shared by every
 structure) are formed once per group; a zero basis bracket is the group's
-one `zero`.  After a full verify-paper run the memos hold 770 images on the
-40 fields, 6804 basis brackets on 393 monomial pairs (4092 of them of Phi
-terms, 5756 zero), 53 values at e, 32 monomial coproducts and 166 entry
-products.
+one `zero`.
 
 G x G is a bare `Ring`, the ring Delta maps into (`CoordinateRing.square`:
 slot-tagged variables x1, x2, shared parameters, each relation once per
 slot); it serves the coproduct check alone.  `tensor_sum` sums q x (x) y
-by concatenating keys; x in slot 1 is `tensor(x, 1)`, and the coproduct is
-the ring map x -> Delta(x).  The bracket is Poisson-Lie when Delta is a
-Poisson map into the product structure on G x G, read off Delta x = sum
-u (x) v over the nonzero entries u, v of T (`entries`, `coproduct_pairs`):
+by concatenating keys; x in slot 1 is `tensor_sum([(1, x, 1)])`, and the
+coproduct is the ring map x -> Delta(x).  The bracket is Poisson-Lie when
+Delta is a Poisson map into the product structure on G x G, read off
+Delta x = sum u (x) v over the nonzero entries u, v of T (`entries`,
+`coproduct_pairs`):
 
     {u (x) v, w (x) y} = (-1)^{|v||w|} ({u,w} (x) vy + uw (x) {v,y})
 
@@ -94,22 +94,22 @@ HALF = Fraction(1, 2)
 
 
 class VectorField:
-    """Invariant graded derivation given by its action on the generators.
+    """Invariant graded derivation given by its action on the generators,
+    extended by the left Leibniz rule D(fg) = D(f) g + (-1)^{|D||f|} f D(g).
+    A Laurent variable's entry is its chain-rule value: field(E) = 1/2
+    field(s) E on super-E(2)."""
 
-    `side` distinguishes right-hand from left-hand derivatives of
-    superfunctions: a left derivative extends by the left Leibniz rule
-    D(fg) = D(f) g + (-1)^{|D||f|} f D(g), a right derivative by the right
-    rule D(fg) = (-1)^{|D||g|} D(f) g + f D(g) (they agree on even fields).
-    The distinction comes from stripping the odd group parameter off the
-    far side of a first-order variation.
-    """
+    side = "l"  # every field is a left derivation; bench/tracing.py reads it
 
-    def __init__(self, group, label, parity, table, side="l"):
+    def __init__(self, group, label, parity, table):
         self.group = group
         self.label = label
         self.parity = parity
-        self.side = side
-        self.table = table  # generator name -> SuperScalar
+        self.table = dict(table)  # generator name -> SuperScalar
+        for name, (src, factor) in group.laurent_rules.items():
+            self.table.pop(name, None)
+            if src in table:
+                self.table[name] = factor * table[src] * group.var(name)
         self.images = {}  # monomial key (exps, odds) -> its image
 
     def on_generator(self, name):
@@ -215,22 +215,21 @@ class CoordinateRing:
             self._products[p, q] = self.entries[p] * self.entries[q]
         return self._products[p, q]
 
-    def field(self, gen, chirality, side):
-        """The invariant field Y or X of generator `gen`, side "l" or "r"."""
+    def field(self, gen, chirality):
+        """The invariant field Y or X of generator `gen`."""
         if self._fields is None:
             self._fields = self._derive_fields()
-        return self._fields[(gen, chirality, side)]
+        return self._fields[gen, chirality]
 
     def tangent_at_identity(self, gen):
-        """[xi(x)|_e for x in `entries`], xi either side's tangent of `gen`."""
-        self.field(gen, "Y", "l")
+        """[xi(x)|_e for x in `entries`], xi the tangent of `gen`."""
+        self.field(gen, "Y")
         return self._at_e[gen]
 
     def _derive_fields(self):
         # Y_k, X_k of the module docstring, summed over the pairs (p, q) of
         # Delta(T_ij): entry k kept and entry m differentiated, (k, m) = (p, q)
-        # for Y and (q, p) for X.  An even field is derived once for both sides,
-        # and the values at e once per tangent: its two sides agree at e.
+        # for Y and (q, p) for X.  An odd Y crosses the kept entry.
         ring, entries, parity = self.ring, self.entries, self.parities
         fields, self._at_e = {}, {}
         for gen, odd in zip(self.algebra.basis, self.algebra.grades):
@@ -238,19 +237,17 @@ class CoordinateRing:
             tangent = VectorField(self, f"xi_{gen}", odd, table)
             at_e = self._at_e[gen] = [
                 self.at_identity(tangent(x)).as_fraction() for x in entries]
-            for side in ("l", "r") if odd else ("l",):
-                for chirality, crossing, order in (("Y", "l", 1), ("X", "r", -1)):
-                    flip, values = odd and side == crossing, {}
-                    for name in self.coordinates:
-                        value = ring.linear_combination(
-                            (-at_e[m] if flip and parity[k] else at_e[m],
-                             entries[k]) for k, m in
-                            (pq[::order] for pq in self.coproduct_pairs[name]))
-                        if value._terms:
-                            values[name] = value
-                    for s in (side,) if odd else ("l", "r"):
-                        fields[gen, chirality, s] = VectorField(
-                            self, f"{chirality}_{gen}^({s})", odd, values, s)
+            for chirality, order in (("Y", 1), ("X", -1)):
+                flip, values = odd and chirality == "Y", {}
+                for name in self.coordinates:
+                    value = ring.linear_combination(
+                        (-at_e[m] if flip and parity[k] else at_e[m],
+                         entries[k]) for k, m in
+                        (pq[::order] for pq in self.coproduct_pairs[name]))
+                    if value._terms:
+                        values[name] = value
+                fields[gen, chirality] = VectorField(
+                    self, f"{chirality}_{gen}", odd, values)
         return fields
 
     # -- derivations ---------------------------------------------------------
@@ -272,58 +269,45 @@ class CoordinateRing:
         zero is the group's `zero`.  An r key (k, j) names B_kj(m, n) =
         Y_k^(r) m * Y_j^(l) n - X_k^(r) m * X_j^(l) n, a Phi key (j, k, mu),
         mu a monomial key, names X_j^(r) m * mu * X_k^(l) n (mu may be odd,
-        so the factors keep that order)."""
+        so the factors keep that order).  The right derivative is the left
+        one times a parity sign, D^(r) m = (-1)^{|D|(|m|+1)} D^(l) m."""
         left, right, *mu = key
+        odd_m = len(m[1]) % 2
         products = []
         for chirality, sign in (("X", 1),) if mu else (("Y", 1), ("X", -1)):
-            lm = self.image(self.field(left, chirality, "r"), m)
+            field = self.field(left, chirality)
+            lm = self.image(field, m)
             if lm._terms:
-                rn = self.image(self.field(right, chirality, "l"), n)
+                rn = self.image(self.field(right, chirality), n)
                 if rn._terms:
+                    if field.parity and not odd_m:
+                        sign = -sign
                     products.append((sign, (lm, *[self.ring._make({mono: 1})
                                                   for mono in mu], rn)))
         value = self.ring.sum_of_products(products) if products else self.zero
         return value if value._terms else self.zero
 
     def _monomial_image(self, field, key):
-        # For x1^k1 .. xm^km th_1 .. th_n, the factor at an odd slot t picks
-        # up (-1)^{|field| * (odd factors crossed)}: those BEFORE t for a
-        # left derivative, those AFTER t for a right one.  Even factors sit
-        # before every odd factor, so under the right rule they cross all n.
+        # the left graded Leibniz rule on x1^k1 .. xm^km th_1 .. th_n: the
+        # factor at odd slot t crosses the t odd factors before it
         ring = self.ring
-        right = field.side == "r" and field.parity
         exps, odds = key
         products = []
-        n_odd = len(odds)
-        even_sign = -1 if (right and n_odd % 2) else 1
         for pos, k in enumerate(exps):
             if not k:
                 continue
-            name = ring.even_names[pos]
-            rule = self.laurent_rules.get(name)
-            if rule is not None:
-                src, factor = rule
-                base = field.on_generator(src)
-                if not base.is_zero():
-                    products.append((k * factor * even_sign,
-                                     (base, ring.monomial(exps, odds))))
-                continue
-            value = field.on_generator(name)
+            value = field.on_generator(ring.even_names[pos])
             if value.is_zero():
                 continue
             reduced = list(exps)
             reduced[pos] = k - 1
-            products.append((k * even_sign, (
-                ring.monomial(reduced, ()), value,
-                ring.monomial(ring._zero_exps, odds))))
+            products.append((k, (ring.monomial(reduced, ()), value,
+                                 ring.monomial(ring._zero_exps, odds))))
         for t, oi in enumerate(odds):
-            name = ring.odd_names[oi]
-            value = field.on_generator(name)
+            value = field.on_generator(ring.odd_names[oi])
             if value.is_zero():
                 continue
-            crossed = (n_odd - 1 - t) if right else t
-            sign = -1 if (field.parity and crossed % 2) else 1
-            products.append((sign, (
+            products.append((-1 if (field.parity and t % 2) else 1, (
                 ring.monomial(exps, ()),
                 ring.monomial(ring._zero_exps, odds[:t]), value,
                 ring.monomial(ring._zero_exps, odds[t + 1:]))))
@@ -336,7 +320,7 @@ class CoordinateRing:
 
         Variable layout: shared parameters first, then slot-1 evens, slot-2
         evens, slot-1 odds, slot-2 odds; each relation is retagged per slot.
-        `tensor` needs G's parameters to lead its evens.  Every leading
+        `tensor_sum` needs G's parameters to lead its evens.  Every leading
         monomial lies in one slot: one with a parameter would be shared by
         the two slot copies of its relation, which `Ring` refuses.
         """
@@ -362,17 +346,15 @@ class CoordinateRing:
         self._square = square
         return square
 
-    def tensor(self, x, y):
-        """x (x) y in the square: the one-term `tensor_sum`."""
-        return self.tensor_sum([(1, self.ring.coerce(x), self.ring.coerce(y))])
-
     def tensor_sum(self, triples):
-        """The sum of q * x (x) y in the square over (integer q, x, y in G)
-        triples, a zero factor skipped: each key of x then one of y, the
-        shared parameters' exponents added, over one denominator, put in
-        lowest terms once.  No product kernel and no rewrite, as a tensor of
-        normal forms is a normal form (see `square`)."""
+        """The sum of q * x (x) y in the square over (integer q, x, y in G
+        or rational) triples, a zero factor skipped: each key of x then one
+        of y, the shared parameters' exponents added, over one denominator,
+        put in lowest terms once.  No product kernel and no rewrite, as a
+        tensor of normal forms is a normal form (see `square`)."""
         n, shift = len(self.params), len(self.ring.odd_names)
+        coerce = self.ring.coerce
+        triples = [(q, coerce(x), coerce(y)) for q, x, y in triples]
         triples = [t for t in triples if t[1]._terms and t[2]._terms]
         den = math.lcm(*[x._den * y._den for _, x, y in triples])
         out = {}

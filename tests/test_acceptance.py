@@ -112,16 +112,17 @@ def test_criterion_4_stated_expectation_for_r2():
 def test_criterion_5_cocycle_vs_coboundary_spaces():
     sys_osp, fam_osp = cocycles.solve_cocycle_space(OSP)
     _, cob_osp = cocycles.coboundary_space(OSP)
-    ok_osp = fam_osp.nullity == 6 and len(cob_osp) == 6
-    for v in cob_osp:
-        ok_osp &= cocycles.in_span(fam_osp.vectors, [Fraction(x) for x in v]) is not None
-    for v in fam_osp.vectors:
-        ok_osp &= cocycles.in_span(cob_osp, [Fraction(x) for x in v]) is not None
+    def inside(basis, vectors):
+        return None not in cocycles.span_solve(
+            basis, [[Fraction(x) for x in v] for v in vectors])
+
+    ok_osp = (fam_osp.nullity == 6 and len(cob_osp) == 6
+              and inside(fam_osp.vectors, cob_osp)
+              and inside(cob_osp, fam_osp.vectors))
     sys_e2, fam_e2 = cocycles.solve_cocycle_space(E2)
     _, cob_e2 = cocycles.coboundary_space(E2)
-    ok_e2 = fam_e2.nullity == 7 and len(cob_e2) == 5
-    for v in cob_e2:
-        ok_e2 &= cocycles.in_span(fam_e2.vectors, [Fraction(x) for x in v]) is not None
+    ok_e2 = (fam_e2.nullity == 7 and len(cob_e2) == 5
+             and inside(fam_e2.vectors, cob_e2))
     ok = ok_osp and ok_e2
     report(f"criterion 5 (osp coboundary completeness 6=6; super-e2 proper 5<7): "
            f"{'PASS' if ok else 'FAIL'}")

@@ -79,6 +79,19 @@ def test_tables_reach_apply_field(monkeypatch):
     assert calls
 
 
+def test_traced_table_reaches_the_field_span(tracing):
+    # the tracer's repeat key for poisson.field reads the field's label and
+    # `side`, so a traced run calls apply_field through it
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        poisson.format_table(poisson.coboundary_structure(
+            poisson.osp_group(), family("osp-r1"), display_scale=2))
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["poisson.field"][0] > 0
+
+
 def test_one_job_of_each_kind_meets_its_expectation():
     # one job of each kind from a classify and a tables pass, both cocycle
     # jobs among them, through the calls the benchmark makes: a change to

@@ -12,7 +12,7 @@ result must be in lowest terms (`_stored`).  Since `==` compares stored
 forms, equal values reached by different routes must be stored alike.
 `Ring.sum_of_products` over a ring without variables, which is Q, is
 checked against the `Fraction` sum and against the generic kernel, and
-`CoordinateRing.tensor` against the product of the previous slot
+`CoordinateRing.tensor_sum` against the product of the previous slot
 embeddings.
 """
 
@@ -25,8 +25,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbialg.bialgebra import family
-from superbialg.cocycles import _rref, in_span, nullspace
+from superbialg.cocycles import _rref, nullspace, span_solve
 from superbialg.poisson import group, named_structure
+from test_poisson import _frozen_two_sided
 from superbialg.scalars import (
     ReductionError,
     Ring,
@@ -138,8 +139,13 @@ def _frozen_map(x, target, images):
 
 def _frozen_bracket(structure, f, g):
     # the previous bracket: each (left field, coefficient, right field)
-    # triple's product reduced, then summed
-    field = structure.group.field
+    # triple's product reduced, then summed; the fields are the frozen
+    # two-sided ones, right-hand images by the right Leibniz rule
+    fields = _frozen_two_sided(structure.group)
+
+    def field(*key):
+        return fields[key]
+
     triples = []
     for k, j, coeff in structure.r_entries:
         triples.append((field(k, "Y", "r"), coeff, field(j, "Y", "l")))
@@ -366,8 +372,8 @@ def test_coproduct_and_embeddings_equal_frozen(drawn):
     grp, x = drawn
     square = grp.square()
     for got, images in ((grp.coproduct(x), grp._generator_coproducts()),
-                        (grp.tensor(x, 1), _frozen_embedding(grp, 1)),
-                        (grp.tensor(1, x), _frozen_embedding(grp, 2))):
+                        (grp.tensor_sum([(1, x, 1)]), _frozen_embedding(grp, 1)),
+                        (grp.tensor_sum([(1, 1, x)]), _frozen_embedding(grp, 2))):
         assert _values(got) == _frozen_map(x, square, images)
         assert _stored(got)
 
@@ -384,7 +390,7 @@ def test_tensor_equals_the_product_of_the_frozen_embeddings(drawn):
     want = _frozen_mul(_frozen_map(x, square, _frozen_embedding(grp, 1)),
                        _frozen_map(y, square, _frozen_embedding(grp, 2)),
                        _frozen_rules(square))
-    got = grp.tensor(x, y)
+    got = grp.tensor_sum([(1, x, y)])
     assert _values(got) == want and _stored(got)
 
 
@@ -452,7 +458,7 @@ def test_bracket_equals_frozen(drawn):
     got = structure.bracket(f, g)
     assert got == _frozen_bracket(structure, f, g)
     assert _stored(got)
-    field = group(name).field(structure.group.algebra.basis[0], "X", "l")
+    field = group(name).field(structure.group.algebra.basis[0], "X")
     assert _stored(field(f)) and _stored(field(f * Fraction(2, 3)))
 
 
@@ -564,7 +570,7 @@ def test_inexact_values_are_refused(inexact):
 def test_inexact_matrix_entries_are_refused(inexact):
     # exact elimination takes int and Fraction entries only
     for solve in (lambda rows: nullspace(rows), lambda rows: _rref(rows, 2),
-                  lambda rows: in_span(rows, [1, 2])):
+                  lambda rows: span_solve(rows, [[1, 2]])[0]):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             solve([[inexact, 1], [1, Fraction(1, 3)]])
 
@@ -637,6 +643,6 @@ def test_rref_with_scalar_rhs_equals_frozen(drawn, data):
     assert ([row[:ncols] for row in got[0]], got[1]) == want[:2]
     assert all(row[ncols] == b for row, b in zip(got[0], want[2]))
     assert _no_float([row[ncols] for row in got[0]])
-    # in_span over the columns: the rows, read as basis vectors
-    coeffs = in_span([list(col) for col in zip(*rows)], rhs)
+    # span_solve over the columns: the rows, read as basis vectors
+    coeffs = span_solve([list(col) for col in zip(*rows)], [rhs])[0]
     assert coeffs is None or _no_float(coeffs)

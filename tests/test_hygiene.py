@@ -4,6 +4,7 @@ drift from the package's public names."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ import superbialg
 _ROOT = Path(__file__).resolve().parent.parent
 SRC = _ROOT / "src" / "superbialg"
 README = (_ROOT / "README.md").read_text()
+DOCS = {name: (_ROOT / name).read_text() for name in ("README.md", "ERRATA.md")}
 
 
 def _trees():
@@ -69,3 +71,41 @@ def test_readme_module_names_exist():
     stale = [f"{module}.{name}" for module, name in quoted
              if not hasattr(importlib.import_module(f"superbialg.{module}"), name)]
     assert stale == []
+
+
+def _spans(text):
+    return re.findall(r"`([^`\n]+)`", text)
+
+
+def test_quoted_test_names_exist():
+    # a test a document names as the one pinning a fact must still exist
+    defined = set()
+    for path in (_ROOT / "tests").glob("*.py"):
+        defined |= {node.name for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    quoted = {(doc, span) for doc, text in DOCS.items() for span in _spans(text)
+              if re.fullmatch(r"test_\w+|Test\w+", span)}
+    assert quoted
+    assert sorted(q for q in quoted if q[1] not in defined) == []
+
+
+def _attributes(cls):
+    """The names `cls` defines or sets on `self` in its own methods."""
+    names = set(dir(cls))
+    for node in ast.walk(ast.parse(inspect.getsource(cls))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
+def test_quoted_class_attributes_exist():
+    classes = {name: value for name in superbialg.__all__
+               if inspect.isclass(value := getattr(superbialg, name))}
+    quoted = {(doc, match[1], match[2]) for doc, text in DOCS.items()
+              for span in _spans(text)
+              if (match := re.match(r"([A-Z]\w*)\.(\w+)", span))
+              and match[1] in classes}
+    assert quoted
+    assert sorted((doc, cls, attr) for doc, cls, attr in quoted
+                  if attr not in _attributes(classes[cls])) == []
