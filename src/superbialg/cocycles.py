@@ -141,11 +141,6 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def residual_of(system, vector):
-    """M v for an exact membership check."""
-    return [sum(r * x for r, x in zip(row, vector)) for row in system.rows]
-
-
 def span_solve(basis, vectors):
     """Per vector, the x with sum_j x_j basis_j = vector (0 on basis vectors
     not needed), or None outside the span.  The rational basis is eliminated

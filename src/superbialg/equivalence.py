@@ -22,11 +22,13 @@ from .bialgebra import Cobracket, cybe_status, family
 
 
 def _matmul(left, right, ring):
-    """The product of two square matrices of scalars over `ring`."""
-    n = len(left)
-    return [[ring.sum_of_products((1, (left[i][k], right[k][j]))
-                                  for k in range(n) if not left[i][k].is_zero())
-             for j in range(n)] for i in range(n)]
+    """The product of two square matrices of scalars over `ring`, entry
+    (i, j) one key of `ring.accumulate`."""
+    n, zero = len(left), ring.zero()
+    sums = ring.accumulate(((i, j), 1, (x, y)) for i in range(n)
+                           for k, x in enumerate(left[i]) if x._terms
+                           for j, y in enumerate(right[k]) if y._terms)
+    return [[sums.get((i, j), zero) for j in range(n)] for i in range(n)]
 
 
 class Automorphism:
@@ -78,15 +80,6 @@ class Automorphism:
                     bad.append((algebra.basis[i], algebra.basis[j],
                                 algebra.basis[k], v))
         return bad
-
-    def compose(self, other):
-        """phi o psi: apply `other` first, then this map."""
-        if other.algebra is not self.algebra or other.ring != self.ring:
-            raise ValueError("incompatible automorphisms")
-        return Automorphism(self.algebra,
-                            _matmul(other.matrix, self.matrix, self.ring),
-                            _matmul(self.inverse, other.inverse, self.ring),
-                            self.ring, name=f"{self.name}*{other.name}")
 
     def __repr__(self):
         return f"<Automorphism {self.name or 'phi'} on {self.algebra.name}>"

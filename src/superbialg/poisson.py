@@ -72,8 +72,9 @@ Delta x = sum u (x) v over the nonzero entries u, v of T (`entries`,
 residuals.
 
 OSp bracket values are conventionally displayed after multiplication by 2,
-which is how the published table is normalized; `render_table` applies the
-structure's display scale.
+which is how the published table is normalized; `render_table` and
+`table_cell` apply the structure's display scale inside the bracket's one
+combination.
 """
 
 from __future__ import annotations
@@ -478,8 +479,9 @@ class PoissonStructure:
                  display_scale=1):
         self.group = grp
         self.structure_id = structure_id
-        n, d = _rational(display_scale)
-        self.display_scale = n if d == 1 else Fraction(n, d)
+        scale_n, scale_d = _rational(display_scale)
+        self.display_scale = (scale_n if scale_d == 1
+                              else Fraction(scale_n, scale_d))
         self.r_entries = [] if r is None else [
             (r.algebra.basis[k], r.algebra.basis[j], v.as_fraction())
             for (k, j), v in sorted(r.coeffs.items())]
@@ -498,11 +500,18 @@ class PoissonStructure:
         self.coefficients += [((j, k, mu), c, value._den)
                               for (j, k), value in self.phi.items()
                               for mu, c in value._terms.items()]
+        # the coefficients times the display scale, for the display paths
+        self._display_coefficients = [
+            (key, num * scale_n, q_den * scale_d)
+            for key, num, q_den in self.coefficients]
 
-    def bracket(self, f, g):
+    def bracket(self, f, g, _display=False):
         """{f, g}, the sum of c*d*q*B(m, n) over the terms c*m of f, d*n of
         g and q*B of `coefficients`: one rational combination of basis
-        brackets, each read from the group's memo or formed into it."""
+        brackets, each read from the group's memo or formed into it.  The
+        display paths pass `_display` for `display_scale` times {f, g}."""
+        coefficients = (self._display_coefficients if _display
+                        else self.coefficients)
         grp = self.group
         memo, basis_bracket = grp.basis_brackets, grp.basis_bracket
         den = f._den * g._den
@@ -512,7 +521,7 @@ class PoissonStructure:
                 row = memo.get((m, n))
                 if row is None:
                     row = memo[m, n] = {}
-                for key, num, q_den in self.coefficients:
+                for key, num, q_den in coefficients:
                     value = row.get(key)
                     if value is None:
                         value = row[key] = basis_bracket(key, m, n)
@@ -577,10 +586,6 @@ def named_structure(group_name, structure_id):
     return _NAMED[key]
 
 
-def structure_ids(group_name):
-    return list(_STRUCTURES[group(group_name).name])
-
-
 _AXIOMS = {"antisymmetry": "antisymmetry fails at {{{},{}}}: {}",
            "leibniz": "leibniz fails at {{{},{}*{}}}: {}",
            "jacobi": "jacobi fails at ({},{},{}): {}",
@@ -590,7 +595,8 @@ _AXIOMS = {"antisymmetry": "antisymmetry fails at {{{},{}}}: {}",
 
 def check_axioms(structure):
     """Graded antisymmetry, Leibniz, graded Jacobi, and the coproduct
-    morphism property, all on the group generators (exact, symbolic).
+    morphism property, all on the group generators (exact, symbolic), and
+    vanishing at e, on the display elements, reported by the value at e.
 
     pi[f, g] = {x_f, x_g} is computed once; the Leibniz right side is formed
     from it, for g <= h in coordinate order: for g > h the residual is z =
@@ -654,8 +660,8 @@ def check_axioms(structure):
 
     for label_f, f in grp.display_elements.items():
         for label_g, g in grp.display_elements.items():
-            value = bracket(f, g)
-            if not grp.vanishes_at_identity(value):
+            value = grp.at_identity(bracket(f, g))
+            if value._terms:
                 report.add("vanishing", (label_f, label_g), value)
     return report
 
@@ -673,8 +679,7 @@ def render_table(structure):
         for lg, g in elements[i:]:
             if lf == lg and f.parity() == EVEN:
                 continue
-            value = structure.display_scale * structure.bracket(f, g)
-            rows.append(((lf, lg), value))
+            rows.append(((lf, lg), structure.bracket(f, g, _display=True)))
     return rows
 
 
@@ -698,5 +703,5 @@ def format_table(structure, fmt="machine"):
 
 def table_cell(structure, label_f, label_g):
     elements = structure.group.display_elements
-    return structure.display_scale * structure.bracket(elements[label_f],
-                                                       elements[label_g])
+    return structure.bracket(elements[label_f], elements[label_g],
+                             _display=True)

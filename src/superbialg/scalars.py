@@ -169,6 +169,7 @@ class Ring:
         self._relation_spec = tuple(relations)
         self._relations = ()
         self._normal_forms = {}  # reducible monomial -> its normal form
+        self._texts = {}  # monomial -> its factor text, for `render`
         rules = []
         for rel_text, lead_text in self._relation_spec:
             rule = self._compile_relation(self.parse(rel_text),
@@ -706,22 +707,27 @@ class SuperScalar:
     # -- rendering -------------------------------------------------------
 
     def render(self):
-        """Terms in decreasing key order, each coefficient in lowest terms."""
+        """Terms in decreasing key order, each coefficient in lowest terms;
+        a monomial's factor text is formed once per ring and kept."""
         if not self._terms:
             return "0"
         ring, den, text = self.ring, self._den, ""
+        texts = ring._texts
         for key in sorted(self._terms, reverse=True):
-            exps, odds = key
+            mono = texts.get(key)
+            if mono is None:
+                exps, odds = key
+                mono = texts[key] = "*".join(
+                    [name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(ring._evens, exps) if e]
+                    + [ring._odds[i] for i in odds])
             c = self._terms[key]
             mag = -c if c < 0 else c
-            factors = [name if e == 1 else f"{name}^{e}"
-                       for name, e in zip(ring._evens, exps) if e]
-            factors.extend(ring._odds[i] for i in odds)
-            if not factors or mag != den:
+            if not mono or mag != den:
                 g = math.gcd(mag, den)
-                factors.insert(0, f"{mag // g}/{den // g}" if g != den
-                               else str(mag // g))
-            text += ("-" if c < 0 else "+" if text else "") + "*".join(factors)
+                coeff = f"{mag // g}/{den // g}" if g != den else str(mag // g)
+                mono = f"{coeff}*{mono}" if mono else coeff
+            text += ("-" if c < 0 else "+" if text else "") + mono
         return text
 
     def __str__(self):

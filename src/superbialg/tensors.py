@@ -110,10 +110,9 @@ class GradedTensor:
         return self._map(ring, map_products(self.ring, ring, images))
 
     def _map(self, ring, products):
-        # one source coefficient per key, so one `sum_of_products` each
-        return GradedTensor(self.algebra, self.rank, {
-            k: ring.sum_of_products(products(v)) for k, v in self.coeffs.items()},
-            ring)
+        return GradedTensor(self.algebra, self.rank, ring.accumulate(
+            (k, q, factors) for k, v in self.coeffs.items()
+            for q, factors in products(v)), ring)
 
     def convert(self, ring):
         return self.map(ring, self.ring.namesakes(ring))
@@ -213,10 +212,11 @@ class RMatrix(GradedTensor):
                     " across the grading")
             if v.parity() not in (EVEN, None) or not v.is_homogeneous():
                 raise ValueError("r-matrix coefficients must be even")
-        for (k, l), v in self.coeffs.items():
-            mirrored = self.coeffs.get((l, k), self.ring.zero())
-            if not (v + algebra.z(k, l) * mirrored).is_zero():
-                raise ValueError("r-matrix is not graded-antisymmetric")
+        # r^{kl} + z(k,l) r^{lk} keyed k <= l, as in `SuperLieAlgebra.validate`
+        if self.ring.accumulate(
+                ((min(k, l), max(k, l)), (k <= l) + (k >= l) * algebra.z(k, l),
+                 (v,)) for (k, l), v in self.coeffs.items()):
+            raise ValueError("r-matrix is not graded-antisymmetric")
 
     @classmethod
     def from_wedges(cls, algebra, entries, ring=None):

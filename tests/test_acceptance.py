@@ -22,8 +22,9 @@ from superbialg.bialgebra import (check_cobracket, coboundary_delta,
 from superbialg import cocycles
 from superbialg.equivalence import (osp_automorphism, transform,
                                     verify_orbit_claims)
-from superbialg.poisson import named_structure, check_axioms, structure_ids
+from superbialg.poisson import named_structure, check_axioms
 from superbialg.claims import run_claims
+from test_equivalence import compose
 
 
 def report(line):
@@ -167,8 +168,9 @@ def test_criterion_8_table_2():
 
 def test_criterion_9_poisson_axioms():
     failures = []
-    for gname in ("osp", "super-e2"):
-        for sid in structure_ids(gname):
+    for gname, sids in (("osp", ["1", "2", "3"]),
+                        ("super-e2", ["i", "ii", "iii", "iv", "v", "vi"])):
+        for sid in sids:
             if not check_axioms(named_structure(gname, sid)).passed:
                 failures.append(f"{gname}:{sid}")
     report(f"criterion 9 (Poisson-Lie axioms, 3 OSp + 6 super-E(2)): "
@@ -208,7 +210,7 @@ def test_criterion_10_property_suites():
     # nullspace exactness
     system, fam = cocycles.solve_cocycle_space(E2)
     for v in fam.vectors:
-        assert not any(cocycles.residual_of(system, v))
+        assert not any(sum(m * x for m, x in zip(row, v)) for row in system.rows)
         checked += 1
 
     # transform functoriality on random SL(2) pairs
@@ -221,7 +223,7 @@ def test_criterion_10_property_suites():
         phi = osp_automorphism(a, b, c, d)
         psi = osp_automorphism(1, rng.randint(-2, 2), 0, 1)
         r = family("osp-r-a", rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
-        assert transform(phi.compose(psi), r) == transform(phi, transform(psi, r))
+        assert transform(compose(phi, psi), r) == transform(phi, transform(psi, r))
         checked += 1
 
     # reduce_mod_relation idempotence

@@ -79,6 +79,28 @@ def test_tables_reach_apply_field(monkeypatch):
     assert calls
 
 
+def test_display_paths_call_bracket(monkeypatch):
+    # the traced tables workload must reach poisson.bracket, the span on
+    # PoissonStructure.bracket: format_table calls it once per cell and
+    # table_cell once
+    calls = []
+    bracket = poisson.PoissonStructure.bracket
+
+    def counted(self, f, g, *args, **kwargs):
+        calls.append((f, g))
+        return bracket(self, f, g, *args, **kwargs)
+
+    monkeypatch.setattr(poisson.PoissonStructure, "bracket", counted)
+    structure = poisson.coboundary_structure(
+        poisson.group("osp"), family("osp-r1"), display_scale=2)
+    text = poisson.format_table(structure)
+    assert len(calls) == text.count("\n") + 1 == 17
+    calls.clear()
+    assert poisson.table_cell(structure, "a", "b") == \
+        poisson.group("osp").parse("a^2+alpha*delta-1")
+    assert len(calls) == 1
+
+
 def test_traced_table_reaches_the_field_span(tracing):
     # the tracer's repeat key for poisson.field reads the field's label and
     # `side`, so a traced run calls apply_field through it

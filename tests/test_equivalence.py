@@ -11,9 +11,21 @@ from superbialg.scalars import Ring
 from superbialg.algebra import builtin
 from superbialg.bialgebra import (Cobracket, coboundary_delta, cybe_status,
                                   family)
-from superbialg.equivalence import (e2_automorphism,
+from superbialg.equivalence import (Automorphism, e2_automorphism,
                                     osp_automorphism, transform,
                                     verify_orbit_claims)
+
+
+def compose(phi, psi):
+    """phi o psi, psi applied first: matrix psi.M phi.M, inverse phi.M^-1
+    psi.M^-1, each entry a plain sum of scalar products."""
+    zero = phi.ring.zero()
+
+    def product(left, right):
+        return [[sum((x * right[k][j] for k, x in enumerate(row)), zero)
+                 for j in range(len(row))] for row in left]
+    return Automorphism(phi.algebra, product(psi.matrix, phi.matrix),
+                        product(phi.inverse, psi.inverse), phi.ring)
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +63,31 @@ class TestE2Automorphisms:
         assert e2_automorphism("shift", 2, Fraction(1, 3)).is_structure_preserving()
         assert e2_automorphism("scale", 3, -2).is_structure_preserving()
 
+    @pytest.mark.parametrize("parametric", [False, True], ids=["Q", "u"])
+    def test_wrong_inverse_is_refused(self, parametric):
+        # the product M M^-1, one accumulate keyed (i, j), must be 1
+        if parametric:
+            ring = Ring([("u", "commuting")])
+            one, zero = ring.one(), ring.zero()
+            matrix = [[one if i == j else zero for j in range(5)]
+                      for i in range(5)]
+            inverse = [row[:] for row in matrix]
+            inverse[0][1] = ring.var("u")
+            Automorphism(builtin("super_e2"), matrix, matrix, ring)
+            args = (builtin("super_e2"), matrix, inverse, ring)
+        else:
+            phi = e2_automorphism("scale", 3, -2)
+            args = (phi.algebra, phi.matrix, phi.matrix, phi.ring)
+        with pytest.raises(ValueError, match="does not invert"):
+            Automorphism(*args)
+
     def test_scale_rejects_zero(self):
         with pytest.raises(ValueError):
             e2_automorphism("scale", 0, 1)
 
     def test_flip_involution(self):
         flip = e2_automorphism("flip")
-        composed = flip.compose(flip)
+        composed = compose(flip, flip)
         d = family("e2-case-a", 1, 0, 5)
         assert transform(composed, d) == d
 
@@ -75,13 +105,13 @@ class TestTransform:
             phi = osp_automorphism(a, b, c, d)
             psi = osp_automorphism(1, rng.randint(-2, 2), 0, 1)
             r = family("osp-r-a", rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
-            assert transform(phi.compose(psi), r) == transform(phi, transform(psi, r))
+            assert transform(compose(phi, psi), r) == transform(phi, transform(psi, r))
 
     def test_functoriality_on_cobrackets(self):
         phi = e2_automorphism("scale", Fraction(1, 2), 3)
         psi = e2_automorphism("shift", 1, -2)
         d = family("e2-case-b", 4, 9, 0, 0)
-        assert transform(phi.compose(psi), d) == transform(phi, transform(psi, d))
+        assert transform(compose(phi, psi), d) == transform(phi, transform(psi, d))
 
     def test_coboundary_commutes_with_transform(self, osp):
         from superbialg.bialgebra import coboundary_delta

@@ -15,7 +15,7 @@ from superbialg import algebra, poisson
 from superbialg.poisson import (group, named_structure, check_axioms,
                                 render_table, table_cell, format_table,
                                 PoissonStructure,
-                                coboundary_structure, structure_ids,
+                                coboundary_structure,
                                 super_e2_group, osp_group, CoordinateRing)
 from superbialg.bialgebra import coboundary_delta, family
 from superbialg.algebra import SuperLieAlgebra, builtin, data_path
@@ -26,6 +26,10 @@ from superbialg.tensors import (GradedTensor, RMatrix, parse_rmatrix,
                                 parse_wedge_sum, render_wedge_form)
 from test_algebra import dense_table
 
+
+# the published structure ids of each group, in table order
+STRUCTURE_IDS = {"osp": ["1", "2", "3"],
+                 "super-e2": ["i", "ii", "iii", "iv", "v", "vi"]}
 
 # The hand-written field tables the derivation replaced, kept verbatim as
 # reference data: "rl" marks an even field, the same on both sides.  A
@@ -432,7 +436,7 @@ class TestFieldImages:
     @pytest.mark.parametrize("gname", ["super-e2", "osp"])
     def test_warm_and_fresh_groups_agree(self, gname):
         warm = group(gname)
-        st_id = structure_ids(gname)[-1]
+        st_id = STRUCTURE_IDS[gname][-1]
         check_axioms(named_structure(gname, st_id))
         keys = _field_keys(warm)
 
@@ -855,7 +859,7 @@ class TestBrackets:
 
     def test_brackets_vanish_at_identity(self):
         for gname in ("osp", "super-e2"):
-            for sid in structure_ids(gname):
+            for sid in STRUCTURE_IDS[gname]:
                 st = named_structure(gname, sid)
                 grp = st.group
                 for (lf, lg), value in render_table(st):
@@ -920,6 +924,42 @@ class TestRendering:
             st = coboundary_structure(group("osp"), r, display_scale=scale)
             assert st.display_scale == want
             assert type(st.display_scale) is type(want)
+
+    @pytest.mark.parametrize("scale", [2, Fraction(3, 2), Fraction(1, 2)])
+    @pytest.mark.parametrize("gname", ["osp", "super-e2"])
+    def test_cells_are_the_scaled_bracket(self, gname, scale):
+        # the display paths fold the scale into the bracket's coefficients:
+        # every cell equals display_scale * {f, g}, in lowest terms, and
+        # costs one combination on a warm group; on super-E(2) the
+        # structure carries Phi = c*s P+^P- besides r
+        grp = group(gname)
+        if gname == "osp":
+            structure = coboundary_structure(
+                grp, family("osp-r-a", x=1, y=Fraction(-2, 3), z=5),
+                display_scale=scale)
+        else:
+            structure = PoissonStructure(
+                grp, "iii", family("e2-r-iii"),
+                parse_wedge_sum("c*s P+^P-", grp.algebra, grp.ring),
+                display_scale=scale)
+        elements = grp.display_elements
+        rows = render_table(structure)
+        assert sum(not value.is_zero() for _, value in rows) > 5
+        for (lf, lg), value in rows:
+            want = scale * structure.bracket(elements[lf], elements[lg])
+            assert value == want
+            assert table_cell(structure, lf, lg) == want
+        combination = Ring._combination
+        calls = []
+
+        def counted(ring, triples):
+            calls.append(ring)
+            return combination(ring, triples)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Ring, "_combination", counted)
+            table_cell(structure, "a", "b")
+        assert len(calls) == 1
 
 
 class TestSquareUse:
@@ -1058,7 +1098,7 @@ class TestPrintedTable2VCell:
         structures = [coboundary_structure(grp, r)
                       for r in basis_r_matrices(grp.algebra)]
         structures += [named_structure("super-e2", sid)
-                       for sid in structure_ids("super-e2")]
+                       for sid in STRUCTURE_IDS["super-e2"]]
         failing = 0
         for structure in structures:
             want = check_axioms(structure).failures["jacobi"]
@@ -1077,9 +1117,13 @@ class TestPrintedTable2VCell:
         assert report.failing_axioms() == ["coproduct_morphism", "vanishing"]
         assert report.failures["coproduct_morphism"] == [
             (("a", "b"), grp.square().parse("-E1^2*E2^2+E1^2+E2^2"))]
-        assert [(labels, grp.at_identity(value).as_fraction())
+        # a failed vanishing check carries the value at e, not the bracket
+        assert [(labels, value.as_fraction())
                 for labels, value in report.failures["vanishing"]] == [
             (("a", "b"), -1), (("b", "a"), 1)]
+        assert report.render().splitlines()[-2:] == [
+            "vanishing fails at {a,b} at identity: -1",
+            "vanishing fails at {b,a} at identity: 1"]
         assert check_axioms(named_structure("super-e2", "v")).passed
 
     @pytest.mark.parametrize("delta", ["s^2", "E^-2", "c*s^3*E^4"])
@@ -1539,8 +1583,8 @@ class TestOneStructurePath:
             parse_wedge_sum(text, grp.algebra, grp.ring)) == text
 
     def test_structure_ids_read_the_table(self):
-        assert structure_ids("osp") == ["1", "2", "3"]
-        assert structure_ids("e2") == ["i", "ii", "iii", "iv", "v", "vi"]
+        assert {g: list(ids) for g, ids in poisson._STRUCTURES.items()} \
+            == STRUCTURE_IDS
         with pytest.raises(KeyError, match=r"unknown OSp structure '9' \(1\|2\|3\)"):
             named_structure("osp", "9")
         with pytest.raises(KeyError, match=r"unknown super-e2 structure 'vii' \(i\.\.vi\)"):
@@ -1759,6 +1803,14 @@ def _drop_first_phi_term(grp, sid):
         kept, grp.algebra, grp.ring))
 
 
+def _read_at_e(grp, failures):
+    """The frozen parent's failures with each vanishing residual, which it
+    reported as the whole bracket, read at e, as check_axioms reports it."""
+    return {axiom: [(labels, grp.at_identity(value)) for labels, value in found]
+            if axiom == "vanishing" else found
+            for axiom, found in failures.items()}
+
+
 class TestAxiomLoopsEqualFrozen:
     @pytest.mark.parametrize("key", [("osp", "3"), ("super-e2", "iii")],
                              ids=_case_id)
@@ -1772,7 +1824,7 @@ class TestAxiomLoopsEqualFrozen:
                                      if phi_text else None)
         got = check_axioms(structure)
         want = _frozen_parent_check_axioms(structure)
-        assert got.failures == want.failures
+        assert got.failures == _read_at_e(structure.group, want.failures)
         odd = {g for g in grp.coordinates if grp.parity_of(g)}
         leibniz = [labels for labels, _ in got.failures["leibniz"]]
         assert any(g in odd and h in odd and g != h for _, g, h in leibniz)
@@ -1784,7 +1836,7 @@ class TestAxiomLoopsEqualFrozen:
         assert len(structure.phi) == 20
         got = check_axioms(structure)
         want = _frozen_parent_check_axioms(structure)
-        assert got.failures == want.failures
+        assert got.failures == _read_at_e(structure.group, want.failures)
         assert got.failures["coproduct_morphism"]
 
 
@@ -1910,7 +1962,7 @@ class TestTermProducts:
     def test_named_brackets_agree_on_warm_and_fresh_groups(self, gname,
                                                           fresh_first):
         fresh = FRESH_GROUPS[gname]()
-        for sid in structure_ids(gname):
+        for sid in STRUCTURE_IDS[gname]:
             family_id, params, phi_text = poisson._STRUCTURES[gname][sid]
             r = family(family_id, **params) if family_id else None
             phi = parse_wedge_sum(phi_text, fresh.algebra, fresh.ring) \

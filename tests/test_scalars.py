@@ -625,6 +625,23 @@ def _fractional_elements(ring):
         lambda values: _element(ring, values))
 
 
+def test_render_texts_stay_in_their_ring():
+    # one layout under two spellings: a monomial rendered in one ring is
+    # spelt with the other's names in the other
+    key = ((2,), (0,))
+    left, right = (Ring([(x, "commuting"), (th, "grassmann")])
+                   for x, th in (("x", "th"), ("y", "om")))
+    assert left.monomial(*key, 3).render() == "3*x^2*th"
+    assert right.monomial(*key, 3).render() == "3*y^2*om"
+    assert left.monomial(*key, -1).render() == "-x^2*th"
+    # equal rings, separate instances: each keeps its own texts
+    first, second = (Ring([("x", "commuting"), ("th", "grassmann")])
+                     for _ in range(2))
+    assert first == second
+    assert first.monomial(*key).render() == "x^2*th"
+    assert key in first._texts and not second._texts
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([RING, OSP_RING, Q]).flatmap(_fractional_elements))
 def test_render_equals_frozen_render(x):

@@ -8,6 +8,7 @@ import pytest
 
 import superbialg
 from superbialg.algebra import builtin, bracket
+from superbialg.scalars import Ring
 from superbialg.tensors import (GradedTensor, RMatrix, wedge, ad_action,
                                 schouten, is_ad_invariant, parse_rmatrix,
                                 render_wedge_form)
@@ -88,6 +89,20 @@ class TestRMatrix:
     def test_antisymmetry_constraint(self, e2):
         with pytest.raises(ValueError):
             RMatrix(e2, {(0, 1): e2.ring.one()})
+
+    @pytest.mark.parametrize("parametric", [False, True], ids=["Q", "t"])
+    def test_antisymmetry_over_q_and_a_parameter(self, e2, parametric):
+        # a lone entry, an even mirror of the same sign and an even diagonal
+        # entry are refused; an odd diagonal entry is its own mirror
+        ring = Ring([("t", "commuting")]) if parametric else e2.ring
+        t = ring.var("t") if parametric else ring.scalar(3)
+        h, p, d = (e2.index[name] for name in ("H", "P+", "D+"))
+        for coeffs in ({(h, p): t}, {(h, p): t, (p, h): t}, {(h, h): t},
+                       {(h, p): t, (p, h): -t, (p, p): t}):
+            with pytest.raises(ValueError, match="not graded-antisymmetric"):
+                RMatrix(e2, coeffs, ring)
+        r = RMatrix(e2, {(h, p): t, (p, h): -t, (d, d): t}, ring)
+        assert sorted(r.coeffs) == [(h, p), (p, h), (d, d)]
 
     def test_parse_render(self, osp):
         r = parse_rmatrix("1 H^X+ - 1 V+^V+", osp)
