@@ -122,19 +122,15 @@ class SuperLieAlgebra:
         `tensors.contract`; each T entry enters its three keys with z(x,w)."""
         report = Report(_AXIOMS)
         names = self.basis
+        entries = {(i, j, k): v for (i, j), found in sorted(self.constants.items())
+                   for k, v in found}
         rows = [{} for _ in range(self.dim)]
-        for (i, j), entries in sorted(self.constants.items()):
-            for k, v in entries:
-                rows[i][j, k] = v
-                if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
-                    report.add("grading", (names[i], names[j], names[k]), v)
-        # c_ij^k + z(i,j) c_ji^k keyed i <= j: c_ij^k enters with 1 when
-        # i < j, z(i,j) when i > j and 1 + z(i,i) when i = j
-        antisymmetry = self.ring.accumulate((
-            ((min(i, j), max(i, j), k),
-             (i <= j) + (i >= j) * self.z(i, j), (v,))
-            for (i, j), entries in self.constants.items() for k, v in entries))
-        for (i, j, k), res in sorted(antisymmetry.items()):
+        for (i, j, k), v in entries.items():
+            rows[i][j, k] = v
+            if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
+                report.add("grading", (names[i], names[j], names[k]), v)
+        for (i, j, k), res in sorted(tensors._graded_antisymmetry(
+                self, self.ring, entries, 0).items()):
             report.add("antisymmetry", (names[i], names[j], names[k]), res)
         jacobi = self.ring.accumulate((
             (key, self.z(x, w), (value,))

@@ -1,9 +1,9 @@
 """Cobrackets and Lie super-bialgebra axioms.
 
-A cobracket delta(g_i) = f_i^{kl} g_k (x) g_l is stored as sparse rows: one
-rank-2 tensor delta(g_i) per basis element, holding only the nonzero f_i^{kl}.
-The four axioms checked here are grading, graded antisymmetry, co-Jacobi, and
-the cocycle compatibility with the bracket,
+A cobracket delta(g_i) = f_i^{kl} g_k (x) g_l is the rank-3 tensor
+`tensors.Cobracket`, keyed (i, k, l) with its dual slot first and only the
+nonzero f_i^{kl} stored.  The four axioms checked here are grading, graded
+antisymmetry, co-Jacobi, and the cocycle compatibility with the bracket,
 
     delta([g_i, g_j]) = ad_i delta(g_j) - z(i,j) ad_j delta(g_i),
 
@@ -22,101 +22,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EVEN, Q, Ring, map_products, rational_sqrt
+from .scalars import EVEN, Q, Ring, RingMismatchError, rational_sqrt
 from .algebra import Report, builtin
 from . import tensors
-from .tensors import GradedTensor, RMatrix, ad_action
+from .tensors import Cobracket, GradedTensor, RMatrix, ad_action
 
 CYBE = "CYBE"
 MCYBE = "mCYBE"
 NEITHER = "neither"
-
-
-class Cobracket:
-    """delta(g_i) = f_i^{kl} g_k (x) g_l over a scalar ring, stored as sparse
-    rows: `rows[i]` is delta(g_i), a rank-2 GradedTensor."""
-
-    def __init__(self, algebra, ring=None, rows=None):
-        self.algebra = algebra
-        self.ring = ring if ring is not None else algebra.ring
-        if rows is None:
-            rows = [GradedTensor.zero(algebra, 2, self.ring)] * algebra.dim
-        self.rows = list(rows)
-
-    @property
-    def f(self):
-        """The dense table f[i][k][l], built from the rows on each access."""
-        n = self.algebra.dim
-        zero = self.ring.zero()
-        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for i, row in enumerate(self.rows):
-            for (k, l), v in row.coeffs.items():
-                table[i][k][l] = v
-        return table
-
-    @classmethod
-    def from_rows(cls, algebra, rows, ring=None):
-        """Build from {generator name: rank-2 GradedTensor} rows."""
-        d = cls(algebra, ring)
-        for name, tensor in rows.items():
-            i = algebra.index[name]
-            d.rows[i] = d.rows[i] + tensor
-        return d
-
-    @classmethod
-    def from_entries(cls, algebra, ring, entries):
-        """Build from ((i, k, l), value) pairs: each value is added at
-        f_i^{kl} and, for k != l, at f_i^{lk} with the graded sign -z(k,l)."""
-        products = []
-        for (i, k, l), value in entries:
-            value = (ring.coerce(value),)
-            products.append(((i, k, l), 1, value))
-            if k != l:
-                products.append(((i, l, k), -algebra.z(k, l), value))
-        coeffs = [{} for _ in range(algebra.dim)]
-        for (i, k, l), value in ring.accumulate(products).items():
-            coeffs[i][k, l] = value
-        return cls(algebra, ring,
-                   [GradedTensor(algebra, 2, c, ring) for c in coeffs])
-
-    def delta(self, g):
-        """delta(g_i) as a rank-2 tensor."""
-        return self.rows[self.algebra.index[g] if isinstance(g, str) else g]
-
-    def is_zero(self):
-        return all(row.is_zero() for row in self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cobracket):
-            return NotImplemented
-        return (other.algebra is self.algebra and other.ring == self.ring
-                and self.rows == other.rows)
-
-    __hash__ = None
-
-    def __sub__(self, other):
-        return Cobracket(self.algebra, self.ring,
-                         [a - b for a, b in zip(self.rows, other.rows)])
-
-    def map(self, ring, images):
-        """Every row through `GradedTensor.map`, the images checked once."""
-        products = map_products(self.ring, ring, images)
-        return Cobracket(self.algebra, ring,
-                         [row._map(ring, products) for row in self.rows])
-
-    def convert(self, ring):
-        return self.map(ring, self.ring.namesakes(ring))
-
-    def render(self):
-        lines = []
-        for i, name in enumerate(self.algebra.basis):
-            row = tensors.render_wedge_form(self.delta(i))
-            if row != "0":
-                lines.append(f"delta {name} = {row}")
-        return "\n".join(lines) if lines else "delta = 0"
-
-    def __repr__(self):
-        return f"<Cobracket on {self.algebra.name}: {self.render()!r}>"
 
 
 _AXIOMS = {"grading": "grading violated at ({},{},{}): {}",
@@ -129,8 +42,9 @@ def coboundary_delta(algebra, r):
     """delta(g) = [g(x)1 + 1(x)g, r] = ad_g(r), as a Cobracket."""
     if r.parity() != EVEN:
         raise ValueError("coboundary needs an even r")
-    return Cobracket(algebra, r.ring,
-                     [ad_action(algebra, g, r) for g in range(algebra.dim)])
+    return Cobracket(algebra, {
+        (g, *kl): v for g in range(algebra.dim)
+        for kl, v in ad_action(algebra, g, r).coeffs.items()}, r.ring)
 
 
 def _cocycle_residual(algebra, d, i, j):
@@ -162,19 +76,17 @@ def _cojacobi_residuals(algebra, d):
 
 
 def check_cobracket(algebra, d):
+    if d.algebra is not algebra:
+        raise RingMismatchError("tensor of a different algebra")
     report = Report(_AXIOMS)
     grades = algebra.grades
     names = algebra.basis
-    zero = d.ring.zero()
-    for i, row in enumerate(d.rows):
-        f = row.coeffs
-        for (k, l), v in sorted(f.items()):
-            if (grades[k] + grades[l]) % 2 != grades[i]:
-                report.add("grading", (names[i], names[k], names[l]), v)
-        for k, l in sorted({(min(kl), max(kl)) for kl in f}):
-            res = f.get((k, l), zero) + algebra.z(k, l) * f.get((l, k), zero)
-            if not res.is_zero():
-                report.add("antisymmetry", (names[i], names[k], names[l]), res)
+    for (i, k, l), v in sorted(d.coeffs.items()):
+        if (grades[k] + grades[l]) % 2 != grades[i]:
+            report.add("grading", (names[i], names[k], names[l]), v)
+    for (i, k, l), res in sorted(tensors._graded_antisymmetry(
+            algebra, d.ring, d.coeffs, 1).items()):
+        report.add("antisymmetry", (names[i], names[k], names[l]), res)
     for i, k, l, m, res in _cojacobi_residuals(algebra, d):
         report.add("cojacobi", (names[i], names[k], names[l], names[m]), res)
     for i in range(algebra.dim):
@@ -332,7 +244,7 @@ def parse_cobracket_text(text, algebra, ring=None):
     ring = ring if ring is not None else algebra.ring
     lines = ["".join(raw.split("#", 1)[0].split()) for raw in text.splitlines()]
     if [line for line in lines if line] == ["delta=0"]:
-        return Cobracket(algebra, ring)
+        return Cobracket(algebra, {}, ring)
     rows = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

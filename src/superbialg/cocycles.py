@@ -159,7 +159,7 @@ def span_solve(basis, vectors):
 def cobracket_vector(d, unknowns):
     """Flatten a Cobracket to its admissible-triple coefficient vector."""
     zero = d.ring.zero()
-    return [d.rows[i].coeffs.get((k, l), zero) for (i, k, l) in unknowns]
+    return [d.coeffs.get(u, zero) for u in unknowns]
 
 
 def vector_cobracket(algebra, unknowns, vector):

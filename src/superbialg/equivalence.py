@@ -1,9 +1,12 @@
 """Automorphism groups of the two superalgebras and orbit verification.
 
-Automorphisms are grade-preserving matrices over a scalar ring; structure
-preservation is checked, never assumed.  Transforms transport r-matrices
-with phi (x) phi and cobrackets with phi^-1 on the lower index, so that
-coboundary construction commutes with transforms.
+Automorphisms are grade-preserving matrices of even scalars; structure
+preservation is checked, never assumed.  One transport moves every tensor:
+its dual slots by phi^-1 and the others by phi.  It carries an r-matrix by
+phi (x) phi and a cobracket by phi^-1 on its dual first slot, so that
+coboundary construction commutes with transforms, and phi is an
+automorphism exactly when it carries the structure constants, with two dual
+slots, to themselves.
 
 The published equivalences come without witnesses; the concrete matrices
 realizing each claim were solved for once and are frozen here, nine claims
@@ -13,12 +16,13 @@ as (map, source, target) rows of one witness table checked by one loop
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .scalars import Ring
-from .algebra import builtin, bracket
-from .tensors import GradedTensor, RMatrix
-from .bialgebra import Cobracket, cybe_status, family
+from .scalars import Ring, RingMismatchError
+from .algebra import builtin
+from .tensors import Cobracket, GradedTensor, RMatrix
+from .bialgebra import cybe_status, family
 
 
 def _matmul(left, right, ring):
@@ -46,6 +50,9 @@ class Automorphism:
         self.matrix, self.inverse = (
             [[self.ring.coerce(m[i][j]) for j in range(n)] for i in range(n)]
             for m in (matrix, inverse))
+        if any(len(odds) % 2 for row in self.matrix + self.inverse
+               for v in row for _, odds in v._terms):
+            raise ValueError("automorphism entries must be even scalars")
         if any(algebra.grades[i] != algebra.grades[j]
                and not self.matrix[i][j].is_zero()
                for i in range(n) for j in range(n)):
@@ -54,32 +61,12 @@ class Automorphism:
         if any(product[i][j] != int(i == j) for i in range(n) for j in range(n)):
             raise ValueError("inverse matrix does not invert the map")
 
-    def apply_index(self, i):
-        """phi(g_i) as a rank-1 tensor."""
-        return GradedTensor(self.algebra, 1,
-                            {(j,): v for j, v in enumerate(self.matrix[i])},
-                            self.ring)
-
     def is_structure_preserving(self):
-        """[phi(g_i), phi(g_j)] == phi([g_i, g_j]) for all pairs."""
-        return not self.structure_residuals()
-
-    def structure_residuals(self):
-        algebra = self.algebra
-        constants = algebra.constants_in(self.ring)
-        n = algebra.dim
-        bad = []
-        for i in range(n):
-            for j in range(n):
-                lhs = bracket(algebra, self.apply_index(i), self.apply_index(j))
-                rhs = GradedTensor(algebra, 1, self.ring.accumulate((
-                    ((m,), 1, (cval, v))
-                    for k, cval in constants.get((i, j), ())
-                    for m, v in enumerate(self.matrix[k]))), self.ring)
-                for (k,), v in (lhs - rhs).coeffs.items():
-                    bad.append((algebra.basis[i], algebra.basis[j],
-                                algebra.basis[k], v))
-        return bad
+        """[phi(g_i), phi(g_j)] == phi([g_i, g_j]) for all pairs: phi
+        transports the structure constants c_ij^k to themselves."""
+        constants = {(i, j, k): v for (i, j), found in
+                     self.algebra.constants_in(self.ring).items() for k, v in found}
+        return _transport(self, constants, 2) == constants
 
     def __repr__(self):
         return f"<Automorphism {self.name or 'phi'} on {self.algebra.name}>"
@@ -164,29 +151,33 @@ def e2_automorphism(gen, alpha=None, beta=None, ring=None):
                         name=name)
 
 
+def _transport(phi, coeffs, dual):
+    """{key: coefficient} of a tensor moved through phi over phi.ring: each
+    of the first `dual` slots by phi^-1, t'_i = sum_p phi^-1[i][p] t_p, and
+    every other slot by phi, t'^j = sum_k t^k phi[k][j].  The entries are
+    even, so no Koszul sign enters."""
+    down = [[(i, m) for i, m in enumerate(column) if m._terms]
+            for column in zip(*phi.inverse)]
+    up = [[(j, m) for j, m in enumerate(row) if m._terms] for row in phi.matrix]
+    return phi.ring.accumulate(
+        (key, 1, (v, *factors)) for idx, v in coeffs.items()
+        for moves in itertools.product(*[down[s] if n < dual else up[s]
+                                         for n, s in enumerate(idx)])
+        for key, factors in (zip(*moves),))
+
+
 def transform(phi, x):
-    """Transport an RMatrix (phi (x) phi) or a Cobracket (phi^-1 on the
-    lower index, phi (x) phi on the upper:
-    delta'(g_i) = sum_p phi^-1[i][p] (phi (x) phi)(delta(g_p)))."""
-    algebra = phi.algebra
+    """Transport a tensor of phi's algebra: an RMatrix by phi (x) phi, a
+    Cobracket by phi^-1 on its dual slot and phi (x) phi on the others,
+    delta'(g_i) = sum_p phi^-1[i][p] (phi (x) phi)(delta(g_p))."""
+    if x.algebra is not phi.algebra:
+        raise RingMismatchError("tensor of a different algebra")
     ring = phi.ring
-    n = algebra.dim
-    if isinstance(x, Cobracket):
-        moved = [transform(phi, row) for row in x.rows]
-        return Cobracket(algebra, ring, [GradedTensor(algebra, 2, ring.accumulate(
-            (kl, 1, (inv, v)) for inv, image in zip(phi.inverse[i], moved)
-            if not inv.is_zero() for kl, v in image.coeffs.items()),
-            ring) for i in range(n)])
-    if isinstance(x, GradedTensor) and x.rank == 2:
-        src = x.convert(ring) if x.ring != ring else x
-        out = ring.accumulate((
-            ((kk, ll), 1, (v, mk, ml)) for (k, l), v in src.coeffs.items()
-            for kk, mk in enumerate(phi.matrix[k]) if not mk.is_zero()
-            for ll, ml in enumerate(phi.matrix[l]) if not ml.is_zero()))
-        if isinstance(x, RMatrix):
-            return RMatrix(algebra, out, ring)
-        return GradedTensor(algebra, 2, out, ring)
-    raise TypeError("transform expects an RMatrix or a Cobracket")
+    src = x.convert(ring) if x.ring != ring else x
+    moved = _transport(phi, src.coeffs, isinstance(x, Cobracket))
+    if isinstance(x, RMatrix):
+        return RMatrix(phi.algebra, moved, ring)
+    return x._new(moved, ring)
 
 
 # -- orbit claims with frozen witnesses --------------------------------------

@@ -1,8 +1,13 @@
-"""Graded tensor powers of a superalgebra: wedges, the adjoint action, the
-Schouten bracket [[r,r]] and the sparse contraction shared by the Jacobi and
+"""Graded tensors of a superalgebra, the one sparse representation: an
+r-matrix is a rank-2 `GradedTensor` and a cobracket a rank-3 one.  Here too
+are wedges, the adjoint action, the Schouten bracket [[r,r]], the graded
+antisymmetry residual and the sparse contraction shared by the Jacobi and
 co-Jacobi checks.  Each of their coefficients is one key of `Ring.accumulate`.
 
 Sign conventions (frozen here, used everywhere):
+
+* cobracket: delta(g_i) = f_i^{kl} g_k (x) g_l is stored at key (i, k, l).
+  Its first slot is the dual (lower) one; the other two hold g (x) g.
 
 * wedge: x ^ y = x (x) y - z(x,y) y (x) x, with NO 1/2 factor.  For two odd
   basis elements this symmetrizes, so V+ ^ V+ = 2 V+ (x) V+.  The convention
@@ -24,6 +29,7 @@ Sign conventions (frozen here, used everywhere):
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -34,7 +40,8 @@ class GradedTensor:
     """Element of G, G(x)G or G(x)G(x)G with SuperScalar coefficients.
 
     `coeffs` maps basis-index tuples (length == rank) to scalars over
-    `ring`; zero coefficients are never stored.
+    `ring`; zero coefficients are never stored.  The operations below return
+    a tensor of the same kind, built by `_new`.
     """
 
     __slots__ = ("algebra", "rank", "coeffs", "ring")
@@ -47,6 +54,9 @@ class GradedTensor:
         self.ring = ring if ring is not None else algebra.ring
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
 
+    def _new(self, coeffs, ring):
+        return GradedTensor(self.algebra, self.rank, coeffs, ring)
+
     @classmethod
     def zero(cls, algebra, rank, ring=None):
         return cls(algebra, rank, {}, ring)
@@ -58,13 +68,12 @@ class GradedTensor:
         if (other.algebra is not self.algebra or other.rank != self.rank
                 or other.ring != self.ring):
             raise RingMismatchError("incompatible tensors")
-        return GradedTensor(self.algebra, self.rank, self.ring.accumulate((
-            (k, 1, (v,)) for t in (self, other) for k, v in t.coeffs.items())),
+        return self._new(self.ring.accumulate(
+            (k, 1, (v,)) for t in (self, other) for k, v in t.coeffs.items()),
             self.ring)
 
     def __neg__(self):
-        return GradedTensor(self.algebra, self.rank,
-                            {k: -v for k, v in self.coeffs.items()}, self.ring)
+        return self._new({k: -v for k, v in self.coeffs.items()}, self.ring)
 
     def __sub__(self, other):
         return self + (-other)
@@ -73,9 +82,8 @@ class GradedTensor:
         """Left multiplication by a scalar (Koszul-free: the scalar sits in
         front of every term)."""
         scalar = self.ring.coerce(scalar)
-        return GradedTensor(self.algebra, self.rank,
-                            {k: scalar * v for k, v in self.coeffs.items()},
-                            self.ring)
+        return self._new({k: scalar * v for k, v in self.coeffs.items()},
+                         self.ring)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -110,7 +118,7 @@ class GradedTensor:
         return self._map(ring, map_products(self.ring, ring, images))
 
     def _map(self, ring, products):
-        return GradedTensor(self.algebra, self.rank, ring.accumulate(
+        return self._new(ring.accumulate(
             (k, q, factors) for k, v in self.coeffs.items()
             for q, factors in products(v)), ring)
 
@@ -150,11 +158,12 @@ def _wedge_sum(algebra, entries, ring=None):
 
 
 def ad_action(algebra, g, t):
-    """Adjoint action of basis element `g` on a rank-2 or rank-3 tensor."""
+    """Adjoint action of basis element `g` on a tensor of g (x) g or
+    g (x) g (x) g; a cobracket, whose first slot is dual, is refused."""
     if t.algebra is not algebra:
         raise RingMismatchError("tensor of a different algebra")
-    if t.rank == 1:
-        raise ValueError("ad_action expects rank 2 or 3")
+    if t.rank == 1 or isinstance(t, Cobracket):
+        raise ValueError("ad_action expects a tensor of rank 2 or 3 over g")
     gi = algebra.index[g] if isinstance(g, str) else g
     return GradedTensor(algebra, t.rank,
                         t.ring.accumulate(_adjoint(algebra, gi, t)), t.ring)
@@ -195,6 +204,16 @@ def contract(ring, rows):
         for (c, d), right in rows[j].items()))
 
 
+def _graded_antisymmetry(algebra, ring, coeffs, at):
+    """{key: t[.., k, l, ..] + z(k,l) t[.., l, k, ..]} for the index pair at
+    `at`, `at` + 1, keyed with k <= l and zero sums dropped: t enters its
+    sorted key with 1 (k < l), z(k,l) (k > l) or 1 + z(k,k) (k = l)."""
+    return ring.accumulate((
+        (key[:at] + (min(k, l), max(k, l)) + key[at + 2:],
+         (k <= l) + (k >= l) * algebra.z(k, l), (v,))
+        for key, v in coeffs.items() for k, l in (key[at:at + 2],)))
+
+
 class RMatrix(GradedTensor):
     """Even rank-2 tensor in (G_B ^ G_B) + (G_F ^ G_F).
 
@@ -212,10 +231,7 @@ class RMatrix(GradedTensor):
                     " across the grading")
             if v.parity() not in (EVEN, None) or not v.is_homogeneous():
                 raise ValueError("r-matrix coefficients must be even")
-        # r^{kl} + z(k,l) r^{lk} keyed k <= l, as in `SuperLieAlgebra.validate`
-        if self.ring.accumulate(
-                ((min(k, l), max(k, l)), (k <= l) + (k >= l) * algebra.z(k, l),
-                 (v,)) for (k, l), v in self.coeffs.items()):
+        if _graded_antisymmetry(algebra, self.ring, self.coeffs, 0):
             raise ValueError("r-matrix is not graded-antisymmetric")
 
     @classmethod
@@ -223,6 +239,61 @@ class RMatrix(GradedTensor):
         """Build from (coefficient, name, name) wedge terms."""
         total = _wedge_sum(algebra, entries, ring)
         return cls(algebra, total.coeffs, total.ring)
+
+
+class Cobracket(GradedTensor):
+    """delta(g_i) = f_i^{kl} g_k (x) g_l: the rank-3 tensor keyed (i, k, l),
+    whose first slot is dual.  The operations of `GradedTensor` return a
+    Cobracket; `rows` views it as delta(g_i) per basis element."""
+
+    def __init__(self, algebra, coeffs, ring=None):
+        super().__init__(algebra, 3, coeffs, ring)
+
+    def _new(self, coeffs, ring):
+        return Cobracket(self.algebra, coeffs, ring)
+
+    @classmethod
+    def from_rows(cls, algebra, rows, ring=None):
+        """Build from {name: rank-2 tensor of this algebra and ring} rows."""
+        zero = GradedTensor.zero(algebra, 2, ring)
+        return cls(algebra, {(algebra.index[name], *kl): v
+                             for name, row in rows.items()
+                             for kl, v in (zero + row).coeffs.items()}, zero.ring)
+
+    @classmethod
+    def from_entries(cls, algebra, ring, entries):
+        """Build from ((i, k, l), value) pairs: each value is added at
+        f_i^{kl} and, for k != l, at f_i^{lk} with the graded sign -z(k,l)."""
+        products = []
+        for (i, k, l), value in entries:
+            value = (ring.coerce(value),)
+            products.append(((i, k, l), 1, value))
+            if k != l:
+                products.append(((i, l, k), -algebra.z(k, l), value))
+        return cls(algebra, ring.accumulate(products), ring)
+
+    @functools.cached_property
+    def rows(self):
+        """delta(g_i) for each i, as rank-2 tensors, built once."""
+        return tuple(GradedTensor(self.algebra, 2, {
+            (k, l): v for (j, k, l), v in self.coeffs.items() if j == i},
+            self.ring) for i in range(self.algebra.dim))
+
+    def delta(self, g):
+        """delta(g_i) as a rank-2 tensor."""
+        return self.rows[self.algebra.index[g] if isinstance(g, str) else g]
+
+    @property
+    def f(self):
+        """The dense table f[i][k][l], built on each access."""
+        n, zero = range(self.algebra.dim), self.ring.zero()
+        return [[[self.coeffs.get((i, k, l), zero) for l in n] for k in n]
+                for i in n]
+
+    def render(self):
+        lines = [f"delta {name} = {text}" for name, text in zip(
+            self.algebra.basis, map(render_wedge_form, self.rows)) if text != "0"]
+        return "\n".join(lines) or "delta = 0"
 
 
 _WEDGE_TERM = re.compile(r"^(?:(?P<coeff>.*?)\s+)?(?P<x>\S+)\^(?P<y>\S+)$")

@@ -11,7 +11,6 @@ from superbialg.algebra import (SuperLieAlgebra, AlgebraError, builtin,
                                 bracket, data_path, parse_algebra_text,
                                 render_algebra_text)
 from superbialg.bialgebra import Cobracket
-from superbialg.tensors import GradedTensor
 from test_bialgebra import NAMED, _named_cobracket
 from test_double import _dual_brackets, dual_block
 
@@ -397,11 +396,10 @@ class TestSparseStoreMatchesDense:
         name, entries = drawn
         algebra = builtin(name)
         ring = algebra.ring
-        coeffs = [{} for _ in range(algebra.dim)]
-        for (i, k, l), value in entries:
-            coeffs[i][(k, l)] = coeffs[i].get((k, l), ring.zero()) + value
-        raw = Cobracket(algebra, ring,
-                        [GradedTensor(algebra, 2, c, ring) for c in coeffs])
+        coeffs = {}
+        for key, value in entries:
+            coeffs[key] = coeffs.get(key, ring.zero()) + value
+        raw = Cobracket(algebra, coeffs, ring)
         for d in (Cobracket.from_entries(algebra, ring, entries), raw):
             block = dual_block(algebra, d)
             assert_store_matches_dense(

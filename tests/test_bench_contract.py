@@ -5,6 +5,7 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,3 +133,21 @@ def test_one_job_of_each_kind_meets_its_expectation():
     expect = workloads.Expectations()
     for job in jobs.values():
         assert expect.mismatch(job, workloads.run_job(job)) is None, job
+
+
+def test_traced_classify_pass_reaches_every_span(tracing, monkeypatch):
+    # a refactor that stops reaching a span of the classify REACH list
+    # (tensors.ad_action, tensors.schouten, bialgebra.coboundary_delta,
+    # equivalence.transform, ...) fails here, not only in a traced bench run;
+    # bench/run.py puts bench/ on sys.path, which monkeypatch restores
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run, workloads = _load("run"), _load("workloads")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for job in workloads.make_jobs("classify", 1):
+            with tracer.span("bench.job"):
+                workloads.run_job(job)
+    finally:
+        tracer.uninstall()
+    assert run.reach_problems("classify", [{"spans": tracer.summary()}]) == []

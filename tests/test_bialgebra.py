@@ -12,9 +12,11 @@ from superbialg.bialgebra import (Cobracket, _cojacobi_residuals,
                                   cybe_status, family,
                                   family_ids, parse_cobracket_text,
                                   CYBE, MCYBE)
-from superbialg.scalars import Q, Ring
-from superbialg.tensors import (GradedTensor, RMatrix, parse_rmatrix,
-                                parse_wedge_sum, render_wedge_form, wedge)
+from superbialg.equivalence import e2_automorphism, transform
+from superbialg.scalars import Q, Ring, RingMismatchError
+from superbialg.tensors import (RMatrix, ad_action, parse_rmatrix,
+                                parse_wedge_sum, render_wedge_form, schouten,
+                                wedge)
 
 from test_double import double, family_cobracket
 
@@ -236,7 +238,7 @@ def test_rendered_output_parses_back(case):
     kind, label = case.split(":")
     if label.startswith("zero-"):
         algebra = builtin(label[len("zero-"):])
-        obj = RMatrix(algebra, {}) if kind == "r" else Cobracket(algebra)
+        obj = (RMatrix if kind == "r" else Cobracket)(algebra, {})
     else:
         obj = family(label)
         if kind == "coboundary":
@@ -335,6 +337,14 @@ def _named_cobracket(label):
     return _constraint_cobracket(algebra)
 
 
+def _drawn_entries():
+    return st.sampled_from(["osp12", "super_e2"]).flatmap(
+        lambda name: st.tuples(st.just(name), st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 4)] * 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            max_size=12)))
+
+
 class TestSparseKernelsMatchDense:
     @pytest.mark.parametrize("label", NAMED)
     def test_named_cobrackets(self, label):
@@ -342,11 +352,7 @@ class TestSparseKernelsMatchDense:
         assert_matches_dense(d.algebra, d)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(["osp12", "super_e2"]).flatmap(
-        lambda name: st.tuples(st.just(name), st.lists(st.tuples(
-            st.tuples(*[st.integers(0, 4)] * 3),
-            st.fractions(min_value=-3, max_value=3, max_denominator=4)),
-            max_size=12))))
+    @given(_drawn_entries())
     def test_random_rational_cobrackets(self, drawn):
         name, entries = drawn
         algebra = builtin(name)
@@ -354,11 +360,10 @@ class TestSparseKernelsMatchDense:
         d = Cobracket.from_entries(algebra, ring, entries)
         assert_matches_dense(algebra, d)
         # the same values as raw rows: neither graded nor antisymmetric
-        coeffs = [{} for _ in range(algebra.dim)]
-        for (i, k, l), value in entries:
-            coeffs[i][(k, l)] = coeffs[i].get((k, l), ring.zero()) + value
-        raw = Cobracket(algebra, ring,
-                        [GradedTensor(algebra, 2, c, ring) for c in coeffs])
+        coeffs = {}
+        for key, value in entries:
+            coeffs[key] = coeffs.get(key, ring.zero()) + value
+        raw = Cobracket(algebra, coeffs, ring)
         assert_matches_dense(algebra, raw)
 
 
@@ -372,3 +377,64 @@ def test_numeric_points_share_the_one_q_ring():
     assert osp.ring is Q and all(r.ring is Q for r in points)
     assert osp.constants_in(points[0].ring) is osp.constants
     assert family("osp-r-a").ring is not Q
+
+
+class TestCobracketIsARank3Tensor:
+    """A cobracket is its coefficient dict keyed (i, k, l), dual slot first;
+    `rows`, `delta` and `f` are views of it, and the tensor operations and
+    `transform` give back a Cobracket."""
+
+    @staticmethod
+    def assert_views_agree(d):
+        n, zero = d.algebra.dim, d.ring.zero()
+        assert d.rank == 3 and len(d.rows) == n and d.rows is d.rows
+        f = d.f
+        for i, name in enumerate(d.algebra.basis):
+            assert d.delta(i) is d.rows[i] is d.delta(name)
+            assert {(i, *kl): v for kl, v in d.rows[i].coeffs.items()} == \
+                {key: v for key, v in d.coeffs.items() if key[0] == i}
+            assert [[f[i][k][l] for l in range(n)] for k in range(n)] == \
+                [[d.coeffs.get((i, k, l), zero) for l in range(n)]
+                 for k in range(n)]
+
+    @pytest.mark.parametrize("fid", family_ids())
+    def test_views_agree_on_families(self, fid):
+        self.assert_views_agree(family_cobracket(fid))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_drawn_entries())
+    def test_views_agree_on_drawn_points(self, drawn):
+        name, entries = drawn
+        algebra = builtin(name)
+        self.assert_views_agree(
+            Cobracket.from_entries(algebra, algebra.ring, entries))
+
+    def test_operations_return_a_cobracket(self, e2):
+        d = family("e2-case-b")
+        wider = Ring([(n, "commuting") for n in (*d.ring.names, "u")])
+        point = d.map(Q, {n: Q.scalar(k) for k, n in enumerate(d.ring.names)})
+        flip = e2_automorphism("flip", ring=d.ring)
+        results = [point, d.convert(wider), d - d, d + d, -d, d.scale(2),
+                   2 * d, transform(flip, d), transform(flip, point)]
+        assert [type(x) for x in results] == [Cobracket] * len(results)
+        assert point == family("e2-case-b", 0, 1, 2, 3)
+        assert (d - d).render() == "delta = 0"
+        for x in results[:2] + results[3:]:
+            assert x.render().startswith("delta H = ")
+            assert parse_cobracket_text(x.render(), e2, x.ring) == x
+
+    def test_ad_action_and_schouten_refuse_a_cobracket(self, e2):
+        # both act on tensors of g; a cobracket's first slot is dual
+        d = family("e2-case-ii", c=1)
+        with pytest.raises(ValueError, match="rank 2 or 3 over g"):
+            ad_action(e2, "H", d)
+        with pytest.raises(ValueError, match="rank-2"):
+            schouten(e2, d)
+
+    def test_from_rows_refuses_a_row_of_another_algebra(self, e2, osp):
+        with pytest.raises(RingMismatchError):
+            Cobracket.from_rows(e2, {"H": wedge(osp, "H", "X+")})
+
+    def test_check_cobracket_refuses_another_algebras_cobracket(self, osp):
+        with pytest.raises(RingMismatchError, match="different algebra"):
+            check_cobracket(osp, family("e2-case-ii", c=1))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from superbialg import equivalence
-from superbialg.scalars import Ring
+from superbialg.scalars import Ring, RingMismatchError
 from superbialg.algebra import builtin
 from superbialg.bialgebra import (Cobracket, coboundary_delta, cybe_status,
                                   family)
@@ -90,6 +90,34 @@ class TestE2Automorphisms:
         composed = compose(flip, flip)
         d = family("e2-case-a", 1, 0, 5)
         assert transform(composed, d) == d
+
+
+class TestRefusals:
+    def test_transform_refuses_a_tensor_of_another_algebra(self):
+        osp_map = osp_automorphism(1, 0, 0, 1)
+        for x in (family("e2-r-ii"), family("e2-case-ii", c=1)):
+            with pytest.raises(RingMismatchError, match="different algebra"):
+                transform(osp_map, x)
+
+    @pytest.mark.parametrize("entry", ["th", "1+th", "th*ph"])
+    def test_entries_must_be_even(self, entry):
+        # H -> H + theta P+ (or H -> (1 + theta) H): the transport has no
+        # Koszul signs, so it holds for even entries only; th*ph is even
+        ring = Ring([("th", "grassmann"), ("ph", "grassmann")])
+        one, zero = ring.one(), ring.zero()
+        x = ring.parse(entry)
+        matrix, inverse = ([[one if i == j else zero for j in range(5)]
+                            for i in range(5)] for _ in range(2))
+        if entry == "1+th":
+            matrix[0][0], inverse[0][0] = x, 2 - x
+        else:
+            matrix[0][1], inverse[0][1] = x, -x
+        if entry == "th*ph":
+            phi = Automorphism(builtin("super_e2"), matrix, inverse, ring)
+            assert phi.is_structure_preserving()
+            return
+        with pytest.raises(ValueError, match="must be even"):
+            Automorphism(builtin("super_e2"), matrix, inverse, ring)
 
 
 class TestTransform:

@@ -43,6 +43,12 @@ RINGS = {"constants": CONSTANTS, "super-e2": E2_RING, "osp": OSP_RING,
 ALGEBRAS = ("osp12", "super_e2")
 
 
+def _stacked(algebra, ring, rows):
+    """The Cobracket whose row i is the rank-2 tensor rows[i]."""
+    return Cobracket(algebra, {(i, *kl): v for i, row in enumerate(rows)
+                               for kl, v in row.coeffs.items()}, ring)
+
+
 # -- the previous loops, kept as references -------------------------------------
 
 def _frozen_sum_of_products(ring, products):
@@ -178,8 +184,8 @@ def _frozen_from_entries(algebra, ring, entries):
         row[(k, l)] = row.get((k, l), zero) + value
         if k != l:
             row[(l, k)] = row.get((l, k), zero) - algebra.z(k, l) * value
-    return Cobracket(algebra, ring,
-                     [GradedTensor(algebra, 2, c, ring) for c in coeffs])
+    return _stacked(algebra, ring, [GradedTensor(algebra, 2, c, ring)
+                                    for c in coeffs])
 
 
 def _frozen_cocycle_residual(algebra, d, i, j):
@@ -228,7 +234,7 @@ def _frozen_transform(phi, x):
                 if not phi.inverse[i][p].is_zero():
                     row = _frozen_add(row, phi.inverse[i][p] * image)
             rows.append(row)
-        return Cobracket(algebra, ring, rows)
+        return _stacked(algebra, ring, rows)
     src = x.convert(ring) if x.ring != ring else x
     out = {}
     for (k, l), v in src.coeffs.items():
@@ -246,16 +252,22 @@ def _frozen_transform(phi, x):
     return GradedTensor(algebra, 2, out, ring)
 
 
+def _apply_index(phi, i):
+    """phi(g_i) as a rank-1 tensor."""
+    return GradedTensor(phi.algebra, 1,
+                        {(j,): v for j, v in enumerate(phi.matrix[i])}, phi.ring)
+
+
 def _frozen_structure_residuals(phi):
     algebra = phi.algebra
     n = algebra.dim
     bad = []
     for i in range(n):
         for j in range(n):
-            lhs = _frozen_bracket(algebra, phi.apply_index(i), phi.apply_index(j))
+            lhs = _frozen_bracket(algebra, _apply_index(phi, i), _apply_index(phi, j))
             rhs = GradedTensor.zero(algebra, 1, phi.ring)
             for k, cval in algebra.bracket_indices(i, j):
-                rhs = _frozen_add(rhs, cval.convert(phi.ring) * phi.apply_index(k))
+                rhs = _frozen_add(rhs, cval.convert(phi.ring) * _apply_index(phi, k))
             diff = _frozen_add(lhs, -rhs)
             for (k,), v in diff.coeffs.items():
                 bad.append((algebra.basis[i], algebra.basis[j],
@@ -309,8 +321,8 @@ def _tensors(draw, algebra, ring, rank, even=False, max_size=4):
 
 @st.composite
 def _cobrackets(draw, algebra, ring):
-    return Cobracket(algebra, ring, [draw(_tensors(algebra, ring, 2, max_size=3))
-                                     for _ in range(algebra.dim)])
+    return _stacked(algebra, ring, [draw(_tensors(algebra, ring, 2, max_size=3))
+                                    for _ in range(algebra.dim)])
 
 
 @st.composite
@@ -440,7 +452,7 @@ def test_transform_and_structure_residuals_equal_frozen(ring_name,
     assert transform(phi, t) == _frozen_transform(phi, t)
     d = data.draw(_cobrackets(algebra, ring))
     assert transform(phi, d) == _frozen_transform(phi, d)
-    assert phi.structure_residuals() == _frozen_structure_residuals(phi)
+    assert phi.is_structure_preserving() == (not _frozen_structure_residuals(phi))
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
@@ -458,10 +470,22 @@ def test_named_automorphisms_transform_like_frozen(ring_name):
         # numeric families: transform converts them into the map's ring
         x = family("osp-r-a", 1, 2, 3) if osp else family("e2-r-b", 1, 2, 3)
         assert transform(phi, x) == _frozen_transform(phi, x)
-        assert phi.structure_residuals() == []
+        assert phi.is_structure_preserving()
+        assert _frozen_structure_residuals(phi) == []
         if not osp:
             d = family("e2-case-b", 1, 2, 3, 0)
             assert transform(phi, d) == _frozen_transform(phi, d)
+
+
+def test_structure_verdict_on_a_non_automorphism():
+    # diag(1,2,1,1,1) on super-E(2) scales P+ alone: [D+,D+] = P+ breaks
+    algebra = builtin("super_e2")
+    scale = [[(2 if i == 1 else 1) * int(i == j) for j in range(5)]
+             for i in range(5)]
+    back = [[Fraction(1, v) if v else 0 for v in row] for row in scale]
+    phi = Automorphism(algebra, scale, back)
+    assert _frozen_structure_residuals(phi)
+    assert not phi.is_structure_preserving()
 
 
 def test_constants_are_converted_once_per_ring():
