@@ -196,6 +196,49 @@ class TestValidation:
         assert abelian.validate().passed
 
 
+# One algebra failing each axiom of `validate`, with its full report text.
+_OSP_3H = data_path("osp12.alg").read_text().replace("X+ X- = 2 H",
+                                                      "X+ X- = 3 H")
+FAILING_ALGEBRAS = {
+    "grading": (
+        "[algebra] name = g\nbasis = H:even P:even D:odd\n"
+        "[brackets]\nH P = 1 P\nH D = 1 P\n",
+        "grading violated at c[H][D]^[P]: 1\n"
+        "grading violated at c[D][H]^[P]: -1"),
+    # an even diagonal survives the graded-antisymmetric completion
+    "antisymmetry": (
+        "[algebra] name = a\nbasis = H:even X:even\n[brackets]\nH H = 1 X\n",
+        "graded antisymmetry violated at (H,H)^X: 2"),
+    "jacobi": (_OSP_3H,
+               "super-Jacobi violated at (X+,X-,V+) -> V+: 1/2\n"
+               "super-Jacobi violated at (X+,X-,V-) -> V-: -1/2\n"
+               "super-Jacobi violated at (X+,V+,X-) -> V+: -1/2\n"
+               "super-Jacobi violated at (X+,V-,X-) -> V-: 1/2\n"
+               "super-Jacobi violated at (X+,V-,V-) -> H: 1/2\n"
+               "super-Jacobi violated at (X-,X+,V+) -> V+: -1/2\n"
+               "super-Jacobi violated at (X-,X+,V-) -> V-: 1/2\n"
+               "super-Jacobi violated at (X-,V+,X+) -> V+: 1/2\n"
+               "super-Jacobi violated at (X-,V+,V+) -> H: 1/2\n"
+               "super-Jacobi violated at (X-,V-,X+) -> V-: -1/2\n"
+               "super-Jacobi violated at (V+,X+,X-) -> V+: 1/2\n"
+               "super-Jacobi violated at (V+,X-,X+) -> V+: -1/2\n"
+               "super-Jacobi violated at (V+,X-,V+) -> H: 1/2\n"
+               "super-Jacobi violated at (V+,V+,X-) -> H: 1/2\n"
+               "super-Jacobi violated at (V-,X+,X-) -> V-: -1/2\n"
+               "super-Jacobi violated at (V-,X+,V-) -> H: 1/2\n"
+               "super-Jacobi violated at (V-,X-,X+) -> V-: 1/2\n"
+               "super-Jacobi violated at (V-,V-,X+) -> H: 1/2"),
+}
+
+
+@pytest.mark.parametrize("axiom", FAILING_ALGEBRAS)
+def test_failing_validate_report_text(axiom):
+    text, rendered = FAILING_ALGEBRAS[axiom]
+    report = parse_algebra_text(text, validate=False).validate()
+    assert report.failing_axioms() == [axiom]
+    assert report.render() == rendered
+
+
 class TestFileFormat:
     def test_bundled_files_match_builtins(self, e2, osp):
         for name, parsed in (("super_e2", e2), ("osp12", osp)):

@@ -367,6 +367,104 @@ class TestSparseKernelsMatchDense:
         assert_matches_dense(algebra, raw)
 
 
+_PRINTED_CASE_A = """
+    delta H = a H^P+ + b H^P- + c P+^P-
+    delta P+ = b P+^P-
+    delta P- = -a P+^P-
+    delta D+ = 1/2*a P+^D+ - 1/2*b P-^D+ + m P+^D-
+    delta D- = 1/2*a P+^D- - 1/2*b P-^D- + m P-^D+"""
+
+
+def _failing_cobrackets():
+    """Cobrackets failing the axioms of `check_cobracket`, each with its full
+    report text: case A with the printed delta(D-) row (ERRATA), a raw
+    coefficient dict that is neither graded nor antisymmetric, and case B at
+    c = d = 1."""
+    e2 = builtin("super_e2")
+    one = e2.ring.one()
+    return {
+        "printed-case-a": (parse_cobracket_text(
+            _PRINTED_CASE_A, e2, family("e2-case-a").ring),
+            "cojacobi violated at (D+,P+,P-,D-): -b*m\n"
+            "cojacobi violated at (D+,P+,D-,P-): b*m\n"
+            "cojacobi violated at (D+,P-,P+,D-): b*m\n"
+            "cojacobi violated at (D+,P-,D-,P+): -b*m\n"
+            "cojacobi violated at (D+,D-,P+,P-): -b*m\n"
+            "cojacobi violated at (D+,D-,P-,P+): b*m\n"
+            "cojacobi violated at (D-,P+,P-,D+): a*m\n"
+            "cojacobi violated at (D-,P+,P-,D-): -2*a*b\n"
+            "cojacobi violated at (D-,P+,D+,P-): -a*m\n"
+            "cojacobi violated at (D-,P+,D-,P-): 2*a*b\n"
+            "cojacobi violated at (D-,P-,P+,D+): -a*m\n"
+            "cojacobi violated at (D-,P-,P+,D-): 2*a*b\n"
+            "cojacobi violated at (D-,P-,D+,P+): a*m\n"
+            "cojacobi violated at (D-,P-,D-,P+): -2*a*b\n"
+            "cojacobi violated at (D-,D+,P+,P-): a*m\n"
+            "cojacobi violated at (D-,D+,P-,P+): -a*m\n"
+            "cojacobi violated at (D-,D-,P+,P-): -2*a*b\n"
+            "cojacobi violated at (D-,D-,P-,P+): 2*a*b\n"
+            "cocycle violated at (H,D-,P+,D-): -a\n"
+            "cocycle violated at (H,D-,P-,D-): -b\n"
+            "cocycle violated at (H,D-,D-,P+): a\n"
+            "cocycle violated at (H,D-,D-,P-): b\n"
+            "cocycle violated at (D-,D-,P+,P-): -2*a\n"
+            "cocycle violated at (D-,D-,P-,P+): 2*a"),
+        "raw": (Cobracket(e2, {(0, 1, 2): one, (0, 0, 3): 2 * one,
+                               (3, 0, 3): -one}),
+                "grading violated at (H,H,D+): 2\n"
+                "antisymmetry violated at (H,H,D+): 2\n"
+                "antisymmetry violated at (H,P+,P-): 1\n"
+                "antisymmetry violated at (D+,H,D+): -1\n"
+                "cojacobi violated at (H,H,H,D+): -2\n"
+                "cojacobi violated at (H,H,D+,H): -2\n"
+                "cojacobi violated at (H,D+,H,H): -2\n"
+                "cojacobi violated at (D+,H,H,D+): 1\n"
+                "cojacobi violated at (D+,H,D+,H): 1\n"
+                "cojacobi violated at (D+,D+,H,H): 1\n"
+                "cocycle violated at (H,P+,P+,D+): -2\n"
+                "cocycle violated at (H,P-,P-,D+): 2\n"
+                "cocycle violated at (H,D+,H,P+): 2\n"
+                "cocycle violated at (H,D+,D+,D+): -1\n"
+                "cocycle violated at (H,D-,D-,D+): 1\n"
+                "cocycle violated at (P+,D+,P+,D+): -1\n"
+                "cocycle violated at (P-,D+,P-,D+): 1\n"
+                "cocycle violated at (D+,D+,H,P+): 2\n"
+                "cocycle violated at (D+,D+,D+,D+): -1\n"
+                "cocycle violated at (D+,D-,D-,D+): 1/2"),
+        "case-b-cd": (family("e2-case-b", 0, 0, 1, 1),
+                      "cojacobi violated at (H,H,P+,P-): -4\n"
+                      "cojacobi violated at (H,H,P-,P+): 4\n"
+                      "cojacobi violated at (H,P+,H,P-): 4\n"
+                      "cojacobi violated at (H,P+,P-,H): -4\n"
+                      "cojacobi violated at (H,P+,D-,D-): 2\n"
+                      "cojacobi violated at (H,P-,H,P+): -4\n"
+                      "cojacobi violated at (H,P-,P+,H): 4\n"
+                      "cojacobi violated at (H,P-,D+,D+): 2\n"
+                      "cojacobi violated at (H,D+,P-,D+): 2\n"
+                      "cojacobi violated at (H,D+,D+,P-): 2\n"
+                      "cojacobi violated at (H,D-,P+,D-): 2\n"
+                      "cojacobi violated at (H,D-,D-,P+): 2\n"
+                      "cojacobi violated at (D+,P+,P-,D+): -1\n"
+                      "cojacobi violated at (D+,P+,D+,P-): 1\n"
+                      "cojacobi violated at (D+,P-,P+,D+): 1\n"
+                      "cojacobi violated at (D+,P-,D+,P+): -1\n"
+                      "cojacobi violated at (D+,D+,P+,P-): -1\n"
+                      "cojacobi violated at (D+,D+,P-,P+): 1\n"
+                      "cojacobi violated at (D-,P+,P-,D-): -1\n"
+                      "cojacobi violated at (D-,P+,D-,P-): 1\n"
+                      "cojacobi violated at (D-,P-,P+,D-): 1\n"
+                      "cojacobi violated at (D-,P-,D-,P+): -1\n"
+                      "cojacobi violated at (D-,D-,P+,P-): -1\n"
+                      "cojacobi violated at (D-,D-,P-,P+): 1"),
+    }
+
+
+@pytest.mark.parametrize("case", ["printed-case-a", "raw", "case-b-cd"])
+def test_failing_check_cobracket_report_text(case):
+    d, rendered = _failing_cobrackets()[case]
+    assert check_cobracket(d.algebra, d).render() == rendered
+
+
 def test_numeric_points_share_the_one_q_ring():
     # every fully numeric family point and the builtin algebras live in Q,
     # so the structure constants are read as they are, with no conversion
