@@ -42,7 +42,6 @@ from .bialgebra import (
     parse_cobracket_text,
 )
 from .cocycles import (
-    LinearSystem,
     SolutionFamily,
     build_cocycle_system,
     nullspace,

@@ -5,7 +5,8 @@ the bundled data; the two built-in algebras are the parsed `data/*.alg`
 files, which the `files.*` claims check against the constants read off the
 groups' supermatrices T.  `Report` is the one record of a failed exact axiom
 check, here and in `bialgebra` and `poisson`: it holds each failed
-identity's residual value."""
+identity's residual value.  `validate` and `bialgebra.check_cobracket` each
+file one dict {index key: residual} per axiom through `Report.add_all`."""
 
 from __future__ import annotations
 
@@ -36,6 +37,13 @@ class Report:
 
     def add(self, axiom, labels, residual):
         self.failures[axiom].append((labels, residual))
+
+    def add_all(self, names, residuals):
+        """File {axiom: {index key: residual}}, each axiom in sorted key
+        order, labelled by the `names` of the key's indices."""
+        for axiom, found in residuals.items():
+            for key in sorted(found):
+                self.add(axiom, tuple(names[i] for i in key), found[key])
 
     @property
     def passed(self):
@@ -120,24 +128,21 @@ class SuperLieAlgebra:
         constants.  Jacobi at (i,j,l) -> m is z(i,l) T(i,j,l,m) + z(j,i)
         T(j,l,i,m) + z(l,j) T(l,i,j,m) with T(x,y,w,m) = [[x,y],w]_m from
         `tensors.contract`; each T entry enters its three keys with z(x,w)."""
-        report = Report(_AXIOMS)
-        names = self.basis
-        entries = {(i, j, k): v for (i, j), found in sorted(self.constants.items())
+        entries = {(i, j, k): v for (i, j), found in self.constants.items()
                    for k, v in found}
         rows = [{} for _ in range(self.dim)]
         for (i, j, k), v in entries.items():
             rows[i][j, k] = v
-            if (self.grades[i] + self.grades[j]) % 2 != self.grades[k]:
-                report.add("grading", (names[i], names[j], names[k]), v)
-        for (i, j, k), res in sorted(tensors._graded_antisymmetry(
-                self, self.ring, entries, 0).items()):
-            report.add("antisymmetry", (names[i], names[j], names[k]), res)
-        jacobi = self.ring.accumulate((
-            (key, self.z(x, w), (value,))
-            for (x, y, w, m), value in tensors.contract(self.ring, rows).items()
-            for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m))))
-        for key, res in sorted(jacobi.items()):
-            report.add("jacobi", tuple(names[i] for i in key), res)
+        report = Report(_AXIOMS)
+        report.add_all(self.basis, {
+            "grading": {key: v for key, v in entries.items()
+                        if sum(self.grades[i] for i in key) % 2},
+            "antisymmetry": tensors._graded_antisymmetry(self, self.ring,
+                                                         entries, 0),
+            "jacobi": self.ring.accumulate((
+                (key, self.z(x, w), (value,))
+                for (x, y, w, m), value in tensors.contract(self.ring, rows).items()
+                for key in ((x, y, w, m), (w, x, y, m), (y, w, x, m))))})
         return report
 
     # -- elements --------------------------------------------------------

@@ -7,8 +7,11 @@ antisymmetry, co-Jacobi, and the cocycle compatibility with the bracket,
 
     delta([g_i, g_j]) = ad_i delta(g_j) - z(i,j) ad_j delta(g_i),
 
-all as exact scalar-zero tests (parameters stay symbolic); `check_cobracket`
-returns a `Report` holding each nonzero residual polynomial.
+all as exact scalar-zero tests (parameters stay symbolic).  Each axiom is
+one dict {index key: nonzero residual polynomial}, and `check_cobracket`
+files the four through `Report.add_all`.  `_pairs` is the one rule for the
+pairs (g_i, g_j) the cocycle identity is checked on; the cocycle system of
+`cocycles` reads the same `_cocycle_residuals` dict.
 
 The coboundary construction fixes the overall sign so that
 delta(g) = [g(x)1 + 1(x)g, r] = ad_g(r): this is the sign under which the
@@ -25,7 +28,7 @@ from fractions import Fraction
 from .scalars import EVEN, Q, Ring, RingMismatchError, rational_sqrt
 from .algebra import Report, builtin
 from . import tensors
-from .tensors import Cobracket, GradedTensor, RMatrix, ad_action
+from .tensors import Cobracket, RMatrix, ad_action
 
 CYBE = "CYBE"
 MCYBE = "mCYBE"
@@ -47,55 +50,54 @@ def coboundary_delta(algebra, r):
         for kl, v in ad_action(algebra, g, r).coeffs.items()}, r.ring)
 
 
-def _cocycle_residual(algebra, d, i, j):
-    """delta([g_i,g_j]) - ad_i delta(g_j) + z(i,j) ad_j delta(g_i)."""
-    ring = d.ring
-    products = [(kl, 1, (cval, v))
-                for k, cval in algebra.constants_in(ring).get((i, j), ())
-                for kl, v in d.rows[k].coeffs.items()]
-    products += [(key, -sign, factors) for key, sign, factors
-                 in tensors._adjoint(algebra, i, d.rows[j])]
-    products += [(key, algebra.z(i, j) * sign, factors) for key, sign, factors
-                 in tensors._adjoint(algebra, j, d.rows[i])]
-    return GradedTensor(algebra, 2, ring.accumulate(products), ring)
+def _pairs(algebra):
+    """The pairs (i, j), i <= j, that determine a graded-antisymmetric
+    function of two basis elements, which vanishes on the even diagonal."""
+    n, grades = algebra.dim, algebra.grades
+    return [(i, j) for i in range(n) for j in range(i, n) if i < j or grades[i]]
+
+
+def _cocycle_residuals(algebra, d):
+    """{(i, j, l, m): residual} of delta([g_i,g_j]) - ad_i delta(g_j)
+    + z(i,j) ad_j delta(g_i), graded-antisymmetric in (i, j), over `_pairs`
+    in one `Ring.accumulate`."""
+    constants, rows = algebra.constants_in(d.ring), d.rows
+    products = []
+    for i, j in _pairs(algebra):
+        products += [((i, j, *kl), 1, (cval, v))
+                     for k, cval in constants.get((i, j), ())
+                     for kl, v in rows[k].coeffs.items()]
+        for g, row, z in ((i, rows[j], -1), (j, rows[i], algebra.z(i, j))):
+            products += [((i, j, *kl), z * sign, factors) for kl, sign, factors
+                         in tensors._adjoint(algebra, g, row)]
+    return d.ring.accumulate(products)
 
 
 def _cojacobi_residuals(algebra, d):
-    """Yield (i, k, l, m, residual) for every nonzero co-Jacobi sum
+    """{(i, k, l, m): residual} for every nonzero co-Jacobi sum
     z(k,m) T(i,k,l,m) + z(l,k) T(i,l,m,k) + z(m,l) T(i,m,k,l), where
-    T(i,k,l,m) = sum_j f_i^{kj} f_j^{lm}, with i, k, l, m in lexicographic
-    order.  T is `tensors.contract` of the rows; each of its entries enters
-    the three cyclic positions of its last three indices with the same sign."""
+    T(i,k,l,m) = sum_j f_i^{kj} f_j^{lm} is `tensors.contract` of the rows;
+    each of its entries enters the three cyclic positions of its last three
+    indices with the same sign."""
     contracted = tensors.contract(d.ring, [row.coeffs for row in d.rows])
-    residuals = d.ring.accumulate((
+    return d.ring.accumulate((
         (key, algebra.z(k, m), (value,))
         for (i, k, l, m), value in contracted.items()
         for key in ((i, k, l, m), (i, m, k, l), (i, l, m, k))))
-    for key, res in sorted(residuals.items()):
-        yield (*key, res)
 
 
 def check_cobracket(algebra, d):
     if d.algebra is not algebra:
         raise RingMismatchError("tensor of a different algebra")
-    report = Report(_AXIOMS)
     grades = algebra.grades
-    names = algebra.basis
-    for (i, k, l), v in sorted(d.coeffs.items()):
-        if (grades[k] + grades[l]) % 2 != grades[i]:
-            report.add("grading", (names[i], names[k], names[l]), v)
-    for (i, k, l), res in sorted(tensors._graded_antisymmetry(
-            algebra, d.ring, d.coeffs, 1).items()):
-        report.add("antisymmetry", (names[i], names[k], names[l]), res)
-    for i, k, l, m, res in _cojacobi_residuals(algebra, d):
-        report.add("cojacobi", (names[i], names[k], names[l], names[m]), res)
-    for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
-            if i == j and not grades[i]:
-                continue
-            res = _cocycle_residual(algebra, d, i, j)
-            for (l, m), v in sorted(res.coeffs.items()):
-                report.add("cocycle", (names[i], names[j], names[l], names[m]), v)
+    report = Report(_AXIOMS)
+    report.add_all(algebra.basis, {
+        "grading": {key: v for key, v in d.coeffs.items()
+                    if sum(grades[i] for i in key) % 2},
+        "antisymmetry": tensors._graded_antisymmetry(algebra, d.ring,
+                                                     d.coeffs, 1),
+        "cojacobi": _cojacobi_residuals(algebra, d),
+        "cocycle": _cocycle_residuals(algebra, d)})
     return report
 
 

@@ -142,11 +142,10 @@ def cmd_coboundary(args):
 
 def cmd_solve_cocycle(args):
     algebra = _load_algebra(args)
-    system, fam = cocycles.solve_cocycle_space(algebra)
-    echelon_rank = system.unknown_count - fam.nullity
-    print(f"unknowns\t{system.unknown_count}")
-    print(f"equations\t{system.equation_count}")
-    print(f"rank\t{echelon_rank}")
+    matrix, fam = cocycles.solve_cocycle_space(algebra)
+    print(f"unknowns\t{len(fam.unknowns)}")
+    print(f"equations\t{len(matrix)}")
+    print(f"rank\t{len(fam.unknowns) - fam.nullity}")
     print(f"nullity\t{fam.nullity}")
     for i, d in enumerate(fam.cobrackets()):
         rows = d.render().replace("\n", "; ")

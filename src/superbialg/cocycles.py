@@ -1,13 +1,14 @@
 """Re-derivation of the classification inputs.
 
 Forms the matrix over Q of the cocycle identity, whose column for each
-unknown cobracket constant is the residual of that constant's unit
-cobracket, computes its exact nullspace (Gauss-Jordan elimination over Q),
-generates the quadratic co-Jacobi constraints on the surviving parameters,
-and compares the cocycle space with the span of coboundaries.
+unknown cobracket constant is the `bialgebra._cocycle_residuals` dict of that
+constant's unit cobracket, computes its exact nullspace (Gauss-Jordan
+elimination over Q), generates the quadratic co-Jacobi constraints on the
+surviving parameters, and compares the cocycle space with the span of
+coboundaries.
 
-Unknown ordering: admissible triples (i, k, l) sorted lexicographically,
-with k < l for distinct upper indices and odd-odd diagonal unknowns (k = l)
+Unknown ordering: admissible triples (i, k, l) sorted lexicographically, with
+(k, l) in `bialgebra._pairs`: k < l, and odd-odd diagonal unknowns (k = l)
 included once.
 """
 
@@ -16,64 +17,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Q, Ring
-from .bialgebra import (Cobracket, _cocycle_residual, _cojacobi_residuals,
-                        coboundary_delta)
+from .bialgebra import (Cobracket, _cocycle_residuals, _cojacobi_residuals,
+                        _pairs, coboundary_delta)
 from .tensors import RMatrix
 
 
 def admissible_unknowns(algebra):
-    """Triples (i, k, l) surviving the grading and antisymmetry cuts."""
-    n = algebra.dim
+    """Triples (i, k, l), (k, l) in `_pairs`, that survive the grading cut."""
     grades = algebra.grades
-    out = []
-    for i in range(n):
-        for k in range(n):
-            for l in range(k, n):
-                if k == l and not grades[k]:
-                    continue  # even wedge with itself vanishes
-                if (grades[k] + grades[l]) % 2 != grades[i]:
-                    continue
-                out.append((i, k, l))
-    return out
-
-
-class LinearSystem:
-    """Exact rational linear system M t = 0 over the admissible unknowns."""
-
-    def __init__(self, unknowns, rows):
-        self.unknowns = unknowns      # list of (i, k, l)
-        self.rows = rows              # list of Fraction lists
-
-    @property
-    def unknown_count(self):
-        return len(self.unknowns)
-
-    @property
-    def equation_count(self):
-        return len(self.rows)
+    return [(i, k, l) for i in range(algebra.dim) for k, l in _pairs(algebra)
+            if (grades[k] + grades[l]) % 2 == grades[i]]
 
 
 def build_cocycle_system(algebra):
-    """One equation per component (i, j, l, m) of the cocycle residual at
-    (g_i, g_j), i <= j, that some unknown reaches, in that order.  The
-    residual is linear in the cobracket, so column u holds the residual of
-    the unit cobracket at u."""
+    """(unknowns, rows): one row per key (i, j, l, m) of `_cocycle_residuals`
+    that some unknown reaches, in key order.  The residual is linear in the
+    cobracket, so column u holds the residuals of the unit cobracket at u."""
     unknowns = admissible_unknowns(algebra)
     columns = {}
     for col, u in enumerate(unknowns):
         d = Cobracket.from_entries(algebra, Q, [(u, 1)])
-        for i in range(algebra.dim):
-            for j in range(i, algebra.dim):
-                if i == j and not algebra.grades[i]:
-                    continue
-                res = _cocycle_residual(algebra, d, i, j)
-                for (l, m), value in res.coeffs.items():
-                    entries = columns.setdefault((i, j, l, m), {})
-                    entries[col] = value.as_fraction()
+        for key, value in _cocycle_residuals(algebra, d).items():
+            columns.setdefault(key, {})[col] = value.as_fraction()
     zero = Fraction(0)
-    rows = [[entries.get(col, zero) for col in range(len(unknowns))]
-            for _, entries in sorted(columns.items())]
-    return LinearSystem(unknowns, rows)
+    return unknowns, [[entries.get(col, zero) for col in range(len(unknowns))]
+                      for _, entries in sorted(columns.items())]
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -184,25 +152,19 @@ class SolutionFamily:
 
 
 def solve_cocycle_space(algebra):
-    system = build_cocycle_system(algebra)
-    basis = nullspace(system.rows, system.unknown_count)
-    return system, SolutionFamily(algebra, system.unknowns, basis)
+    """(rows, SolutionFamily): the cocycle matrix and its nullspace."""
+    unknowns, rows = build_cocycle_system(algebra)
+    return rows, SolutionFamily(algebra, unknowns,
+                                nullspace(rows, len(unknowns)))
 
 
 def basis_r_matrices(algebra):
-    """The six even wedge generators: 3 even-even plus 3 odd-odd."""
-    evens = [i for i in range(algebra.dim) if not algebra.grades[i]]
-    odds = [i for i in range(algebra.dim) if algebra.grades[i]]
-    out = []
-    for a in range(len(evens)):
-        for b in range(a + 1, len(evens)):
-            out.append(RMatrix.from_wedges(
-                algebra, [(1, algebra.basis[evens[a]], algebra.basis[evens[b]])]))
-    for a in range(len(odds)):
-        for b in range(a, len(odds)):
-            out.append(RMatrix.from_wedges(
-                algebra, [(1, algebra.basis[odds[a]], algebra.basis[odds[b]])]))
-    return out
+    """The even wedge generators g_k ^ g_l, (k, l) in `_pairs`: the even-even
+    ones, then the odd-odd ones."""
+    grades, names = algebra.grades, algebra.basis
+    return [RMatrix.from_wedges(algebra, [(1, names[k], names[l])])
+            for k, l in sorted(_pairs(algebra), key=lambda kl: grades[kl[0]])
+            if grades[k] == grades[l]]
 
 
 def coboundary_space(algebra):
@@ -246,7 +208,7 @@ def cojacobi_constraints(family):
         for u, coeff in zip(family.unknowns, vec) if coeff))
     seen = []
     seen_rendered = set()
-    for *_, res in _cojacobi_residuals(algebra, d):
+    for _, res in sorted(_cojacobi_residuals(algebra, d).items()):
         text = res.render()
         if text.startswith("-"):
             res = -res

@@ -16,7 +16,6 @@ as (map, source, target) rows of one witness table checked by one loop
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .scalars import Ring, RingMismatchError
@@ -159,11 +158,13 @@ def _transport(phi, coeffs, dual):
     down = [[(i, m) for i, m in enumerate(column) if m._terms]
             for column in zip(*phi.inverse)]
     up = [[(j, m) for j, m in enumerate(row) if m._terms] for row in phi.matrix]
-    return phi.ring.accumulate(
-        (key, 1, (v, *factors)) for idx, v in coeffs.items()
-        for moves in itertools.product(*[down[s] if n < dual else up[s]
-                                         for n, s in enumerate(idx)])
-        for key, factors in (zip(*moves),))
+    # expand one slot at a time, extending every (index, key, factors) prefix
+    terms = [(idx, (), (v,)) for idx, v in coeffs.items()]
+    for n in range(len(next(iter(coeffs), ()))):
+        moves = down if n < dual else up
+        terms = [(idx, key + (j,), factors + (m,)) for idx, key, factors in terms
+                 for j, m in moves[idx[n]]]
+    return phi.ring.accumulate((key, 1, factors) for _, key, factors in terms)
 
 
 def transform(phi, x):

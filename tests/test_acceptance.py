@@ -208,9 +208,9 @@ def test_criterion_10_property_suites():
                 checked += 1
 
     # nullspace exactness
-    system, fam = cocycles.solve_cocycle_space(E2)
+    rows, fam = cocycles.solve_cocycle_space(E2)
     for v in fam.vectors:
-        assert not any(sum(m * x for m, x in zip(row, v)) for row in system.rows)
+        assert not any(sum(m * x for m, x in zip(row, v)) for row in rows)
         checked += 1
 
     # transform functoriality on random SL(2) pairs

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from superbialg import algebra, claims, cocycles
 from superbialg.algebra import SuperLieAlgebra, builtin
-from superbialg.bialgebra import (Cobracket, _cocycle_residual,
-                                  check_cobracket, coboundary_delta,
-                                  family)
+from superbialg.bialgebra import (Cobracket, check_cobracket,
+                                  coboundary_delta, family, family_ids,
+                                  parse_cobracket_text)
 from superbialg.claims import run_claims
 from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  build_cocycle_system, coboundary_space, cojacobi_constraints,
@@ -20,10 +20,12 @@ from superbialg.cocycles import (admissible_unknowns, basis_r_matrices,
                                  solve_cocycle_space, span_solve,
                                  vector_cobracket)
 from superbialg.poisson import group
-from superbialg.scalars import Ring, RingMismatchError
+from superbialg.scalars import Q, Ring, RingMismatchError
 
 from test_algebra import constructor_inputs
+from test_bialgebra import _PRINTED_CASE_A
 from test_double import dual_block
+from test_tensor_sums import _frozen_cocycle_residual
 
 
 @pytest.fixture(scope="module")
@@ -59,23 +61,24 @@ class TestSystem:
             "abelian5",
             [("A", "even"), ("B", "even"), ("C", "even"),
              ("S", "odd"), ("T", "odd")], {})
-        system = build_cocycle_system(abelian)
-        assert system.equation_count == 0
+        _, rows = build_cocycle_system(abelian)
+        assert rows == []
 
     def test_kernel_vectors_exact(self, e2_solution, osp_solution):
-        for system, fam in (e2_solution, osp_solution):
+        for rows, fam in (e2_solution, osp_solution):
             assert fam.vectors
             for v in fam.vectors:
                 # M v, the residual of the exact membership check
                 assert not any(sum(m * x for m, x in zip(row, v))
-                               for row in system.rows)
+                               for row in rows)
 
 
 # -- reference: the cocycle system built before the unit-cobracket columns,
 # from a cobracket whose 30 constants are the variables of a polynomial ring
 # and a residual read back coefficient by coefficient; kept verbatim, except
-# that the names carry a _frozen prefix and the build returns the unknowns
-# and rows in place of the LinearSystem with equation labels.
+# that the names carry a _frozen prefix, the build returns the unknowns and
+# rows in place of the LinearSystem with equation labels, and each pair's
+# residual is the frozen per-pair loop of test_tensor_sums.
 
 def _frozen_generic_cobracket(algebra):
     """A cobracket whose admissible constants are fresh ring parameters."""
@@ -108,7 +111,7 @@ def _frozen_build_cocycle_system(algebra):
         for j in range(i, n):
             if i == j and not algebra.grades[i]:
                 continue
-            res = _cocycle_residual(algebra, d, i, j)
+            res = _frozen_cocycle_residual(algebra, d, i, j)
             for (l, m), value in sorted(res.coeffs.items()):
                 row = _frozen_linear_coefficients(value, ring, len(unknowns))
                 if any(row):
@@ -117,9 +120,7 @@ def _frozen_build_cocycle_system(algebra):
 
 
 def _assert_system_equals_frozen(algebra):
-    system = build_cocycle_system(algebra)
-    assert (system.unknowns, system.rows) \
-        == _frozen_build_cocycle_system(algebra)
+    assert build_cocycle_system(algebra) == _frozen_build_cocycle_system(algebra)
 
 
 class TestSystemEqualsFrozen:
@@ -156,6 +157,57 @@ class TestSystemEqualsFrozen:
         _assert_system_equals_frozen(SuperLieAlgebra("drawn", *drawn))
 
 
+
+def _frozen_cocycle_values(d):
+    """The nonzero frozen cocycle residuals at every pair i <= j, in key
+    order (i, j, l, m); the even diagonal is zero on its own."""
+    n = d.algebra.dim
+    return [v for _, v in sorted(
+        ((i, j, *lm), v) for i in range(n) for j in range(i, n)
+        for lm, v in _frozen_cocycle_residual(d.algebra, d, i, j).coeffs.items())]
+
+
+def _assert_matrix_is_the_residual_map(d, rows):
+    """The nonzero entries of M v, in row order, are the cocycle residuals of
+    `check_cobracket` in report order, and the frozen residuals."""
+    unknowns = admissible_unknowns(d.algebra)
+    v = [x.as_fraction() for x in cobracket_vector(d, unknowns)]
+    assert vector_cobracket(d.algebra, unknowns, v) == d
+    image = [sum(m * x for m, x in zip(row, v)) for row in rows]
+    residuals = [x.as_fraction() for x in
+                 check_cobracket(d.algebra, d).residuals("cocycle")]
+    assert [x for x in image if x] == residuals == _frozen_cocycle_values(d)
+
+
+_E2_POINT = dict(a=4, b=1, c=Fraction(-1, 2), d=Fraction(2, 3), m=2)
+
+
+class TestMatrixIsTheResidualMap:
+    @pytest.mark.parametrize("fid", [fid for fid in family_ids()
+                                     if fid.startswith("e2-case")])
+    def test_e2_cobrackets_at_a_rational_point(self, fid, e2_solution):
+        names = family(fid).ring.names
+        d = family(fid, **{n: _E2_POINT[n] for n in names if n != "m"})
+        _assert_matrix_is_the_residual_map(d, e2_solution[0])
+
+    def test_printed_case_a_row(self, e2, e2_solution):
+        printed = parse_cobracket_text(_PRINTED_CASE_A, e2,
+                                       family("e2-case-a").ring)
+        d = printed.map(Q, {n: Q.scalar(_E2_POINT[n]) for n in printed.ring.names})
+        assert not check_cobracket(e2, d).passed
+        _assert_matrix_is_the_residual_map(d, e2_solution[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["osp12", "super_e2"]).flatmap(
+        lambda name: st.tuples(st.just(name), st.lists(
+            st.fractions(-3, 3, max_denominator=4), min_size=30, max_size=30))))
+    def test_drawn_vectors(self, e2_solution, osp_solution, drawn):
+        name, v = drawn
+        algebra = builtin(name)
+        rows = (e2_solution if name == "super_e2" else osp_solution)[0]
+        _assert_matrix_is_the_residual_map(
+            vector_cobracket(algebra, admissible_unknowns(algebra), v), rows)
+
 def _permuted_nullspace(rows, ncols, order):
     """The nullspace found with the columns taken in `order`: permuted
     before elimination, each basis vector put back in natural order."""
@@ -181,12 +233,12 @@ class TestNullspace:
         assert v[0] == -v[1] and v[0] != 0
 
     def test_rank_cross_check_with_permuted_columns(self, osp_solution):
-        system, fam = osp_solution
-        n = system.unknown_count
+        rows, fam = osp_solution
+        n = len(fam.unknowns)
         rng = random.Random(11)
         order = list(range(n))
         rng.shuffle(order)
-        permuted = _permuted_nullspace(system.rows, n, order)
+        permuted = _permuted_nullspace(rows, n, order)
         assert len(permuted) == fam.nullity
         # the two bases span the same space (mutual membership)
         assert None not in span_solve(
@@ -197,7 +249,7 @@ class TestNullspace:
 
 class TestSpaces:
     def test_osp_coboundary_completeness(self, osp, osp_solution):
-        system, fam = osp_solution
+        _, fam = osp_solution
         cobs, vectors = coboundary_space(osp)
         assert fam.nullity == 6
         assert len(vectors) == 6
@@ -207,7 +259,7 @@ class TestSpaces:
             vectors, [[Fraction(x) for x in v] for v in fam.vectors])
 
     def test_e2_coboundaries_are_proper(self, e2, e2_solution):
-        system, fam = e2_solution
+        _, fam = e2_solution
         cobs, vectors = coboundary_space(e2)
         assert fam.nullity == 7
         assert len(vectors) == 5
@@ -224,7 +276,7 @@ class TestSpaces:
         assert vectors == []
 
     def test_kernel_members_are_cocycles(self, e2, e2_solution):
-        system, fam = e2_solution
+        _, fam = e2_solution
         for d in fam.cobrackets():
             report = check_cobracket(e2, d)
             assert not report.failures["cocycle"]
@@ -350,7 +402,7 @@ def test_evaluate_constraints_equals_frozen(e2_solution):
 
 
 def test_vector_cobracket_round_trip(e2, e2_solution):
-    system, fam = e2_solution
+    _, fam = e2_solution
     for v in fam.vectors:
         d = vector_cobracket(e2, fam.unknowns, v)
         again = cobracket_vector(d, fam.unknowns)

@@ -3,8 +3,11 @@
 (g, delta) is a Lie super-bialgebra exactly when D, with the bracket that
 makes the canonical pairing of g and g* invariant, is a Lie superalgebra
 (Drinfeld 1983; Andruskiewitsch 1993 for superalgebras).  D's axioms run
-through `SuperLieAlgebra.validate`, which shares no code with
-`_cocycle_residual` or `_cojacobi_residuals`; `double` reads only the
+through `SuperLieAlgebra.validate`.  Beyond the keyed sum `Ring.accumulate`,
+it shares no kernel with `_cocycle_residuals`, but it does share
+`tensors.contract` with `_cojacobi_residuals`: D's Jacobi sum and delta's
+co-Jacobi sum are the same sparse contraction, so this route is independent
+of the cocycle kernel alone (ROADMAP item 12).  `double` reads only the
 structure constants and the cobracket rows.
 """
 

@@ -63,6 +63,16 @@ def test_readme_names_every_public_name():
     assert missing == []
 
 
+def test_readme_public_lists_are_the_public_names():
+    # the module table's "Public:" lists, parentheticals left out, name
+    # exactly the exported names that are not submodules
+    public = set()
+    for row in re.findall(r"Public: ([^|\n]*)", README):
+        public |= set(_spans(re.sub(r"\([^)]*\)", "", row)))
+    assert public == {name for name in superbialg.__all__
+                      if not inspect.ismodule(getattr(superbialg, name))}
+
+
 def test_readme_module_names_exist():
     modules = {info.name for info in pkgutil.iter_modules(superbialg.__path__)}
     quoted = [match.groups() for span in re.findall(r"`([^`\n]+)`", README)
